@@ -7,11 +7,12 @@ simulation) is checked against.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import graph
 
 GATE_KINDS = ("AND", "OR", "NAND", "NOR", "NOT", "BUFF", "XOR")
 
@@ -64,23 +65,17 @@ class BooleanNetwork:
         return set(self.inputs)
 
     def topological_order(self):
-        """Gate names in dependency order (inputs excluded)."""
-        order = []
-        seen = set(self.inputs)
-        pending = list(self.gates)
-        while pending:
-            rest = []
-            for g in pending:
-                if all(i in seen for i in g.inputs):
-                    order.append(g.name)
-                    seen.add(g.name)
-                else:
-                    rest.append(g)
-            if len(rest) == len(pending):
-                raise BenchError("cycle detected among gates: " +
-                                 ", ".join(g.name for g in rest[:5]))
-            pending = rest
-        return order
+        """Gate names in dependency order (inputs excluded).
+
+        See `graph.topological_order` for the exact order.
+        """
+        try:
+            return graph.topological_order(
+                ((g.name, g.inputs) for g in self.gates), self._input_set
+            )
+        except graph.CycleError as e:
+            raise BenchError("cycle detected among gates: " +
+                             ", ".join(e.leftover[:5])) from None
 
     def to_json(self):
         return {
@@ -219,7 +214,3 @@ def load_bench(path):
     with open(path) as f:
         return parse_bench(f.read())
 
-
-def save_json(net, path):
-    with open(path, "w") as f:
-        json.dump(net.to_json(), f, indent=1)

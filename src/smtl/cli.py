@@ -78,6 +78,8 @@ def synth(bench_path, fanin, wmax, output):
     """Compile a gate netlist into a threshold logic network."""
     if not 2 <= fanin <= 4:
         _fail(EXIT_INPUT, "fan-in limit must be between 2 and 4")
+    if wmax < 2:  # primitive gates are emitted with |w| = 2
+        _fail(EXIT_INPUT, "--wmax must be at least 2")
     try:
         net = load_bench(bench_path)
     except (OSError, BenchError) as e:
@@ -123,6 +125,10 @@ def _load_tln(path):
 @click.option("-o", "--output", default="mapped.json", show_default=True)
 def map_cmd(tln_path, k, blocks, rows, cols, subarray, fmax, output):
     """Map a threshold network onto pipelined crossbar blocks."""
+    if k < 1:
+        _fail(EXIT_INPUT, "--levels-per-stage must be at least 1")
+    if fmax < 2:
+        _fail(EXIT_INPUT, "--fmax must be at least 2")
     tln, net, doc = _load_tln(tln_path)
     if subarray:
         try:
@@ -176,6 +182,8 @@ def _load_design(path):
 def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
                  baseline_energy, baseline_delay):
     """Simulate under variation and report power/delay/area."""
+    if vectors < 1:
+        _fail(EXIT_INPUT, "--vectors must be at least 1")
     design = _load_design(mapped_path)
     params = _load_params(params_path)
     try:
@@ -252,6 +260,8 @@ def sweep_cmd(mapped_path, tln_path, params_path, parameter, grid, output):
 @click.option("-o", "--output", default="write_sim.csv", show_default=True)
 def write_sim_cmd(bits, iprog, trials, tmax, seed, params_path, output):
     """Monte-Carlo the feedback write loop over comparator resolutions."""
+    if trials < 1:
+        _fail(EXIT_INPUT, "--trials must be at least 1")
     params = _load_params(params_path)
     try:
         bit_list = [int(b) for b in bits.split(",") if b.strip()]

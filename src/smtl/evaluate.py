@@ -52,8 +52,9 @@ def crossbar_net_current(weights, bias, x, params, w_max=W_MAX,
 
 
 def _programmed(design, params, w_max=W_MAX):
-    """Per-node conductance vectors: (input ids, g_plus[], g_minus[])."""
-    table = {}
+    """Per-node conductances in topological order:
+    [(node id, input ids, n_inputs, g_plus[], g_minus[])]."""
+    table = []
     for nid in design.tln.topological_order():
         gate = design.tln.nodes[nid].gate
         levels = list(gate.weights) + bias_chunks(gate.bias, w_max)
@@ -61,7 +62,7 @@ def _programmed(design, params, w_max=W_MAX):
         gm = np.empty(len(levels))
         for i, w in enumerate(levels):
             gp[i], gm[i] = weight_to_conductance(w, w_max, params)
-        table[nid] = (gate.inputs, len(gate.weights), gp, gm)
+        table.append((nid, gate.inputs, len(gate.weights), gp, gm))
     return table
 
 
@@ -84,8 +85,7 @@ def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
 
     vals = {name: vectors[:, i] for i, name in enumerate(design.tln.inputs)}
     indeterminate = np.zeros(vectors.shape[0], dtype=bool)
-    for nid in design.tln.topological_order():
-        inputs, n_in, gp, gm = prog[nid]
+    for nid, inputs, n_in, gp, gm in prog:
         if sigma > 0.0:
             gp = gp * (1.0 + rng.normal(0.0, sigma, gp.shape))
             gm = gm * (1.0 + rng.normal(0.0, sigma, gm.shape))

@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 
 from . import partition
 from .devices import bias_rows
-from .tlg import FANIN_LIMIT, W_MAX, ThresholdGate, ThresholdLogicNetwork
-
-BUFFER = lambda src: ThresholdGate((src,), (2,), -1)  # noqa: E731
+from .tlg import (
+    FANIN_LIMIT,
+    W_MAX,
+    ThresholdGate,
+    ThresholdLogicNetwork,
+    buffer_gate,
+)
 
 
 class MappingInfeasible(Exception):
@@ -69,9 +73,7 @@ class MappedDesign:
             for c, name in enumerate(names):
                 place[name] = (0, b, c)
         for s, blks in self.blocks.items():
-            for b, cols in enumerate(blks):
-                for c, nid in enumerate(cols):
-                    place[nid] = (s, b, c)
+            _place_stage(place, blks, s)
         return place
 
     def edges(self):
@@ -110,7 +112,7 @@ class MappedDesign:
         )
 
 
-def _stage_of(tln, name, k):
+def _stage_of(tln, name):
     if name in tln.nodes:
         return tln.nodes[name].stage
     return 0  # primary input
@@ -161,13 +163,13 @@ def insert_buffers(tln, k):
 
     def carried(src, stage):
         # id holding the value of `src`, placed in `stage`
-        if _stage_of(tln, src, k) == stage:
+        if _stage_of(tln, src) == stage:
             return src
         key = (src, stage)
         if key not in chains:
             prev = carried(src, stage - 1)
             nid = f"{src}$s{stage}"
-            node = tln.add_node(nid, BUFFER(prev), is_buffer=True)
+            node = tln.add_node(nid, buffer_gate(prev), is_buffer=True)
             node.stage = stage
             node.level = (stage - 1) * k + 1
             chains[key] = nid
@@ -180,7 +182,7 @@ def insert_buffers(tln, k):
         g = node.gate
         srcs = []
         for src in g.inputs:
-            span = node.stage - _stage_of(tln, src, k)
+            span = node.stage - _stage_of(tln, src)
             srcs.append(carried(src, node.stage - 1) if span >= 2 else src)
         node.gate = ThresholdGate(tuple(srcs), g.weights, g.bias)
     return len(chains)
@@ -248,38 +250,42 @@ def split_fanout(tln, f_max):
 
     Processes consumers before producers so one reverse-topological pass
     suffices. Primary inputs are left as-is (they have no gate to copy).
+    A node's consumer slots are (owner, input position) in owner insertion
+    order, then (None, output position); slot i moves to copy
+    i // f_max. The slot index is built once and each copy's slots are
+    appended as the copy is created (copies go last in insertion order, and
+    a node's own slots are never rewritten before it is processed), so the
+    index always equals a full rescan: O(N + E) plus the sort.
     """
     if f_max < 2:
         raise ValueError("f_max must be >= 2")
+    slots = {name: [] for name in list(tln.inputs) + list(tln.nodes)}
+    for node in tln.nodes.values():
+        for pos, src in enumerate(node.gate.inputs):
+            slots[src].append((node.id, pos))
+    out_slots = {}
+    for pos, out in enumerate(tln.outputs):
+        out_slots.setdefault(out, []).append((None, pos))
     n_split = 0
     for nid in reversed(tln.topological_order()):
-        if nid not in tln.nodes:
-            continue
         node = tln.nodes[nid]
-        # consumer slots: (consumer id, input position); output refs count too
-        slots = []
-        for other in tln.nodes.values():
-            for pos, src in enumerate(other.gate.inputs):
-                if src == nid:
-                    slots.append(("node", other.id, pos))
-        for pos, out in enumerate(tln.outputs):
-            if out == nid:
-                slots.append(("out", None, pos))
-        if len(slots) <= f_max:
+        mine = slots[nid] + out_slots.get(nid, [])
+        if len(mine) <= f_max:
             continue
-        n_copies = math.ceil(len(slots) / f_max)
+        n_copies = math.ceil(len(mine) / f_max)
         targets = [nid]
         for j in range(1, n_copies):
             cid = f"{nid}$c{j}"
             cnode = tln.add_node(cid, node.gate, is_buffer=node.is_buffer)
             cnode.level, cnode.stage = node.level, node.stage
+            for pos, src in enumerate(node.gate.inputs):
+                slots[src].append((cid, pos))
             targets.append(cid)
-        for i, slot in enumerate(slots):
+        for i, (owner, pos) in enumerate(mine):
             tgt = targets[i // f_max]
             if tgt == nid:
                 continue
-            kind, owner, pos = slot
-            if kind == "out":
+            if owner is None:
                 tln.outputs[pos] = tgt
             else:
                 g = tln.nodes[owner].gate
@@ -361,6 +367,13 @@ def reorder_stages(design, sweeps=None):
     A stage's new ordering is kept only if the design-wide direct-link
     count does not decrease, so the pass is monotone. Stages holding
     absorbed (backward-connected) nodes are pinned.
+
+    The design-wide count is taken once; a trial on stage s can only change
+    the links of edges touching s, so it is updated by re-counting those
+    edges (each once, backward edges never direct) before and after the
+    trial. The placement map and consumer lists are built once and only
+    stage s's entries change per trial. Accept/reject decisions, and so the
+    result, equal those of a full recount; cost O(N + E) per sweep.
     """
     cfg = design.config
     sweeps = cfg.reorder_sweeps if sweeps is None else sweeps
@@ -368,20 +381,32 @@ def reorder_stages(design, sweeps=None):
     for s in design.blocks:
         if any(nid in design.absorbed for nid in design.stage_nodes(s)):
             pinned.update((s, s - 1))
+    nodes_of = design.tln.nodes
+    backward = set(map(tuple, design.backward_edges))
+    place = design.placements()
+    cons = design.tln.consumers()
     best = partition.direct_link_count(design)
+
+    def direct(edges):
+        return sum(1 for u, v in edges
+                   if (u, v) not in backward and place[u][1] == place[v][1])
+
     for _ in range(sweeps):
         improved = False
         for s in sorted(design.blocks):
             if s in pinned:
                 continue
             old = design.blocks[s]
-            nodes = [nid for nid in design.stage_nodes(s)]
-            place = design.placements()
-            cons = design.tln.consumers()
+            nodes = design.stage_nodes(s)
+            here = set(nodes)
+            edges = [(src, nid) for nid in nodes
+                     for src in nodes_of[nid].gate.inputs]
+            edges += [(nid, c) for nid in nodes for c in cons[nid]
+                      if c not in here]
+            before = direct(edges)
             bary = {}
             for i, nid in enumerate(nodes):
-                neigh = [place[src][1]
-                         for src in design.tln.nodes[nid].gate.inputs
+                neigh = [place[src][1] for src in nodes_of[nid].gate.inputs
                          if src in place]
                 neigh += [place[c][1] for c in cons[nid] if c in place]
                 bary[nid] = (sum(neigh) / len(neigh) if neigh else 0.0, i)
@@ -389,16 +414,25 @@ def reorder_stages(design, sweeps=None):
             design.blocks[s] = partition.rebin(
                 ordered, design.tln, cfg.rows, cfg.cols
             )
-            now = partition.direct_link_count(design)
+            _place_stage(place, design.blocks[s], s)
+            now = best - before + direct(edges)
             if now >= best:
                 if now > best:
                     improved = True
                 best = now
             else:
                 design.blocks[s] = old
+                _place_stage(place, old, s)
         if not improved:
             break
     return design
+
+
+def _place_stage(place, blocks, s):
+    """Record (stage, block, column) in `place` for every node of stage s."""
+    for b, cols in enumerate(blocks):
+        for c, nid in enumerate(cols):
+            place[nid] = (s, b, c)
 
 
 def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):

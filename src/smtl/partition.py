@@ -52,11 +52,6 @@ def rebin(node_ids, tln, rows, cols):
     return blocks
 
 
-def partition_stage(node_ids, tln, subarray_rows, subarray_cols):
-    """Bin one stage into sub-arrays of the given dimensions."""
-    return rebin(node_ids, tln, subarray_rows, subarray_cols)
-
-
 def repartition(design, subarray_rows, subarray_cols):
     """Return a copy of the design re-binned at different sub-array dims."""
     import copy

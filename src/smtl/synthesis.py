@@ -9,10 +9,12 @@ function within the weight and fan-in budget.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
 
+from . import graph
 from .bench import evaluate_many
 from .tlg import (
     FANIN_LIMIT,
@@ -21,10 +23,9 @@ from .tlg import (
     NotThreshold,
     ThresholdGate,
     ThresholdLogicNetwork,
+    buffer_gate,
     solve_weights,
 )
-
-BUFFER_GATE = lambda src: ThresholdGate((src,), (2,), -1)  # noqa: E731
 
 
 def gate_to_tlg(kind, sources):
@@ -50,7 +51,7 @@ def gate_to_tlg(kind, sources):
     if kind == "BUFF":
         if n != 1:
             raise ValueError("BUFF takes one input")
-        return BUFFER_GATE(sources[0])
+        return buffer_gate(sources[0])
     if kind == "XOR":
         raise ValueError("XOR is not a threshold function; decompose first")
     raise ValueError(f"unknown gate kind {kind!r}")
@@ -124,7 +125,8 @@ def synthesize_tln(net, fanin_limit=FANIN_LIMIT, w_max=W_MAX, collapse=True):
             tln.outputs.append(out)
         else:  # primary output aliased straight to a primary input
             nid = out + "$buf"
-            tln.add_node(nid, BUFFER_GATE(out), is_buffer=True)
+            if nid not in tln.nodes:  # one buffer serves every repeat
+                tln.add_node(nid, buffer_gate(out), is_buffer=True)
             tln.outputs.append(nid)
     if collapse:
         collapse_tln(tln, fanin_limit, w_max)
@@ -151,41 +153,97 @@ def _merged_table(producer, consumer, support):
 
 
 def collapse_tln(tln, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
-    """Greedy single-fan-out collapse; node count decreases monotonically.
+    """Greedy single-fan-out collapse; returns the number of merges.
 
-    Scans in reverse topological order, deterministic by insertion order.
+    Repeatedly merges the first node, in reverse topological order
+    (descending (pass, position), see `graph.pass_numbers`), whose only
+    consumer can absorb it into one threshold gate within the fan-in and
+    weight budget, until no node can be merged; deterministic by insertion
+    order.
+
+    A max-heap on that key holds the nodes whose outcome may have changed.
+    A failed node stays failed until its gate, its consumer set or its
+    consumer's gate changes; merging producer p into consumer c changes
+    those only for c, c's old inputs and p's inputs, so only they are
+    queued again. Pass numbers only fall, and only for c and its
+    descendants, so only those are re-keyed. The consumer map is updated
+    per merge and `solve_weights` is memoised by truth table. Each merge is
+    thus the one a full rescan from the top would pick. Cost:
+    O((N + E) log N) plus the descendants re-keyed per merge.
     """
+    outputs = set(tln.outputs)
+    pos = {nid: i for i, nid in enumerate(tln.nodes)}
+    passes = graph.pass_numbers(
+        ((nid, n.gate.inputs) for nid, n in tln.nodes.items()), set(tln.inputs)
+    )
+    # node or primary input -> the nodes consuming it
+    users = {name: set() for name in list(tln.inputs) + list(tln.nodes)}
+    for node in tln.nodes.values():
+        for i in node.gate.inputs:
+            users[i].add(node.id)
+    heap, queued = [], set()
+
+    def enqueue(nid):
+        if nid in tln.nodes and nid not in outputs:
+            queued.add(nid)
+            heapq.heappush(heap, (-passes[nid], -pos[nid], nid))
+
+    def rekey(nid):
+        # recompute passes from `nid` downstream while they fall
+        work = [nid]
+        while work:
+            name = work.pop()
+            p = graph.pass_of(tln.nodes[name].gate.inputs, pos[name], passes,
+                              pos)
+            if p != passes[name]:
+                passes[name] = p
+                if name in queued:
+                    enqueue(name)
+                work.extend(users[name])
+
+    for nid in tln.nodes:
+        enqueue(nid)
+    solved = {}
     merged = 0
-    changed = True
-    while changed:
-        changed = False
-        cons = tln.consumers()
-        for nid in reversed(tln.topological_order()):
-            if nid in tln.outputs:
-                continue
-            users = sorted(set(cons[nid]))
-            if len(users) != 1:
-                continue
-            consumer = tln.nodes[users[0]]
-            producer = tln.nodes[nid]
-            support = [i for i in consumer.gate.inputs if i != nid]
-            support += [i for i in producer.gate.inputs if i not in support]
-            if len(support) > fanin_limit:
-                continue
-            gate = solve_weights(_merged_table(producer, consumer, support),
-                                 w_max, fanin_limit)
-            if isinstance(gate, NotThreshold):
-                continue
-            keep = [(s, w) for s, w in zip(support, gate.weights) if w != 0]
-            if not keep:
-                continue  # constant function; cannot be stored as a gate
-            consumer.gate = ThresholdGate(
-                tuple(s for s, _ in keep), tuple(w for _, w in keep), gate.bias
-            )
-            del tln.nodes[nid]
-            merged += 1
-            changed = True
-            break
+    while heap:
+        neg_pass, _, nid = heapq.heappop(heap)
+        if nid not in queued or -neg_pass != passes[nid]:
+            continue  # stale entry
+        queued.discard(nid)
+        if len(users[nid]) != 1:
+            continue
+        (cid,) = users[nid]
+        consumer = tln.nodes[cid]
+        producer = tln.nodes[nid]
+        support = [i for i in consumer.gate.inputs if i != nid]
+        support += [i for i in producer.gate.inputs if i not in support]
+        if len(support) > fanin_limit:
+            continue
+        table = _merged_table(producer, consumer, support)
+        if table not in solved:
+            solved[table] = solve_weights(table, w_max, fanin_limit)
+        gate = solved[table]
+        if isinstance(gate, NotThreshold):
+            continue
+        keep = [(s, w) for s, w in zip(support, gate.weights) if w != 0]
+        if not keep:
+            continue  # constant function; cannot be stored as a gate
+        old_inputs = consumer.gate.inputs
+        consumer.gate = ThresholdGate(
+            tuple(s for s, _ in keep), tuple(w for _, w in keep), gate.bias
+        )
+        del tln.nodes[nid]
+        merged += 1
+        for i in old_inputs:
+            users[i].discard(cid)
+        for i in producer.gate.inputs:
+            users[i].discard(nid)
+        for i in consumer.gate.inputs:
+            users[i].add(cid)
+        del users[nid], passes[nid]
+        rekey(cid)
+        for i in (cid,) + old_inputs + producer.gate.inputs:
+            enqueue(i)
     return merged
 
 

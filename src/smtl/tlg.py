@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graph
+
 FANIN_LIMIT = 4
 W_MAX = 6
 
@@ -49,6 +51,11 @@ class ThresholdGate:
     @property
     def fan_in(self):
         return len(self.inputs)
+
+
+def buffer_gate(src):
+    """Single-input repeater: passes `src` through with margin 1."""
+    return ThresholdGate((src,), (2,), -1)
 
 
 def eval_tlg(gate, x):
@@ -202,20 +209,14 @@ class ThresholdLogicNetwork:
         return out
 
     def topological_order(self):
-        order, seen = [], set(self.inputs)
-        pending = list(self.nodes.values())
-        while pending:
-            rest = []
-            for node in pending:
-                if all(i in seen for i in node.gate.inputs):
-                    order.append(node.id)
-                    seen.add(node.id)
-                else:
-                    rest.append(node)
-            if len(rest) == len(pending):
-                raise ValueError("cycle in threshold network")
-            pending = rest
-        return order
+        """Node ids in dependency order; see `graph.topological_order`."""
+        try:
+            return graph.topological_order(
+                ((nid, n.gate.inputs) for nid, n in self.nodes.items()),
+                set(self.inputs),
+            )
+        except graph.CycleError:
+            raise ValueError("cycle in threshold network") from None
 
     def assign_levels(self):
         levels = {name: 0 for name in self.inputs}

@@ -269,3 +269,50 @@ def test_write_sim_bad_bits(runner, tmp_path):
     r = runner.invoke(main, ["write-sim", "--bits", "four",
                              "-o", str(tmp_path / "ws.csv")])
     assert r.exit_code == 1
+
+
+# --- boundary checks: exit 1 with one `error:` line, never a traceback ----
+
+def _assert_input_error(r, flag):
+    assert r.exit_code == 1, r.output
+    assert isinstance(r.exception, SystemExit)
+    lines = [l for l in r.output.splitlines() if l.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert flag in lines[0]
+
+
+@pytest.mark.parametrize("wmax", ["0", "1"])
+def test_synth_rejects_wmax_below_two(runner, tmp_path, wmax):
+    out = tmp_path / "t.json"
+    r = runner.invoke(main, ["synth", "--bench", C17, "--wmax", wmax,
+                             "-o", str(out)])
+    _assert_input_error(r, "--wmax")
+    assert not out.exists()
+
+
+def test_map_rejects_zero_levels_per_stage(runner, artifacts, tmp_path):
+    r = runner.invoke(main, ["map", "--tln", artifacts["tln"],
+                             "--levels-per-stage", "0",
+                             "-o", str(tmp_path / "m.json")])
+    _assert_input_error(r, "--levels-per-stage")
+
+
+def test_map_rejects_fmax_below_two(runner, artifacts, tmp_path):
+    r = runner.invoke(main, ["map", "--tln", artifacts["tln"], "--fmax", "1",
+                             "-o", str(tmp_path / "m.json")])
+    _assert_input_error(r, "--fmax")
+
+
+def test_evaluate_rejects_zero_vectors(runner, artifacts, tmp_path):
+    rep = tmp_path / "report.json"
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--vectors", "0", "--report", str(rep)])
+    _assert_input_error(r, "--vectors")
+    assert not rep.exists()
+
+
+def test_write_sim_rejects_zero_trials(runner, tmp_path):
+    out = tmp_path / "ws.csv"
+    r = runner.invoke(main, ["write-sim", "--trials", "0", "-o", str(out)])
+    _assert_input_error(r, "--trials")
+    assert not out.exists()

@@ -56,12 +56,6 @@ def test_rebin_accounts_for_bias_rows():
         partition.rebin(["n0"], tln, rows=3, cols=32)
 
 
-def test_partition_stage_alias():
-    tln = _wide_stage(10)
-    assert partition.partition_stage(list(tln.nodes), tln, 64, 8) == \
-        partition.rebin(list(tln.nodes), tln, 64, 8)
-
-
 # --- link classification --------------------------------------------------
 
 def _two_block_design():

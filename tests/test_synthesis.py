@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from smtl.bench import evaluate_many, parse_bench
+from smtl.evaluate import simulate_mapped
+from smtl.mapping import map_design
 from smtl.synthesis import (
     collapse_tln,
     exhaustive_vectors,
@@ -118,6 +120,18 @@ def test_output_aliased_to_input_gets_buffer():
     nid = tln.outputs[0]
     assert tln.nodes[nid].is_buffer
     assert (tln.evaluate_many([[0], [1]])[:, 0] == [False, True]).all()
+
+
+def test_repeated_aliased_output_shares_one_buffer():
+    net = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(a)\nOUTPUT(y)\n"
+                      "y = AND(a, b)\n")
+    tln = synthesize_tln(net)
+    assert tln.outputs[0] == tln.outputs[1] == "a$buf"
+    assert sum(n.is_buffer for n in tln.nodes.values()) == 1
+    assert verify_equivalence(net, tln) == (True, None)
+    design = map_design(tln, net)
+    sim = simulate_mapped(design, exhaustive_vectors(2), sigma=0.0)
+    assert sim["errors"] == 0 and sim["vectors"] == 4
 
 
 def test_fanin_limit_validation():
