@@ -14,12 +14,12 @@ import tempfile
 
 import click
 
-from . import __version__, evaluate, partition
+from . import __version__, evaluate
 from .bench import BenchError, BooleanNetwork, load_bench
 from .devices import DeviceParams, write_sim_trials
 from .mapping import MappingConfig, MappingInfeasible, map_design, summary
 from .synthesis import synthesize_tln, verify_equivalence
-from .tlg import ThresholdLogicNetwork
+from .tlg import W_MAX_LIMIT, ThresholdLogicNetwork
 
 EXIT_INPUT = 1
 EXIT_EQUIV = 2
@@ -72,14 +72,18 @@ def main():
 @click.option("--fanin", default=4, show_default=True,
               help="fan-in limit for threshold gates (2..4)")
 @click.option("--wmax", default=6, show_default=True,
-              help="number of conductance levels / max |weight|")
+              help=f"number of conductance levels / max |weight|, 2.."
+                   f"{W_MAX_LIMIT}; the weight solver's lattice holds "
+                   f"(2*wmax+1)^fanin weight vectors, "
+                   f"{(2 * W_MAX_LIMIT + 1) ** 4:,} at {W_MAX_LIMIT} and "
+                   f"fan-in 4")
 @click.option("-o", "--output", default="tln.json", show_default=True)
 def synth(bench_path, fanin, wmax, output):
     """Compile a gate netlist into a threshold logic network."""
     if not 2 <= fanin <= 4:
         _fail(EXIT_INPUT, "fan-in limit must be between 2 and 4")
-    if wmax < 2:  # primitive gates are emitted with |w| = 2
-        _fail(EXIT_INPUT, "--wmax must be at least 2")
+    if not 2 <= wmax <= W_MAX_LIMIT:  # primitive gates have |w| = 2
+        _fail(EXIT_INPUT, f"--wmax must be between 2 and {W_MAX_LIMIT}")
     try:
         net = load_bench(bench_path)
     except (OSError, BenchError) as e:
@@ -125,23 +129,24 @@ def _load_tln(path):
 @click.option("-o", "--output", default="mapped.json", show_default=True)
 def map_cmd(tln_path, k, blocks, rows, cols, subarray, fmax, output):
     """Map a threshold network onto pipelined crossbar blocks."""
-    if k < 1:
-        _fail(EXIT_INPUT, "--levels-per-stage must be at least 1")
-    if fmax < 2:
-        _fail(EXIT_INPUT, "--fmax must be at least 2")
-    tln, net, doc = _load_tln(tln_path)
     if subarray:
         try:
             rows, cols = (int(v) for v in subarray.lower().split("x"))
         except ValueError:
             _fail(EXIT_INPUT, f"bad --subarray {subarray!r}, expected RxC")
+    for flag, value, low in (("--levels-per-stage", k, 1), ("--fmax", fmax, 2),
+                             ("--rows", rows, 1), ("--cols", cols, 1),
+                             ("--blocks", blocks, 1)):
+        if value is not None and value < low:
+            _fail(EXIT_INPUT, f"{flag} must be at least {low}")
+    tln, net, doc = _load_tln(tln_path)
     cfg = MappingConfig(k=k, rows=rows, cols=cols, blocks_per_stage=blocks,
                         f_max=fmax)
     try:
         design = map_design(tln, net, cfg,
                             fanin_limit=doc.get("fanin_limit", 4),
                             w_max=doc.get("w_max", 6))
-    except (MappingInfeasible, partition.PartitionInfeasible) as e:
+    except MappingInfeasible as e:
         _fail(EXIT_CAPACITY, str(e))
     _atomic_write(output, _dump(design.to_json()))
     s = summary(design)
@@ -184,6 +189,8 @@ def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
     """Simulate under variation and report power/delay/area."""
     if vectors < 1:
         _fail(EXIT_INPUT, "--vectors must be at least 1")
+    if not sigma >= 0:
+        _fail(EXIT_INPUT, "--sigma must be at least 0")
     design = _load_design(mapped_path)
     params = _load_params(params_path)
     try:
@@ -241,6 +248,10 @@ def sweep_cmd(mapped_path, tln_path, params_path, parameter, grid, output):
     try:
         rows = evaluate.sweep(design, params, parameter, values,
                               source_tln=source_tln)
+    except ValueError as e:
+        _fail(EXIT_INPUT, str(e))
+    except MappingInfeasible as e:
+        _fail(EXIT_CAPACITY, str(e))
     except evaluate.TimingViolation as e:
         _fail(EXIT_TIMING, str(e))
     _atomic_write(output, evaluate.sweep_csv(rows))

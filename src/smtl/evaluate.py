@@ -8,14 +8,14 @@ component, the per-gate detection units, and the routing network.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 
 import numpy as np
 
 from . import partition
 from .bench import evaluate_many
 from .devices import NO_SWITCH, bias_chunks, std_switch_time, weight_to_conductance
-from .tlg import W_MAX
+from .tlg import W_MAX, input_rows, threshold_step
 
 I_DTCS_BASE = 5e-6        # A per input row, quoted at the 2 uA device threshold
 I_THRESHOLD_REF = 2e-6    # A, device threshold the drive current is sized for
@@ -24,10 +24,6 @@ DEFAULT_ACTIVITY = 0.5
 
 
 class TimingViolation(Exception):
-    pass
-
-
-class FunctionalMismatch(Exception):
     pass
 
 
@@ -51,28 +47,14 @@ def crossbar_net_current(weights, bias, x, params, w_max=W_MAX,
     return params.delta_v * current
 
 
-def _programmed(design, params, w_max=W_MAX):
-    """Per-node conductances in topological order:
-    [(node id, input ids, n_inputs, g_plus[], g_minus[])]."""
-    table = []
-    for nid in design.tln.topological_order():
-        gate = design.tln.nodes[nid].gate
-        levels = list(gate.weights) + bias_chunks(gate.bias, w_max)
-        gp = np.empty(len(levels))
-        gm = np.empty(len(levels))
-        for i, w in enumerate(levels):
-            gp[i], gm[i] = weight_to_conductance(w, w_max, params)
-        table.append((nid, gate.inputs, len(gate.weights), gp, gm))
-    return table
-
-
 def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
                     i_threshold_eff=0.0, w_max=W_MAX):
     """Simulate the mapped design through the crossbar current model.
 
     Each device conductance is perturbed once per call (per-device
     programming error, not per-vector noise): g' = g * (1 + e),
-    e ~ N(0, sigma). Vectors landing inside the +-i_threshold_eff dead
+    e ~ N(0, sigma), drawn per node in topological order, its g+ devices
+    then its g- devices. Vectors landing inside the +-i_threshold_eff dead
     band are counted as errors. Returns outputs plus the error count
     against the Boolean oracle.
     """
@@ -80,24 +62,33 @@ def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
 
     params = params or DeviceParams()
     vectors = np.asarray(vectors, dtype=bool)
-    rng = np.random.default_rng(seed)
-    prog = _programmed(design, params, w_max)
+    tln = design.tln
+    order = tln.topological_order()
+    # per node: one input row per weight, then per bias chunk
+    g, sizes = [], []
+    for nid in order:
+        gate = tln.nodes[nid].gate
+        pairs = [weight_to_conductance(w, w_max, params) for w in
+                 gate.weights + tuple(bias_chunks(gate.bias, w_max))]
+        g += [gp for gp, _ in pairs] + [gm for _, gm in pairs]
+        sizes.append(len(pairs))
+    g = np.array(g)
+    if sigma > 0.0:
+        g = g * (1.0 + np.random.default_rng(seed).normal(0.0, sigma, g.shape))
 
-    vals = {name: vectors[:, i] for i, name in enumerate(design.tln.inputs)}
+    vals = dict(zip(tln.inputs, vectors.T))
     indeterminate = np.zeros(vectors.shape[0], dtype=bool)
-    for nid, inputs, n_in, gp, gm in prog:
-        if sigma > 0.0:
-            gp = gp * (1.0 + rng.normal(0.0, sigma, gp.shape))
-            gm = gm * (1.0 + rng.normal(0.0, sigma, gm.shape))
-        net = gp - gm
-        s = np.full(vectors.shape[0], net[n_in:].sum())
-        for j, src in enumerate(inputs):
-            s = s + net[j] * vals[src]
-        current = params.delta_v * s
+    at = 0
+    for nid, n in zip(order, sizes):
+        gate = tln.nodes[nid].gate
+        net = g[at:at + n] - g[at + n:at + 2 * n]
+        at += 2 * n
+        s, vals[nid] = threshold_step(net[gate.fan_in:].sum(),
+                                      net[:gate.fan_in],
+                                      [vals[i] for i in gate.inputs])
         if i_threshold_eff > 0.0:
-            indeterminate |= np.abs(current) < i_threshold_eff
-        vals[nid] = current >= 0.0
-    outputs = np.column_stack([vals[o] for o in design.tln.outputs])
+            indeterminate |= np.abs(params.delta_v * s) < i_threshold_eff
+    outputs = np.column_stack([vals[o] for o in tln.outputs])
 
     want = evaluate_many(design.source, vectors)
     bad = (outputs != want).any(axis=1) | indeterminate
@@ -119,14 +110,8 @@ def variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     """
     if list(sigma_grid) != sorted(sigma_grid):
         raise ValueError("sigma grid must be ascending")
-    rng = np.random.default_rng(vector_seed)
-    n = len(design.tln.inputs)
-    if n <= 20 and 2 ** n <= vectors_per_probe:
-        vectors = np.zeros((2 ** n, n), dtype=bool)
-        for i in range(n):
-            vectors[:, i] = (np.arange(2 ** n) >> i) & 1
-    else:
-        vectors = rng.integers(0, 2, size=(vectors_per_probe, n)).astype(bool)
+    vectors = input_rows(len(design.tln.inputs), vectors_per_probe,
+                         vector_seed)
     curve = []
     sigma_star = 0.0
     failed = False
@@ -222,15 +207,7 @@ def full_report(design, params, sigma=0.0, vectors=10_000, seed=0,
                 activity=DEFAULT_ACTIVITY, i_dtcs_base=I_DTCS_BASE,
                 c_wire=C_WIRE):
     """EvaluationReport: functional errors, power, delay, energy, area."""
-    n = len(design.tln.inputs)
-    if 2 ** n <= vectors:
-        vecs = np.zeros((2 ** n, n), dtype=bool)
-        for i in range(n):
-            vecs[:, i] = (np.arange(2 ** n) >> i) & 1
-    else:
-        vecs = np.random.default_rng(seed).integers(
-            0, 2, size=(vectors, n)
-        ).astype(bool)
+    vecs = input_rows(len(design.tln.inputs), vectors, seed)
     sim = simulate_mapped(design, vecs, sigma=sigma, seed=seed, params=params)
     power = power_report(design, params, activity, i_dtcs_base, c_wire)
     delay = delay_report(design, params, i_dtcs_base)
@@ -282,9 +259,7 @@ def sweep(design, params, parameter, grid, source_tln=None,
     `k` re-runs the mapping pipeline (needs source_tln); `subarray_dim`
     re-partitions the mapped design at square d x d sub-arrays.
     """
-    import copy
-
-    from .mapping import MappingConfig, map_design
+    from .mapping import map_design
 
     if parameter not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -292,23 +267,20 @@ def sweep(design, params, parameter, grid, source_tln=None,
         raise ValueError("empty sweep grid")
     rows = []
     for value in grid:
-        p = copy.deepcopy(params)
-        d = design
-        base = i_dtcs_base
+        p, d = params, design
         if parameter == "dv":
-            p.delta_v = value
+            p = dataclasses.replace(params, delta_v=value)
         elif parameter == "i_threshold":
-            p.i_threshold = value
+            p = dataclasses.replace(params, i_threshold=value)
         elif parameter == "k":
             if source_tln is None:
                 raise ValueError("k sweep needs the synthesized network")
-            cfg = copy.deepcopy(design.config)
-            cfg.k = int(value)
+            cfg = dataclasses.replace(design.config, k=value)
             d = map_design(source_tln, design.source, cfg)
         elif parameter == "subarray_dim":
             d = partition.repartition(design, int(value), int(value))
-        power = power_report(d, p, activity, base, c_wire)
-        delay = delay_report(d, p, base)
+        power = power_report(d, p, activity, i_dtcs_base, c_wire)
+        delay = delay_report(d, p, i_dtcs_base)
         stats = partition.interconnect_stats(d)
         energy = power["p_total"] * delay["latency"]
         rows.append({

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import partition
 from .devices import bias_rows
+from .partition import MappingInfeasible
 from .tlg import (
     FANIN_LIMIT,
     W_MAX,
@@ -22,10 +23,6 @@ from .tlg import (
     ThresholdLogicNetwork,
     buffer_gate,
 )
-
-
-class MappingInfeasible(Exception):
-    pass
 
 
 @dataclass
@@ -38,6 +35,14 @@ class MappingConfig:
     min_fill: float = 0.10     # stages below this fill get absorbed
     b_max: int = 4             # backward connections per block
     reorder_sweeps: int = 10
+
+    def __post_init__(self):
+        if not float(self.k).is_integer() or self.k < 1:
+            raise ValueError(f"k must be a whole number >= 1, got {self.k}")
+        self.k = int(self.k)
+        blocks = 1 if self.blocks_per_stage is None else self.blocks_per_stage
+        if min(self.rows, self.cols, blocks) < 1:
+            raise ValueError("rows, cols and blocks_per_stage must be >= 1")
 
     def to_json(self):
         return dict(self.__dict__)

@@ -20,8 +20,8 @@ CELL_AREA_UM2 = 4 * (F_NM / 1000.0) ** 2
 PERIPHERY_OVERHEAD = 0.20
 
 
-class PartitionInfeasible(Exception):
-    pass
+class MappingInfeasible(Exception):
+    """The design does not fit the given hardware (rows, blocks, budgets)."""
 
 
 def rebin(node_ids, tln, rows, cols):
@@ -35,7 +35,7 @@ def rebin(node_ids, tln, rows, cols):
         gate = tln.nodes[nid].gate
         need = bias_rows(gate.bias)
         if gate.fan_in + need > rows:
-            raise PartitionInfeasible(
+            raise MappingInfeasible(
                 f"node {nid}: fan-in {gate.fan_in} + {need} bias rows "
                 f"exceed {rows} rows"
             )
@@ -55,6 +55,7 @@ def rebin(node_ids, tln, rows, cols):
 def repartition(design, subarray_rows, subarray_cols):
     """Return a copy of the design re-binned at different sub-array dims."""
     import copy
+    import dataclasses
 
     if design.absorbed:
         # backward connections tie absorbed nodes to their source block;
@@ -63,9 +64,8 @@ def repartition(design, subarray_rows, subarray_cols):
     else:
         touched = set()
     out = copy.deepcopy(design)
-    out.config = copy.deepcopy(design.config)
-    out.config.rows = subarray_rows
-    out.config.cols = subarray_cols
+    out.config = dataclasses.replace(design.config, rows=subarray_rows,
+                                     cols=subarray_cols)
     out.input_blocks = [
         list(out.tln.inputs[i:i + subarray_cols])
         for i in range(0, len(out.tln.inputs), subarray_cols)
@@ -120,7 +120,8 @@ def interconnect_stats(design):
 
 
 def cell_count(design):
-    """Total allocated crossbar cells (rows x cols per block, both polarities)."""
+    """Total allocated crossbar cells: rows x cols per block, one cell per
+    crosspoint; a weight's g+ and g- devices are not counted apart."""
     cfg = design.config
     n_blocks = sum(len(b) for b in design.blocks.values())
     return n_blocks * cfg.rows * cfg.cols

@@ -12,8 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 
-import numpy as np
-
 from . import graph
 from .bench import evaluate_many
 from .tlg import (
@@ -24,7 +22,9 @@ from .tlg import (
     ThresholdGate,
     ThresholdLogicNetwork,
     buffer_gate,
+    input_rows,
     solve_weights,
+    threshold_step,
 )
 
 
@@ -137,19 +137,12 @@ def synthesize_tln(net, fanin_limit=FANIN_LIMIT, w_max=W_MAX, collapse=True):
 
 
 def _merged_table(producer, consumer, support):
-    pos = {s: i for i, s in enumerate(support)}
-    table = []
-    for row in range(2 ** len(support)):
-        env = {s: (row >> i) & 1 for s, i in pos.items()}
-        pv = 1 if sum(w * env[i] for w, i in
-                      zip(producer.gate.weights, producer.gate.inputs)) \
-            + producer.gate.bias >= 0 else 0
-        env[producer.id] = pv
-        cv = sum(w * env[i] for w, i in
-                 zip(consumer.gate.weights, consumer.gate.inputs)) \
-            + consumer.gate.bias
-        table.append(1 if cv >= 0 else 0)
-    return tuple(table)
+    env = dict(zip(support, input_rows(len(support)).T))
+    p, c = producer.gate, consumer.gate
+    _, env[producer.id] = threshold_step(p.bias, p.weights,
+                                         [env[i] for i in p.inputs])
+    _, fires = threshold_step(c.bias, c.weights, [env[i] for i in c.inputs])
+    return tuple(int(v) for v in fires)
 
 
 def collapse_tln(tln, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
@@ -260,40 +253,29 @@ def _prune_dead(tln):
         del tln.nodes[nid]
 
 
-def exhaustive_vectors(n):
-    rows = np.zeros((2 ** n, n), dtype=bool)
-    for i in range(n):
-        rows[:, i] = (np.arange(2 ** n) >> i) & 1
-    return rows
+# exhaustive_vectors(n) and sampled_vectors(n, count, seed)
+exhaustive_vectors = sampled_vectors = input_rows
 
 
-def sampled_vectors(n, count, seed):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=(count, n), dtype=np.int8).astype(bool)
-
-
-def verify_equivalence(net, tln, mode="exhaustive", count=10_000, seed=0,
-                       simulate=None):
+def verify_equivalence(net, tln, mode="exhaustive", count=10_000, seed=0):
     """Compare a Boolean network against a threshold network.
 
-    `simulate` may override how the threshold side is evaluated (used to
-    check mapped designs through the crossbar current model). Returns
-    (ok, counterexample) where the counterexample holds the failing input
-    vector and both output vectors.
+    Returns (ok, counterexample) where the counterexample holds the failing
+    input vector and both output vectors.
     """
     if list(net.inputs) != list(tln.inputs):
         raise ValueError("primary input mismatch")
     if len(net.outputs) != len(tln.outputs):
         raise ValueError("primary output arity mismatch")
     if mode == "exhaustive":
-        vectors = exhaustive_vectors(len(net.inputs))
+        vectors = input_rows(len(net.inputs))
     elif mode == "sampled":
-        vectors = sampled_vectors(len(net.inputs), count, seed)
+        vectors = input_rows(len(net.inputs), count, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     want = evaluate_many(net, vectors)
-    got = simulate(vectors) if simulate else tln.evaluate_many(vectors)
-    bad = np.nonzero((want != got).any(axis=1))[0]
+    got = tln.evaluate_many(vectors)
+    bad = (want != got).any(axis=1).nonzero()[0]
     if bad.size == 0:
         return True, None
     i = int(bad[0])

@@ -18,6 +18,9 @@ from . import graph
 
 FANIN_LIMIT = 4
 W_MAX = 6
+# Largest w_max the CLI accepts: the solver lattice holds (2*w_max+1)^n
+# weight vectors with 2^n row sums each, 83,521 x 16 at 8 and fan-in 4.
+W_MAX_LIMIT = 8
 
 
 class NotThreshold:
@@ -67,30 +70,48 @@ def eval_tlg(gate, x):
     return 1 if s >= 0 else 0
 
 
+def threshold_step(const, weights, cols):
+    """A threshold gate over a batch of rows: the net input
+    const + sum_j weights[j] * cols[j], summed in input order, and whether
+    it is >= 0 (the gate fires).
+
+    Ideal evaluation, merge tables and the weight lattice pass integer
+    weights; the crossbar model passes conductance differences.
+    """
+    s = const
+    for w, col in zip(weights, cols):
+        s = s + w * col
+    return s, s >= 0
+
+
+def input_rows(n, count=None, seed=0):
+    """Boolean input rows for n inputs.
+
+    All 2^n rows (row r sets input i to bit i of r) when `count` is None or
+    at least 2^n; otherwise `count` rows drawn by
+    `default_rng(seed).integers(0, 2)`.
+    """
+    if count is None or 2 ** n <= count:
+        return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=(count, n)).astype(bool)
+
+
 def gate_margin(gate):
     """Min over all input rows of |weighted sum + bias|."""
-    w = np.array(gate.weights)
-    rows = _input_rows(gate.fan_in)
-    return int(np.min(np.abs(rows @ w + gate.bias)))
+    s, _ = threshold_step(gate.bias, gate.weights, input_rows(gate.fan_in).T)
+    return int(np.min(np.abs(s)))
 
 
 def truth_table(gate):
     """Truth table as a tuple of 2^fan_in bits; input i is bit i (LSB first)."""
-    w = np.array(gate.weights)
-    rows = _input_rows(gate.fan_in)
-    return tuple(int(v) for v in (rows @ w + gate.bias >= 0))
+    _, fires = threshold_step(gate.bias, gate.weights,
+                              input_rows(gate.fan_in).T)
+    return tuple(int(v) for v in fires)
 
 
 def bias_bound(n, w_max=W_MAX):
     return n * w_max + 1
-
-
-def _input_rows(n):
-    rows = np.zeros((2 ** n, n), dtype=np.int64)
-    for r in range(2 ** n):
-        for i in range(n):
-            rows[r, i] = (r >> i) & 1
-    return rows
 
 
 # Weight lattice per (n, w_max): all weight vectors sorted by (sum|w|, vector),
@@ -107,7 +128,9 @@ def _lattice(n, w_max):
         order = np.lexsort(tuple(W[:, i] for i in reversed(range(n)))
                            + (np.abs(W).sum(axis=1),))
         W = W[order]
-        S = W @ _input_rows(n).T  # (num_vectors, 2^n) row sums
+        S, _ = threshold_step(  # (num_vectors, 2^n) row sums
+            np.zeros((len(W), 2 ** n), dtype=np.int64), W.T[:, :, None],
+            input_rows(n).T)
         _lattice_cache[key] = (W, S)
     return _lattice_cache[key]
 
@@ -235,14 +258,11 @@ class ThresholdLogicNetwork:
 
     def evaluate_many(self, vectors):
         """Ideal (infinite precision) evaluation over a vector matrix."""
-        vectors = np.asarray(vectors, dtype=bool)
-        vals = {name: vectors[:, i] for i, name in enumerate(self.inputs)}
+        vals = dict(zip(self.inputs, np.asarray(vectors, dtype=bool).T))
         for nid in self.topological_order():
-            node = self.nodes[nid]
-            s = np.full(vectors.shape[0], node.gate.bias, dtype=np.int64)
-            for w, src in zip(node.gate.weights, node.gate.inputs):
-                s += w * vals[src]
-            vals[nid] = s >= 0
+            g = self.nodes[nid].gate
+            _, vals[nid] = threshold_step(g.bias, g.weights,
+                                          [vals[i] for i in g.inputs])
         return np.column_stack([vals[o] for o in self.outputs])
 
     def validate(self, fanin_limit=FANIN_LIMIT, w_max=W_MAX):

@@ -316,3 +316,62 @@ def test_write_sim_rejects_zero_trials(runner, tmp_path):
     r = runner.invoke(main, ["write-sim", "--trials", "0", "-o", str(out)])
     _assert_input_error(r, "--trials")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--blocks", "0"), ("--blocks", "-2"),
+                                        ("--cols", "0"), ("--rows", "0"),
+                                        ("--rows", "-1")])
+def test_map_rejects_non_positive_dimensions(runner, artifacts, tmp_path,
+                                             flag, value):
+    # --blocks 0 made every stage overflow, so capacity enforcement never
+    # ended; --cols 0 ended in a range() traceback
+    out = tmp_path / "m.json"
+    r = runner.invoke(main, ["map", "--tln", artifacts["tln"], flag, value,
+                             "-o", str(out)])
+    _assert_input_error(r, flag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["-0.1", "nan"])
+def test_evaluate_rejects_negative_sigma(runner, artifacts, tmp_path, sigma):
+    rep = tmp_path / "report.json"
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--sigma", sigma, "--report", str(rep)])
+    _assert_input_error(r, "--sigma")
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("param,grid", [("dv", "0"), ("i_threshold", "0"),
+                                        ("k", "0"), ("k", "1.5")])
+def test_sweep_rejects_invalid_grid_values(runner, artifacts, tmp_path,
+                                           param, grid):
+    out = tmp_path / "s.csv"
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--tln", artifacts["tln"], "--param", param,
+                             "--grid", grid, "-o", str(out)])
+    _assert_input_error(r, param if param == "k" else "must be positive")
+    assert not out.exists()
+
+
+def test_sweep_infeasible_subarray_exit_code(runner, artifacts, tmp_path):
+    out = tmp_path / "s.csv"
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--param", "subarray_dim", "--grid", "1",
+                             "-o", str(out)])
+    assert r.exit_code == 3, r.output
+    lines = [l for l in r.output.splitlines() if l.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_synth_caps_wmax(runner, tmp_path):
+    from smtl.tlg import W_MAX_LIMIT
+
+    out = tmp_path / "t.json"
+    r = runner.invoke(main, ["synth", "--bench", C17, "--wmax",
+                             str(W_MAX_LIMIT + 1), "-o", str(out)])
+    _assert_input_error(r, "--wmax")
+    assert not out.exists()
+    r = runner.invoke(main, ["synth", "--bench", C17, "--fanin", "2",
+                             "--wmax", str(W_MAX_LIMIT), "-o", str(out)])
+    assert r.exit_code == 0, r.output

@@ -412,3 +412,13 @@ def test_absorb_is_idempotent():
     before = copy.deepcopy(design.blocks)
     absorb_small_layers(design)
     assert design.blocks == before
+
+
+def test_config_rejects_non_positive_dimensions():
+    # blocks_per_stage=0 gave every stage a capacity of 0, so capacity
+    # enforcement never ended
+    for kw in ({"blocks_per_stage": 0}, {"rows": 0}, {"cols": -1}, {"k": 0},
+               {"k": 1.5}, {"k": float("inf")}):
+        with pytest.raises(ValueError):
+            MappingConfig(**kw)
+    assert MappingConfig(k=2.0).k == 2 and type(MappingConfig(k=2.0).k) is int

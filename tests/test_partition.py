@@ -52,7 +52,7 @@ def test_rebin_accounts_for_bias_rows():
     tln.outputs = ["n0", "n1"]
     blocks = partition.rebin(["n0", "n1"], tln, rows=4, cols=32)
     assert len(blocks) == 1  # 2 sources + 2 bias rows = 4 fits exactly
-    with pytest.raises(partition.PartitionInfeasible):
+    with pytest.raises(partition.MappingInfeasible):
         partition.rebin(["n0"], tln, rows=3, cols=32)
 
 

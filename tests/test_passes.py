@@ -1,9 +1,11 @@
-"""The incremental synth and map passes give exactly the output of the
-straightforward rescanning passes they replaced.
+"""The incremental synth and map passes, and the evaluators built on the
+shared threshold step and input-row generator, give exactly the output of
+the straightforward implementations they replaced.
 
-The reference passes below are test-only copies of those rescanning
-implementations. Each test runs the whole compile once with the references
-patched in and once with the real passes, and compares the JSON artifacts.
+The reference passes below are test-only copies of those implementations:
+rescanning passes, whose compiles are compared as JSON artifacts, and
+per-evaluator loops and row builders, whose outputs, error counts and
+truth tables are compared exactly.
 """
 
 import contextlib
@@ -14,19 +16,27 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from smtl import graph, mapping, partition, synthesis
-from smtl.bench import BenchError, BooleanNetwork, load_bench, parse_bench
+from smtl import graph, mapping, partition, synthesis, tlg
+from smtl.bench import (BenchError, BooleanNetwork, evaluate_many, load_bench,
+                        parse_bench)
+from smtl.devices import DeviceParams, bias_chunks, weight_to_conductance
+from smtl.evaluate import simulate_mapped
 from smtl.mapping import MappingConfig, map_design
 from smtl.synthesis import synthesize_tln
 from smtl.tlg import (
+    W_MAX,
     NotThreshold,
     ThresholdGate,
     ThresholdLogicNetwork,
     TLGNode,
     gate_margin,
+    input_rows,
     solve_weights,
+    truth_table,
 )
 
 
@@ -86,7 +96,7 @@ def ref_collapse_tln(tln, fanin_limit=4, w_max=6):
             if len(support) > fanin_limit:
                 continue
             gate = solve_weights(
-                synthesis._merged_table(producer, consumer, support),
+                ref_merged_table(producer, consumer, support),
                 w_max, fanin_limit)
             if isinstance(gate, NotThreshold):
                 continue
@@ -181,6 +191,82 @@ def ref_reorder_stages(design, sweeps=None):
         if not improved:
             break
     return design
+
+
+def ref_input_rows(n):
+    rows = np.zeros((2 ** n, n), dtype=np.int64)
+    for r in range(2 ** n):
+        for i in range(n):
+            rows[r, i] = (r >> i) & 1
+    return rows
+
+
+def ref_merged_table(producer, consumer, support):
+    pos = {s: i for i, s in enumerate(support)}
+    table = []
+    for row in range(2 ** len(support)):
+        env = {s: (row >> i) & 1 for s, i in pos.items()}
+        pv = 1 if sum(w * env[i] for w, i in
+                      zip(producer.gate.weights, producer.gate.inputs)) \
+            + producer.gate.bias >= 0 else 0
+        env[producer.id] = pv
+        cv = sum(w * env[i] for w, i in
+                 zip(consumer.gate.weights, consumer.gate.inputs)) \
+            + consumer.gate.bias
+        table.append(1 if cv >= 0 else 0)
+    return tuple(table)
+
+
+def ref_tln_evaluate_many(tln, vectors):
+    vectors = np.asarray(vectors, dtype=bool)
+    vals = {name: vectors[:, i] for i, name in enumerate(tln.inputs)}
+    for nid in tln.topological_order():
+        node = tln.nodes[nid]
+        s = np.full(vectors.shape[0], node.gate.bias, dtype=np.int64)
+        for w, src in zip(node.gate.weights, node.gate.inputs):
+            s += w * vals[src]
+        vals[nid] = s >= 0
+    return np.column_stack([vals[o] for o in tln.outputs])
+
+
+def ref_programmed(design, params, w_max=W_MAX):
+    table = []
+    for nid in design.tln.topological_order():
+        gate = design.tln.nodes[nid].gate
+        levels = list(gate.weights) + bias_chunks(gate.bias, w_max)
+        gp = np.empty(len(levels))
+        gm = np.empty(len(levels))
+        for i, w in enumerate(levels):
+            gp[i], gm[i] = weight_to_conductance(w, w_max, params)
+        table.append((nid, gate.inputs, len(gate.weights), gp, gm))
+    return table
+
+
+def ref_simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
+                        i_threshold_eff=0.0, w_max=W_MAX):
+    params = params or DeviceParams()
+    vectors = np.asarray(vectors, dtype=bool)
+    rng = np.random.default_rng(seed)
+    prog = ref_programmed(design, params, w_max)
+    vals = {name: vectors[:, i] for i, name in enumerate(design.tln.inputs)}
+    indeterminate = np.zeros(vectors.shape[0], dtype=bool)
+    for nid, inputs, n_in, gp, gm in prog:
+        if sigma > 0.0:
+            gp = gp * (1.0 + rng.normal(0.0, sigma, gp.shape))
+            gm = gm * (1.0 + rng.normal(0.0, sigma, gm.shape))
+        net = gp - gm
+        s = np.full(vectors.shape[0], net[n_in:].sum())
+        for j, src in enumerate(inputs):
+            s = s + net[j] * vals[src]
+        current = params.delta_v * s
+        if i_threshold_eff > 0.0:
+            indeterminate |= np.abs(current) < i_threshold_eff
+        vals[nid] = current >= 0.0
+    outputs = np.column_stack([vals[o] for o in design.tln.outputs])
+    want = evaluate_many(design.source, vectors)
+    bad = (outputs != want).any(axis=1) | indeterminate
+    return {"outputs": outputs, "errors": int(bad.sum()),
+            "vectors": int(vectors.shape[0])}
 
 
 @contextlib.contextmanager
@@ -358,6 +444,136 @@ def test_collapse_random_networks_match_reference(seeds):
             assert synthesis.collapse_tln(tln, fanin, w_max) == \
                 ref_collapse_tln(ref, fanin, w_max), seed
             assert _dump(tln.to_json()) == _dump(ref.to_json()), seed
+
+
+# --- one threshold step and one row generator -------------------------------
+
+@pytest.fixture(scope="module")
+def compiled(netlists):
+    """(netlist, fan-in) -> (TLN, design mapped at k = fan-in - 1)."""
+    cache = {}
+
+    def get(name, fanin):
+        if (name, fanin) not in cache:
+            net = netlists[name]
+            tln = synthesize_tln(net, fanin_limit=fanin)
+            cache[name, fanin] = tln, map_design(
+                tln, net, MappingConfig(k=fanin - 1), fanin_limit=fanin)
+        return cache[name, fanin]
+
+    return get
+
+
+def test_input_rows_match_reference():
+    for n in range(7):
+        rows = input_rows(n)
+        assert rows.dtype == bool and rows.shape == (2 ** n, n)
+        assert (rows == ref_input_rows(n)).all()
+        assert (input_rows(n, 2 ** n, seed=3) == rows).all()
+    # the seeded stream full_report and variation_tolerance always drew
+    want = np.random.default_rng(3).integers(0, 2, size=(50, 9)).astype(bool)
+    assert (input_rows(9, 50, seed=3) == want).all()
+
+
+def test_gate_margin_and_truth_table_match_reference():
+    rng = random.Random(0)
+    levels = [w for w in range(-W_MAX, W_MAX + 1) if w]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gate = ThresholdGate(tuple(f"x{i}" for i in range(n)),
+                             tuple(rng.choice(levels) for _ in range(n)),
+                             rng.randint(-25, 25))
+        s = ref_input_rows(n) @ np.array(gate.weights) + gate.bias
+        assert gate_margin(gate) == int(np.min(np.abs(s)))
+        assert truth_table(gate) == tuple(int(v) for v in s >= 0)
+
+
+def test_lattice_row_sums_match_reference():
+    for n, w_max in itertools.product(range(5), (2, 3, 6)):
+        W, S = tlg._lattice(n, w_max)
+        assert S.dtype == np.int64
+        assert (S == W @ ref_input_rows(n).T).all()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merged_table_matches_reference(seed):
+    tln = random_tln(seed)
+    cons = tln.consumers()
+    for nid, producer in tln.nodes.items():
+        for cid in set(cons[nid]):
+            consumer = tln.nodes[cid]
+            support = [i for i in consumer.gate.inputs if i != nid]
+            support += [i for i in producer.gate.inputs if i not in support]
+            assert synthesis._merged_table(producer, consumer, support) == \
+                ref_merged_table(producer, consumer, support)
+
+
+@pytest.mark.parametrize("name", NETLISTS)
+@pytest.mark.parametrize("fanin", (2, 3, 4))
+def test_evaluators_match_reference(compiled, name, fanin):
+    tln, design = compiled(name, fanin)
+    params = DeviceParams()
+    vectors = input_rows(len(tln.inputs), 2000, seed=fanin)
+    assert (tln.evaluate_many(vectors) ==
+            ref_tln_evaluate_many(tln, vectors)).all()
+    for sigma in (0.0, 0.05, 0.5):
+        got = simulate_mapped(design, vectors, sigma, seed=fanin,
+                              params=params)
+        want = ref_simulate_mapped(design, vectors, sigma, seed=fanin,
+                                   params=params)
+        assert got["errors"] == want["errors"], sigma
+        assert got["vectors"] == want["vectors"]
+        assert (got["outputs"] == want["outputs"]).all(), sigma
+
+
+def test_simulate_mapped_dead_band_matches_reference(compiled):
+    _, design = compiled("c432", 4)
+    vectors = input_rows(len(design.tln.inputs), 2000, seed=1)
+    kw = dict(sigma=0.05, seed=3, params=DeviceParams())
+    plain = ref_simulate_mapped(design, vectors, **kw)["errors"]
+    got = simulate_mapped(design, vectors, i_threshold_eff=DEAD_BAND, **kw)
+    want = ref_simulate_mapped(design, vectors, i_threshold_eff=DEAD_BAND,
+                               **kw)
+    assert plain < want["errors"] < len(vectors)  # the band decides some
+    assert got["errors"] == want["errors"]
+    assert (got["outputs"] == want["outputs"]).all()
+
+
+# A; at sigma=0.05 it flags some vectors of c432_like, not all
+DEAD_BAND = 4e-8
+
+
+BENCH_KINDS = ("AND", "OR", "NAND", "NOR", "XOR", "NOT", "BUFF")
+
+
+@st.composite
+def small_netlists(draw):
+    """Netlists with repeated gate arguments, outputs listed twice and
+    outputs aliased to primary inputs."""
+    names = [f"i{j}" for j in range(draw(st.integers(1, 5)))]
+    lines = [f"INPUT({x})" for x in names]
+    for g in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(BENCH_KINDS))
+        arity = 1 if kind in ("NOT", "BUFF") else draw(st.integers(2, 5))
+        srcs = draw(st.lists(st.sampled_from(names), min_size=arity,
+                             max_size=arity))
+        lines.append(f"g{g} = {kind}({', '.join(srcs)})")
+        names.append(f"g{g}")
+    outs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+    lines += [f"OUTPUT({o})" for o in outs]
+    return parse_bench("\n".join(lines) + "\n")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=small_netlists(), fanin=st.integers(2, 4), k=st.integers(1, 3))
+def test_sigma_zero_simulation_equals_oracle(net, fanin, k):
+    tln = synthesize_tln(net, fanin_limit=fanin)
+    design = map_design(tln, net, MappingConfig(k=k), fanin_limit=fanin)
+    vectors = input_rows(len(net.inputs))
+    sim = simulate_mapped(design, vectors)
+    assert sim["errors"] == 0
+    assert (sim["outputs"] == evaluate_many(net, vectors)).all()
 
 
 # --- call counts -------------------------------------------------------------

@@ -216,17 +216,6 @@ def test_verify_interface_checks(c17, c17_tln):
         verify_equivalence(c17, other)
 
 
-def test_verify_custom_simulator(c17, c17_tln):
-    calls = []
-
-    def sim(vectors):
-        calls.append(len(vectors))
-        return c17_tln.evaluate_many(vectors)
-
-    ok, _ = verify_equivalence(c17, c17_tln, "exhaustive", simulate=sim)
-    assert ok and calls == [32]
-
-
 def test_sampled_vectors_seeded():
     a = sampled_vectors(8, 100, seed=5)
     b = sampled_vectors(8, 100, seed=5)
