@@ -170,21 +170,58 @@ def _validate(net):
     net.topological_order()  # raises on cycles
 
 
+# Gate functions on bit-packed words (see `pack`): one bit per vector.
 _GATE_FN = {
-    "AND": lambda vals: np.logical_and.reduce(vals),
-    "OR": lambda vals: np.logical_or.reduce(vals),
-    "NAND": lambda vals: ~np.logical_and.reduce(vals),
-    "NOR": lambda vals: ~np.logical_or.reduce(vals),
-    "XOR": lambda vals: np.logical_xor.reduce(vals),
+    "AND": lambda vals: np.bitwise_and.reduce(vals),
+    "OR": lambda vals: np.bitwise_or.reduce(vals),
+    "NAND": lambda vals: ~np.bitwise_and.reduce(vals),
+    "NOR": lambda vals: ~np.bitwise_or.reduce(vals),
+    "XOR": lambda vals: np.bitwise_xor.reduce(vals),
     "NOT": lambda vals: ~vals[0],
     "BUFF": lambda vals: vals[0],
 }
+
+
+def pack(rows):
+    """Bit-pack a (count, n) bool matrix column by column.
+
+    Returns (n, ceil(count / 64)) uint64 words: vector v is bit v % 64 of
+    word v // 64. Bits past `count` in the last word are zero here, but
+    any word computed from them may set them; `unpack` drops them.
+    """
+    rows = np.asarray(rows, dtype=bool)
+    count, n = rows.shape
+    nbytes = -(-count // 64) * 8
+    out = np.zeros((n, nbytes), dtype=np.uint8)
+    out[:, :-(-count // 8)] = np.packbits(rows.T, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def unpack(words, count):
+    """The first `count` bits of each row of packed words: (..., W) uint64
+    -> (..., count) bool."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=count,
+                         bitorder="little").astype(bool)
 
 
 def evaluate_network(net, assignment):
     """Evaluate one input vector; returns a tuple of output bits."""
     out = evaluate_many(net, np.asarray(assignment, dtype=bool).reshape(1, -1))
     return tuple(int(b) for b in out[0])
+
+
+def evaluate_packed(net, words):
+    """Evaluate packed input words, one row per input; returns one row of
+    words per output."""
+    vals = dict(zip(net.inputs, words))
+    for name in net.topological_order():
+        g = net.gate(name)
+        vals[name] = _GATE_FN[g.kind]([vals[i] for i in g.inputs])
+    out = np.empty((len(net.outputs), words.shape[1]), dtype=np.uint64)
+    for row, name in zip(out, net.outputs):
+        row[:] = vals[name]
+    return out
 
 
 def evaluate_many(net, vectors):
@@ -194,11 +231,8 @@ def evaluate_many(net, vectors):
         raise ValueError(
             f"expected {len(net.inputs)} input columns, got shape {vectors.shape}"
         )
-    vals = {name: vectors[:, i] for i, name in enumerate(net.inputs)}
-    for name in net.topological_order():
-        g = net.gate(name)
-        vals[name] = _GATE_FN[g.kind]([vals[i] for i in g.inputs])
-    return np.column_stack([vals[o] for o in net.outputs])
+    words = evaluate_packed(net, pack(vectors))
+    return unpack(words, vectors.shape[0]).T
 
 
 def topological_levels(net):

@@ -191,11 +191,15 @@ def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
         _fail(EXIT_INPUT, "--vectors must be at least 1")
     if not sigma >= 0:
         _fail(EXIT_INPUT, "--sigma must be at least 0")
+    if seed < 0:
+        _fail(EXIT_INPUT, "--seed must be at least 0")
     design = _load_design(mapped_path)
     params = _load_params(params_path)
     try:
         rep = evaluate.full_report(design, params, sigma=sigma,
                                    vectors=vectors, seed=seed)
+    except ValueError as e:  # a gate the crossbar model cannot program
+        _fail(EXIT_INPUT, str(e))
     except evaluate.TimingViolation as e:
         _fail(EXIT_TIMING, str(e))
     if baseline_energy is not None and baseline_delay is not None:
@@ -273,6 +277,8 @@ def write_sim_cmd(bits, iprog, trials, tmax, seed, params_path, output):
     """Monte-Carlo the feedback write loop over comparator resolutions."""
     if trials < 1:
         _fail(EXIT_INPUT, "--trials must be at least 1")
+    if seed < 0:
+        _fail(EXIT_INPUT, "--seed must be at least 0")
     params = _load_params(params_path)
     try:
         bit_list = [int(b) for b in bits.split(",") if b.strip()]

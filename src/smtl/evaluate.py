@@ -2,8 +2,10 @@
 
 The crossbar computes each gate's net current as a dot product of input
 bits with signed conductance pairs; Monte-Carlo conductance perturbation
-models programming inaccuracy. Power splits into the crossbar static
-component, the per-gate detection units, and the routing network.
+models programming inaccuracy. The simulation runs on bit-packed vectors
+(`bench.pack`), one logic level at a time, for several Monte-Carlo seeds
+at once. Power splits into the crossbar static component, the per-gate
+detection units, and the routing network.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import dataclasses
 import numpy as np
 
 from . import partition
-from .bench import evaluate_many
-from .devices import NO_SWITCH, bias_chunks, std_switch_time, weight_to_conductance
+from .bench import evaluate_many, pack, unpack
+from .devices import (NO_SWITCH, DeviceParams, bias_chunks, std_switch_time,
+                      weight_to_conductance)
 from .tlg import W_MAX, input_rows, threshold_step
 
 I_DTCS_BASE = 5e-6        # A per input row, quoted at the 2 uA device threshold
@@ -47,6 +50,150 @@ def crossbar_net_current(weights, bias, x, params, w_max=W_MAX,
     return params.delta_v * current
 
 
+@dataclasses.dataclass(frozen=True)
+class Levelized:
+    """A mapped design lowered once for the batched crossbar simulation.
+
+    Signals are the primary inputs, then the nodes in topological order.
+    `g` holds every device conductance in draw order: per node, the g+
+    device of each weight row and then of each bias row, then their g-
+    devices. Crossbar row r (weight and bias rows of all nodes, in the same
+    order) has net conductance g[plus[r]] - g[minus[r]].
+    """
+
+    n_inputs: int
+    n_signals: int
+    g: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    # (node signals (G,), input signals (G, k), weight rows (G, k)), one
+    # entry per (level, fan-in k), in level order
+    groups: tuple
+    # (node signals (B,), bias rows (B, b)), one entry per bias-row count b
+    bias: tuple
+    outputs: np.ndarray
+
+
+# A node's truth table has 2^fan-in rows and its mux tree holds 2^(fan-in-1)
+# words per vector word, so fan-in is bounded; synthesis emits at most 4.
+TABLE_FAN_IN_LIMIT = 10
+
+
+def lower(design, params, w_max=W_MAX):
+    """Levelize a mapped design and program its nominal conductances.
+
+    Raises ValueError for a node above TABLE_FAN_IN_LIMIT inputs or a
+    weight above w_max.
+    """
+    tln = design.tln
+    order = tln.topological_order()
+    index = {name: i for i, name in enumerate(list(tln.inputs) + order)}
+    level = dict.fromkeys(tln.inputs, 0)
+    g, plus, minus = [], [], []
+    groups, bias = {}, {}
+    for nid in order:
+        gate = tln.nodes[nid].gate
+        if gate.fan_in > TABLE_FAN_IN_LIMIT:
+            raise ValueError(f"node {nid}: fan-in {gate.fan_in} above "
+                             f"{TABLE_FAN_IN_LIMIT} cannot be simulated")
+        pairs = [weight_to_conductance(w, w_max, params) for w in
+                 gate.weights + tuple(bias_chunks(gate.bias, w_max))]
+        at, n, row = len(g), len(pairs), len(plus)
+        g += [gp for gp, _ in pairs] + [gm for _, gm in pairs]
+        plus += range(at, at + n)
+        minus += range(at + n, at + 2 * n)
+        level[nid] = 1 + max(level[i] for i in gate.inputs)
+        groups.setdefault((level[nid], gate.fan_in), []).append(
+            (index[nid], [index[i] for i in gate.inputs],
+             range(row, row + gate.fan_in)))
+        bias.setdefault(n - gate.fan_in, []).append(
+            (index[nid], range(row + gate.fan_in, row + n)))
+    return Levelized(
+        n_inputs=len(tln.inputs),
+        n_signals=len(index),
+        g=np.array(g, dtype=float),
+        plus=np.array(plus, dtype=np.intp),
+        minus=np.array(minus, dtype=np.intp),
+        groups=tuple(tuple(np.array(col, dtype=np.intp) for col in
+                           zip(*groups[key])) for key in sorted(groups)),
+        bias=tuple(tuple(np.array(col, dtype=np.intp) for col in
+                         zip(*bias[b])) for b in sorted(bias) if b),
+        outputs=np.array([index[o] for o in tln.outputs], dtype=np.intp),
+    )
+
+
+def programmed(g, sigma, seeds):
+    """Conductances as programmed under each seed, one row per seed:
+    g' = g * (1 + e), e ~ N(0, sigma) drawn by `default_rng(seed)` in the
+    order of g. At sigma 0 every seed programs g exactly, and one row
+    stands for all of them."""
+    if not sigma > 0.0:
+        return g[None]
+    rows = [g * (1.0 + np.random.default_rng(seed).normal(0.0, sigma, g.shape))
+            for seed in seeds]
+    return np.array(rows).reshape(len(rows), len(g))
+
+
+# words held by one mux-tree temporary; bounds the memory of a level group
+MUX_WORDS = 1 << 19
+
+
+def _mux(tables, x):
+    """Shannon mux tree: the functions with truth tables `tables`
+    (..., 2^k) bool, row r setting input j to bit j of r, at packed input
+    words x (..., k, W); returns (..., W) words."""
+    f = np.where(tables, ~np.uint64(0), np.uint64(0))[..., None]
+    for j in range(x.shape[-2]):
+        lo, hi = f[..., 0::2, :], f[..., 1::2, :]
+        f = lo ^ ((lo ^ hi) & x[..., j, None, :])
+    return f[..., 0, :]
+
+
+def simulate_batch(low, words, count, want, g, params, i_threshold_eff=0.0):
+    """Simulate `count` packed input vectors under every row of programmed
+    conductances g (S, len(low.g)) at once.
+
+    Each node fires iff its net current is >= 0; the current for every
+    input row of the node is built by `threshold_step` in the order of the
+    scalar model (bias rows summed, then each weight row in input order),
+    so the 2^k-row truth table and the +-i_threshold_eff dead-band table
+    are exact, and both are applied to the packed words by a mux tree.
+    Returns the output words (S, n_outputs, W) and, per row of g, the
+    number of vectors that differ from the packed oracle words `want`
+    (n_outputs, W) or fall inside the dead band of some node.
+    """
+    n_words = words.shape[1]
+    net = g[:, low.plus] - g[:, low.minus]
+    const = np.zeros((len(g), low.n_signals))
+    for nodes, rows in low.bias:
+        # numpy adds fewer than 8 terms in order along any axis, as the
+        # scalar model's 1-D sum does; longer 1-D sums are pairwise
+        terms = net[:, rows]
+        const[:, nodes] = (terms.sum(axis=-1) if rows.shape[1] < 8 else
+                           [[t.sum() for t in seed] for seed in terms])
+    vals = np.empty((len(g), low.n_signals, n_words), dtype=np.uint64)
+    vals[:, :low.n_inputs] = words
+    indeterminate = np.zeros((len(g), n_words), dtype=np.uint64)
+    table_rows = {k: input_rows(k).T
+                  for k in {inputs.shape[1] for _, inputs, _ in low.groups}}
+    for nodes, inputs, rows in low.groups:
+        k = inputs.shape[1]
+        s, fires = threshold_step(const[:, nodes, None],
+                                  np.moveaxis(net[:, rows], -1, 0)[..., None],
+                                  table_rows[k])
+        step = max(1, MUX_WORDS // (len(g) * 2 ** (k - 1) * n_words or 1))
+        for at in range(0, len(nodes), step):
+            part = slice(at, at + step)
+            x = vals[:, inputs[part]]
+            vals[:, nodes[part]] = _mux(fires[:, part], x)
+            if i_threshold_eff > 0.0:
+                band = np.abs(params.delta_v * s[:, part]) < i_threshold_eff
+                indeterminate |= np.bitwise_or.reduce(_mux(band, x), axis=1)
+    out = vals[:, low.outputs]
+    bad = np.bitwise_or.reduce(out ^ want, axis=1) | indeterminate
+    return out, unpack(bad, count).sum(axis=-1)
+
+
 def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
                     i_threshold_eff=0.0, w_max=W_MAX):
     """Simulate the mapped design through the crossbar current model.
@@ -58,44 +205,18 @@ def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
     band are counted as errors. Returns outputs plus the error count
     against the Boolean oracle.
     """
-    from .devices import DeviceParams
-
     params = params or DeviceParams()
     vectors = np.asarray(vectors, dtype=bool)
-    tln = design.tln
-    order = tln.topological_order()
-    # per node: one input row per weight, then per bias chunk
-    g, sizes = [], []
-    for nid in order:
-        gate = tln.nodes[nid].gate
-        pairs = [weight_to_conductance(w, w_max, params) for w in
-                 gate.weights + tuple(bias_chunks(gate.bias, w_max))]
-        g += [gp for gp, _ in pairs] + [gm for _, gm in pairs]
-        sizes.append(len(pairs))
-    g = np.array(g)
-    if sigma > 0.0:
-        g = g * (1.0 + np.random.default_rng(seed).normal(0.0, sigma, g.shape))
-
-    vals = dict(zip(tln.inputs, vectors.T))
-    indeterminate = np.zeros(vectors.shape[0], dtype=bool)
-    at = 0
-    for nid, n in zip(order, sizes):
-        gate = tln.nodes[nid].gate
-        net = g[at:at + n] - g[at + n:at + 2 * n]
-        at += 2 * n
-        s, vals[nid] = threshold_step(net[gate.fan_in:].sum(),
-                                      net[:gate.fan_in],
-                                      [vals[i] for i in gate.inputs])
-        if i_threshold_eff > 0.0:
-            indeterminate |= np.abs(params.delta_v * s) < i_threshold_eff
-    outputs = np.column_stack([vals[o] for o in tln.outputs])
-
-    want = evaluate_many(design.source, vectors)
-    bad = (outputs != want).any(axis=1) | indeterminate
+    count = vectors.shape[0]
+    want = pack(evaluate_many(design.source, vectors))
+    low = lower(design, params, w_max)
+    out, errors = simulate_batch(low, pack(vectors), count, want,
+                                 programmed(low.g, sigma, [seed]), params,
+                                 i_threshold_eff)
     return {
-        "outputs": outputs,
-        "errors": int(bad.sum()),
-        "vectors": int(vectors.shape[0]),
+        "outputs": unpack(out[0], count).T,
+        "errors": int(errors[0]),
+        "vectors": int(count),
     }
 
 
@@ -105,24 +226,32 @@ def variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     """Largest grid sigma with zero errors across every probe seed.
 
     Returns (sigma_star, curve) where curve maps each probed sigma to the
-    total error count. sigma_star is the top of the zero-error prefix
-    (0.0 if even the smallest grid point fails).
+    total error count over the seeds (with `early_stop`, the count of the
+    first seed that has errors). sigma_star is the top of the zero-error
+    prefix (0.0 if even the smallest grid point fails). The design is
+    lowered and the oracle evaluated once; all seeds of one sigma are
+    simulated together.
     """
     if list(sigma_grid) != sorted(sigma_grid):
         raise ValueError("sigma grid must be ascending")
+    params = params or DeviceParams()
     vectors = input_rows(len(design.tln.inputs), vectors_per_probe,
                          vector_seed)
+    count = vectors.shape[0]
+    words = pack(vectors)
+    want = pack(evaluate_many(design.source, vectors))
+    low = lower(design, params)
     curve = []
     sigma_star = 0.0
     failed = False
     for sig in sigma_grid:
-        total = 0
-        for seed in seeds:
-            total += simulate_mapped(
-                design, vectors, sigma=sig, seed=seed, params=params
-            )["errors"]
-            if total and early_stop:
-                break
+        _, errors = simulate_batch(low, words, count, want,
+                                   programmed(low.g, sig, seeds), params)
+        errors = np.broadcast_to(errors, len(seeds))
+        if early_stop:
+            total = next((int(e) for e in errors if e), 0)
+        else:
+            total = int(errors.sum())
         curve.append((sig, total))
         if total == 0 and not failed:
             sigma_star = sig
@@ -158,13 +287,17 @@ def drive_current(params, k, i_dtcs_base=I_DTCS_BASE,
 
 
 def power_report(design, params, activity=DEFAULT_ACTIVITY,
-                 i_dtcs_base=I_DTCS_BASE, c_wire=C_WIRE):
+                 i_dtcs_base=I_DTCS_BASE, c_wire=C_WIRE, stats=None):
+    """Power split into crossbar, detection and routing; `stats` is the
+    design's `partition.interconnect_stats`, computed when omitted."""
     k = design.config.k
     n_nodes = len(design.tln.nodes)
     p_det = n_nodes * params.p_detect * (params.f_clk / 500e6)
     i_dtcs = drive_current(params, k, i_dtcs_base)
     p_mca = _active_rows(design) * i_dtcs * params.delta_v * activity
-    route_length = partition.interconnect_stats(design)["route_length"]
+    if stats is None:
+        stats = partition.interconnect_stats(design)
+    route_length = stats["route_length"]
     p_int = (
         c_wire * route_length * params.delta_v ** 2 * params.f_clk * activity
     )
@@ -209,9 +342,10 @@ def full_report(design, params, sigma=0.0, vectors=10_000, seed=0,
     """EvaluationReport: functional errors, power, delay, energy, area."""
     vecs = input_rows(len(design.tln.inputs), vectors, seed)
     sim = simulate_mapped(design, vecs, sigma=sigma, seed=seed, params=params)
-    power = power_report(design, params, activity, i_dtcs_base, c_wire)
-    delay = delay_report(design, params, i_dtcs_base)
     stats = partition.interconnect_stats(design)
+    power = power_report(design, params, activity, i_dtcs_base, c_wire,
+                         stats)
+    delay = delay_report(design, params, i_dtcs_base)
     energy = power["p_total"] * delay["latency"]
     return {
         "seed": seed,
@@ -222,7 +356,7 @@ def full_report(design, params, sigma=0.0, vectors=10_000, seed=0,
         "delay": {k: v for k, v in delay.items()},
         "energy": energy,
         "energy_delay_product": energy * delay["latency"],
-        "area_um2": partition.area_estimate(design),
+        "area_um2": partition.area_estimate(design, stats=stats),
         "links": stats,
         "nodes": len(design.tln.nodes),
         "buffers": design.buffer_count,
@@ -278,10 +412,13 @@ def sweep(design, params, parameter, grid, source_tln=None,
             cfg = dataclasses.replace(design.config, k=value)
             d = map_design(source_tln, design.source, cfg)
         elif parameter == "subarray_dim":
+            if not float(value).is_integer():
+                raise ValueError(
+                    f"subarray_dim must be a whole number, got {value}")
             d = partition.repartition(design, int(value), int(value))
-        power = power_report(d, p, activity, i_dtcs_base, c_wire)
-        delay = delay_report(d, p, i_dtcs_base)
         stats = partition.interconnect_stats(d)
+        power = power_report(d, p, activity, i_dtcs_base, c_wire, stats)
+        delay = delay_report(d, p, i_dtcs_base)
         energy = power["p_total"] * delay["latency"]
         rows.append({
             "parameter": parameter,
@@ -293,7 +430,7 @@ def sweep(design, params, parameter, grid, source_tln=None,
             "latency": delay["latency"],
             "energy": energy,
             "edp": energy * delay["latency"],
-            "area_um2": partition.area_estimate(d),
+            "area_um2": partition.area_estimate(d, stats=stats),
             "routed_links": stats["routed"],
             "route_length": stats["route_length"],
             "cells": partition.cell_count(d),

@@ -9,7 +9,7 @@ is charged Manhattan distance in block-pitch units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .devices import bias_rows
 
@@ -53,30 +53,31 @@ def rebin(node_ids, tln, rows, cols):
 
 
 def repartition(design, subarray_rows, subarray_cols):
-    """Return a copy of the design re-binned at different sub-array dims."""
-    import copy
-    import dataclasses
+    """Return a copy of the design re-binned at different sub-array dims.
 
-    if design.absorbed:
-        # backward connections tie absorbed nodes to their source block;
-        # keep those stages' binning untouched
-        touched = {design.tln.nodes[n].stage for n in design.absorbed}
-    else:
-        touched = set()
-    out = copy.deepcopy(design)
-    out.config = dataclasses.replace(design.config, rows=subarray_rows,
-                                     cols=subarray_cols)
-    out.input_blocks = [
-        list(out.tln.inputs[i:i + subarray_cols])
-        for i in range(0, len(out.tln.inputs), subarray_cols)
-    ]
-    for s in list(out.blocks):
+    The copy has its own config, input blocks and blocks; it shares the
+    threshold network, the source netlist and the other fields with
+    `design`, which is left unchanged.
+    """
+    # backward connections tie absorbed nodes to their source block;
+    # keep those stages' binning untouched
+    touched = {design.tln.nodes[n].stage for n in design.absorbed}
+    blocks = {}
+    for s, blks in design.blocks.items():
         if s in touched or s - 1 in touched:
-            continue
-        out.blocks[s] = rebin(
-            out.stage_nodes(s), out.tln, subarray_rows, subarray_cols
-        )
-    return out
+            blocks[s] = [list(b) for b in blks]
+        else:
+            blocks[s] = rebin(design.stage_nodes(s), design.tln,
+                              subarray_rows, subarray_cols)
+    inputs = design.tln.inputs
+    return replace(
+        design,
+        config=replace(design.config, rows=subarray_rows,
+                       cols=subarray_cols),
+        input_blocks=[list(inputs[i:i + subarray_cols])
+                      for i in range(0, len(inputs), subarray_cols)],
+        blocks=blocks,
+    )
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,18 @@ def cell_count(design):
 
 def area_estimate(design, cell_area_um2=CELL_AREA_UM2,
                   periphery_overhead=PERIPHERY_OVERHEAD,
-                  interconnect_rows=1):
+                  interconnect_rows=1, stats=None):
     """Area in um^2: block cells + periphery + routing tracks.
 
     Routing is charged `interconnect_rows` cell-rows (block width) per unit
-    of route length.
+    of route length. `stats` is the design's `interconnect_stats`,
+    computed when omitted.
     """
     cfg = design.config
     cells = cell_count(design)
     block_area = cells * cell_area_um2 * (1.0 + periphery_overhead)
-    stats = interconnect_stats(design)
+    if stats is None:
+        stats = interconnect_stats(design)
     route_area = (
         stats["route_length"] * interconnect_rows * cfg.cols * cell_area_um2
     )

@@ -375,3 +375,53 @@ def test_synth_caps_wmax(runner, tmp_path):
     r = runner.invoke(main, ["synth", "--bench", C17, "--fanin", "2",
                              "--wmax", str(W_MAX_LIMIT), "-o", str(out)])
     assert r.exit_code == 0, r.output
+
+
+def test_evaluate_rejects_negative_seed(runner, artifacts, tmp_path):
+    # a negative seed reached numpy's default_rng and ended in a traceback
+    rep = tmp_path / "report.json"
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--sigma", "0.05", "--seed", "-1",
+                             "--report", str(rep)])
+    _assert_input_error(r, "--seed")
+    assert not rep.exists()
+
+
+def test_write_sim_rejects_negative_seed(runner, tmp_path):
+    out = tmp_path / "ws.csv"
+    r = runner.invoke(main, ["write-sim", "--trials", "2", "--seed", "-1",
+                             "-o", str(out)])
+    _assert_input_error(r, "--seed")
+    assert not out.exists()
+
+
+def test_sweep_rejects_fractional_subarray_dim(runner, artifacts, tmp_path):
+    # 16.7 was partitioned at 16 but written to the CSV as 16.7
+    out = tmp_path / "s.csv"
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--param", "subarray_dim", "--grid", "16.7",
+                             "-o", str(out)])
+    _assert_input_error(r, "subarray_dim")
+    assert not out.exists()
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--param", "subarray_dim", "--grid", "16",
+                             "-o", str(out)])
+    assert r.exit_code == 0, r.output
+    assert out.read_text().splitlines()[1].startswith("subarray_dim,16,")
+
+
+@pytest.mark.parametrize("inputs,weights,message", [
+    (["1"] * 11, [2] * 11, "fan-in 11"), (["1"], [7], "exceeds 6")])
+def test_evaluate_rejects_gates_it_cannot_simulate(runner, artifacts,
+                                                   tmp_path, inputs, weights,
+                                                   message):
+    # a hand-edited design: fan-in 11 would need 2^11-row truth tables, and
+    # weight 7 exceeds the 6 conductance levels
+    doc = json.loads(Path(artifacts["mapped"]).read_text())
+    doc["tln"]["nodes"][0].update(inputs=inputs, weights=weights)
+    mapped, rep = tmp_path / "m.json", tmp_path / "report.json"
+    mapped.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["evaluate", "--mapped", str(mapped),
+                             "--report", str(rep)])
+    _assert_input_error(r, message)
+    assert not rep.exists()

@@ -2,6 +2,7 @@
 reports."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -271,6 +272,24 @@ def test_sweep_rejects_bad_input(c432_mapped, params):
         evaluate.sweep(c432_mapped, params, "voltage", [1.0])
     with pytest.raises(ValueError):
         evaluate.sweep(c432_mapped, params, "dv", [])
+
+
+def test_sweep_leaves_the_design_unchanged(c432_mapped, c432_tln, params):
+    before = json.dumps(c432_mapped.to_json(), sort_keys=True)
+    for parameter, grid in (("dv", [0.1]), ("i_threshold", [4e-6]),
+                            ("k", [1, 3]), ("subarray_dim", [8, 16])):
+        evaluate.sweep(c432_mapped, params, parameter, grid,
+                       source_tln=c432_tln)
+        after = json.dumps(c432_mapped.to_json(), sort_keys=True)
+        assert after == before, parameter
+
+
+def test_sweep_rejects_fractional_subarray_dim(c432_mapped, params):
+    with pytest.raises(ValueError, match="whole number"):
+        evaluate.sweep(c432_mapped, params, "subarray_dim", [16.7])
+    rows = evaluate.sweep(c432_mapped, params, "subarray_dim", [16.0])
+    assert rows[0]["cells"] == partition.cell_count(
+        partition.repartition(c432_mapped, 16, 16))
 
 
 def test_sweep_csv_format(c432_mapped, params):

@@ -1,5 +1,7 @@
 """Sub-array binning, interconnect classification and area accounting."""
 
+import json
+
 import pytest
 
 from smtl import partition
@@ -120,6 +122,15 @@ def test_repartition_preserves_nodes(c432_mapped):
     assert d8.config.cols == 8
     placed = {n for blks in d8.blocks.values() for b in blks for n in b}
     assert placed == set(c432_mapped.tln.nodes)
+
+
+def test_repartition_leaves_its_input_unchanged(c432_mapped):
+    before = json.dumps(c432_mapped.to_json(), sort_keys=True)
+    d8 = partition.repartition(c432_mapped, 8, 8)
+    assert json.dumps(c432_mapped.to_json(), sort_keys=True) == before
+    assert (d8.config.rows, c432_mapped.config.rows) == (8, 64)
+    # the copy shares what re-binning does not change
+    assert d8.tln is c432_mapped.tln and d8.source is c432_mapped.source
 
 
 def test_smaller_subarrays_route_more(c432_mapped):

@@ -1,10 +1,12 @@
-"""The incremental synth and map passes, and the evaluators built on the
-shared threshold step and input-row generator, give exactly the output of
-the straightforward implementations they replaced.
+"""The incremental synth and map passes, the evaluators built on the
+shared threshold step and input-row generator, and the bit-packed,
+seed-batched crossbar simulation give exactly the output of the
+straightforward implementations they replaced.
 
 The reference passes below are test-only copies of those implementations:
 rescanning passes, whose compiles are compared as JSON artifacts, and
-per-evaluator loops and row builders, whose outputs, error counts and
+per-evaluator loops, the column-wise Boolean oracle, the per-seed
+tolerance loop and row builders, whose outputs, error counts, curves and
 truth tables are compared exactly.
 """
 
@@ -20,11 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from smtl import graph, mapping, partition, synthesis, tlg
+from smtl import evaluate, graph, mapping, partition, synthesis, tlg
 from smtl.bench import (BenchError, BooleanNetwork, evaluate_many, load_bench,
-                        parse_bench)
+                        pack, parse_bench, unpack)
 from smtl.devices import DeviceParams, bias_chunks, weight_to_conductance
-from smtl.evaluate import simulate_mapped
+from smtl.evaluate import (lower, programmed, simulate_batch, simulate_mapped,
+                           variation_tolerance)
 from smtl.mapping import MappingConfig, map_design
 from smtl.synthesis import synthesize_tln
 from smtl.tlg import (
@@ -217,6 +220,27 @@ def ref_merged_table(producer, consumer, support):
     return tuple(table)
 
 
+_REF_GATE_FN = {
+    "AND": lambda vals: np.logical_and.reduce(vals),
+    "OR": lambda vals: np.logical_or.reduce(vals),
+    "NAND": lambda vals: ~np.logical_and.reduce(vals),
+    "NOR": lambda vals: ~np.logical_or.reduce(vals),
+    "XOR": lambda vals: np.logical_xor.reduce(vals),
+    "NOT": lambda vals: ~vals[0],
+    "BUFF": lambda vals: vals[0],
+}
+
+
+def ref_evaluate_many(net, vectors):
+    """The Boolean oracle on one bool column per net."""
+    vectors = np.asarray(vectors, dtype=bool)
+    vals = {name: vectors[:, i] for i, name in enumerate(net.inputs)}
+    for name in net.topological_order():
+        g = net.gate(name)
+        vals[name] = _REF_GATE_FN[g.kind]([vals[i] for i in g.inputs])
+    return np.column_stack([vals[o] for o in net.outputs])
+
+
 def ref_tln_evaluate_many(tln, vectors):
     vectors = np.asarray(vectors, dtype=bool)
     vals = {name: vectors[:, i] for i, name in enumerate(tln.inputs)}
@@ -263,10 +287,36 @@ def ref_simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
             indeterminate |= np.abs(current) < i_threshold_eff
         vals[nid] = current >= 0.0
     outputs = np.column_stack([vals[o] for o in design.tln.outputs])
-    want = evaluate_many(design.source, vectors)
+    want = ref_evaluate_many(design.source, vectors)
     bad = (outputs != want).any(axis=1) | indeterminate
     return {"outputs": outputs, "errors": int(bad.sum()),
             "vectors": int(vectors.shape[0])}
+
+
+def ref_variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
+                            seeds=(0, 1, 2, 3, 4), vector_seed=12345,
+                            params=None, early_stop=True):
+    """One simulation per (sigma, seed), stopping at the first failure."""
+    if list(sigma_grid) != sorted(sigma_grid):
+        raise ValueError("sigma grid must be ascending")
+    vectors = input_rows(len(design.tln.inputs), vectors_per_probe,
+                         vector_seed)
+    curve, sigma_star, failed = [], 0.0, False
+    for sig in sigma_grid:
+        total = 0
+        for seed in seeds:
+            total += ref_simulate_mapped(design, vectors, sigma=sig,
+                                         seed=seed, params=params)["errors"]
+            if total and early_stop:
+                break
+        curve.append((sig, total))
+        if total == 0 and not failed:
+            sigma_star = sig
+        else:
+            failed = True
+            if early_stop:
+                break
+    return sigma_star, curve
 
 
 @contextlib.contextmanager
@@ -576,6 +626,115 @@ def test_sigma_zero_simulation_equals_oracle(net, fanin, k):
     assert (sim["outputs"] == evaluate_many(net, vectors)).all()
 
 
+# --- bit-packed, seed-batched simulation ------------------------------------
+
+BATCH_SEEDS = (3, 4, 5)
+# 63, 64 and 65 vectors end just inside, exactly at and just past a word
+VECTOR_COUNTS = (1, 63, 64, 65, 2000)
+
+
+def _batch(design, vectors, sigma, seeds, params, band=0.0):
+    low = lower(design, params)
+    want = pack(ref_evaluate_many(design.source, vectors))
+    return simulate_batch(low, pack(vectors), len(vectors), want,
+                          programmed(low.g, sigma, seeds), params, band)
+
+
+@pytest.mark.parametrize("name", NETLISTS)
+@pytest.mark.parametrize("fanin", (2, 3, 4))
+def test_batched_simulation_matches_reference_per_seed(compiled, name,
+                                                       fanin):
+    _, design = compiled(name, fanin)
+    params = DeviceParams()
+    n = len(design.tln.inputs)
+    for count in VECTOR_COUNTS:
+        vectors = np.random.default_rng(count).integers(
+            0, 2, size=(count, n)).astype(bool)
+        for sigma, band in itertools.product((0.0, 0.05, 0.5),
+                                             (0.0, DEAD_BAND)):
+            out, errors = _batch(design, vectors, sigma, BATCH_SEEDS, params,
+                                 band)
+            # at sigma 0 one row stands for every seed
+            assert len(out) == len(errors) == (len(BATCH_SEEDS) if sigma
+                                               else 1)
+            for seed, words, e in zip(BATCH_SEEDS, out, errors):
+                want = ref_simulate_mapped(design, vectors, sigma, seed,
+                                           params, band)
+                key = (count, sigma, band, seed)
+                assert e == want["errors"], key
+                assert (unpack(words, count).T ==
+                        want["outputs"]).all(), key
+
+
+def test_batched_simulation_with_many_bias_rows_matches_reference():
+    # more than 7 bias rows: the bias constant is summed one row at a time
+    net = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n"
+                      "y = AND(a, b)\nz = BUFF(a)\n")
+    tln = ThresholdLogicNetwork(inputs=["a", "b"], outputs=["y", "z"])
+    tln.add_node("y", ThresholdGate(("a", "b"), (2, 2), -3))
+    tln.add_node("z", ThresholdGate(("a", "b"), (6, 2), -51))
+    design = map_design(tln, net, MappingConfig(k=1, rows=16))
+    assert len(bias_chunks(-51, W_MAX)) == 9
+    params = DeviceParams()
+    vectors = input_rows(2)
+    out, errors = _batch(design, vectors, 0.5, BATCH_SEEDS, params)
+    for seed, words, e in zip(BATCH_SEEDS, out, errors):
+        want = ref_simulate_mapped(design, vectors, 0.5, seed, params)
+        assert e == want["errors"] > 0
+        assert (unpack(words, 4).T == want["outputs"]).all()
+
+
+@pytest.mark.parametrize("name,fanin", [("c17", 4), ("c432", 4),
+                                        ("gen1", 3), ("gen2", 2)])
+def test_variation_tolerance_matches_per_seed_loop(compiled, name, fanin):
+    _, design = compiled(name, fanin)
+    grid = (0.0, 0.03, 0.06, 0.1, 0.2, 0.5)
+    kw = dict(vectors_per_probe=2000, seeds=(0, 1, 2, 3, 4), vector_seed=7,
+              params=DeviceParams())
+    for early_stop in (True, False):
+        got = variation_tolerance(design, grid, early_stop=early_stop, **kw)
+        want = ref_variation_tolerance(design, grid, early_stop=early_stop,
+                                       **kw)
+        assert got == want, early_stop
+
+
+def test_variation_tolerance_early_stop_counts_first_failing_seed(compiled):
+    # at 0.1 seed 0 passes and seed 1 fails, so the early-stopped count is
+    # seed 1's alone; the full count adds the later seeds
+    _, design = compiled("c17", 4)
+    params, seeds = DeviceParams(), (0, 1, 2, 3, 4)
+    vectors = input_rows(5)
+    per_seed = [ref_simulate_mapped(design, vectors, 0.1, seed,
+                                    params)["errors"] for seed in seeds]
+    assert per_seed[0] == 0 < per_seed[1] < sum(per_seed)
+    for early_stop, total in ((True, per_seed[1]), (False, sum(per_seed))):
+        assert variation_tolerance(design, [0.0, 0.1], 32, seeds,
+                                   params=params, early_stop=early_stop) \
+            == (0.0, [(0.0, 0), (0.1, total)])
+
+
+def test_packed_oracle_matches_column_wise_oracle(netlists):
+    for name in NETLISTS:
+        net = netlists[name]
+        for count in VECTOR_COUNTS:
+            vectors = input_rows(len(net.inputs), count, seed=count)
+            got = evaluate_many(net, vectors)
+            assert got.dtype == bool
+            assert (got == ref_evaluate_many(net, vectors)).all(), name
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(net=small_netlists(), count=st.sampled_from(VECTOR_COUNTS),
+       seed=st.integers(0, 3))
+def test_packed_oracle_matches_column_wise_oracle_on_generated(net, count,
+                                                               seed):
+    vectors = np.random.default_rng(seed).integers(
+        0, 2, size=(count, len(net.inputs))).astype(bool)
+    got = evaluate_many(net, vectors)
+    assert got.shape == (len(vectors), len(net.outputs))
+    assert (got == ref_evaluate_many(net, vectors)).all()
+
+
 # --- call counts -------------------------------------------------------------
 
 def _counting(monkeypatch, owner, attr):
@@ -610,3 +769,25 @@ def test_map_design_classifies_links_at_most_twice(netlists, monkeypatch):
     calls = _counting(monkeypatch, partition, "classify_links")
     map_design(tln, net, MappingConfig(k=2, cols=8))
     assert calls[0] <= 2
+
+
+def test_variation_tolerance_evaluates_the_oracle_once(compiled, monkeypatch):
+    _, design = compiled("c432", 4)
+    oracle = _counting(monkeypatch, evaluate, "evaluate_many")
+    lowered = _counting(monkeypatch, evaluate, "lower")
+    _, curve = variation_tolerance(design, (0.0, 0.05, 0.1, 0.2),
+                                   vectors_per_probe=500, early_stop=False,
+                                   params=DeviceParams())
+    assert len(curve) == 4
+    assert oracle[0] == 1 and lowered[0] == 1
+
+
+def test_reports_classify_links_once_per_design(compiled, monkeypatch):
+    _, design = compiled("c432", 4)
+    params = DeviceParams()
+    calls = _counting(monkeypatch, partition, "classify_links")
+    evaluate.full_report(design, params, vectors=100)
+    assert calls[0] == 1
+    calls[0] = 0
+    evaluate.sweep(design, params, "subarray_dim", [16, 32, 64])
+    assert calls[0] == 3
