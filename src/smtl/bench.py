@@ -205,6 +205,25 @@ def unpack(words, count):
                          bitorder="little").astype(bool)
 
 
+# A gate's truth table has 2^fan-in rows and its mux tree holds
+# 2^(fan-in-1) words per vector word, so tabulated evaluation bounds the
+# fan-in; synthesis emits at most 4.
+TABLE_FAN_IN_LIMIT = 10
+# words held by one mux-tree temporary; callers chunk their gates by it
+MUX_WORDS = 1 << 19
+
+
+def mux(tables, x):
+    """Shannon mux tree: the functions with truth tables `tables`
+    (..., 2^k) bool, row r setting input j to bit j of r, at packed input
+    words x (..., k, W); returns (..., W) words."""
+    f = np.where(tables, ~np.uint64(0), np.uint64(0))[..., None]
+    for j in range(x.shape[-2]):
+        lo, hi = f[..., 0::2, :], f[..., 1::2, :]
+        f = lo ^ ((lo ^ hi) & x[..., j, None, :])
+    return f[..., 0, :]
+
+
 def evaluate_network(net, assignment):
     """Evaluate one input vector; returns a tuple of output bits."""
     out = evaluate_many(net, np.asarray(assignment, dtype=bool).reshape(1, -1))

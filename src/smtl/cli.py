@@ -8,6 +8,7 @@ the output; identical commands produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,6 +29,41 @@ EXIT_MISMATCH = 4
 EXIT_TIMING = 5
 
 PARAMS_ENV = "SMTL_PARAMS"
+# comparator resolution cap: past 52 bits the DAC step is below the
+# resolution of a double at the target voltage
+MAX_BITS = 64
+
+
+class InputError(click.ClickException):
+    """Bad user input: exit 1 with one `error:` line."""
+
+    exit_code = EXIT_INPUT
+
+    def show(self, file=None):
+        click.echo(f"error: {self.format_message()}", err=True)
+
+
+class _OneLine:
+    """Click type mix-in: a malformed or out-of-range value is an
+    InputError naming the option, not a usage error."""
+
+    def fail(self, message, param=None, ctx=None):
+        name = "/".join(param.opts) if param is not None else "value"
+        raise InputError(f"{name}: {message}")
+
+
+class IntRange(_OneLine, click.IntRange):
+    pass
+
+
+class FloatRange(_OneLine, click.FloatRange):
+    """A finite float within the range."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not finite", param, ctx)
+        return rv
 
 
 def _atomic_write(path, text):
@@ -52,7 +88,7 @@ def _load_params(path):
         return DeviceParams.load(path)
     except (OSError, ValueError, TypeError, KeyError,
             json.JSONDecodeError) as e:
-        raise click.ClickException(f"bad device parameters: {e}")
+        raise InputError(f"bad device parameters: {e}")
 
 
 def _fail(code, message):
@@ -72,6 +108,7 @@ def main():
 @click.option("--fanin", default=4, show_default=True,
               help="fan-in limit for threshold gates (2..4)")
 @click.option("--wmax", default=6, show_default=True,
+              type=IntRange(2, W_MAX_LIMIT),  # primitive gates have |w| = 2
               help=f"number of conductance levels / max |weight|, 2.."
                    f"{W_MAX_LIMIT}; the weight solver's lattice holds "
                    f"(2*wmax+1)^fanin weight vectors, "
@@ -82,12 +119,13 @@ def synth(bench_path, fanin, wmax, output):
     """Compile a gate netlist into a threshold logic network."""
     if not 2 <= fanin <= 4:
         _fail(EXIT_INPUT, "fan-in limit must be between 2 and 4")
-    if not 2 <= wmax <= W_MAX_LIMIT:  # primitive gates have |w| = 2
-        _fail(EXIT_INPUT, f"--wmax must be between 2 and {W_MAX_LIMIT}")
     try:
         net = load_bench(bench_path)
     except (OSError, BenchError) as e:
         _fail(EXIT_INPUT, str(e))
+    if not net.outputs:
+        _fail(EXIT_INPUT, f"{bench_path}: no outputs, so no gates to "
+                          f"synthesize")
     tln = synthesize_tln(net, fanin_limit=fanin, w_max=wmax)
     n_inputs = len(net.inputs)
     if n_inputs <= 20:
@@ -175,24 +213,25 @@ def _load_design(path):
               help=f"device parameter JSON (default: packaged Table I, "
                    f"override with ${PARAMS_ENV})")
 @click.option("--sigma", default=0.0, show_default=True,
-              help="relative conductance std-dev")
-@click.option("--vectors", default=10_000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+              type=FloatRange(min=0), help="relative conductance std-dev")
+@click.option("--vectors", default=10_000, show_default=True,
+              type=IntRange(min=1))
+@click.option("--seed", default=0, show_default=True, type=IntRange(min=0))
 @click.option("--report", "report_path", default="report.json",
               show_default=True)
-@click.option("--baseline-energy", default=None, type=float,
-              help="external baseline energy (J) for ratio reporting")
-@click.option("--baseline-delay", default=None, type=float,
-              help="external baseline delay (s) for ratio reporting")
+@click.option("--baseline-energy", default=None,
+              type=FloatRange(min=0, min_open=True),
+              help="external baseline energy (J) for ratio reporting; needs "
+                   "--baseline-delay")
+@click.option("--baseline-delay", default=None,
+              type=FloatRange(min=0, min_open=True),
+              help="external baseline delay (s) for ratio reporting; needs "
+                   "--baseline-energy")
 def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
                  baseline_energy, baseline_delay):
     """Simulate under variation and report power/delay/area."""
-    if vectors < 1:
-        _fail(EXIT_INPUT, "--vectors must be at least 1")
-    if not sigma >= 0:
-        _fail(EXIT_INPUT, "--sigma must be at least 0")
-    if seed < 0:
-        _fail(EXIT_INPUT, "--seed must be at least 0")
+    if (baseline_energy is None) != (baseline_delay is None):
+        _fail(EXIT_INPUT, "--baseline-energy and --baseline-delay go together")
     design = _load_design(mapped_path)
     params = _load_params(params_path)
     try:
@@ -202,7 +241,7 @@ def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
         _fail(EXIT_INPUT, str(e))
     except evaluate.TimingViolation as e:
         _fail(EXIT_TIMING, str(e))
-    if baseline_energy is not None and baseline_delay is not None:
+    if baseline_energy is not None:
         rep["baseline"] = evaluate.baseline_ratios(
             rep, baseline_energy, baseline_delay
         )
@@ -240,6 +279,8 @@ def sweep_cmd(mapped_path, tln_path, params_path, parameter, grid, output):
         _fail(EXIT_INPUT, f"bad grid {grid!r}")
     if not values:
         _fail(EXIT_INPUT, "empty sweep grid")
+    if not all(map(math.isfinite, values)):
+        _fail(EXIT_INPUT, f"bad grid {grid!r}: values must be finite")
     if parameter == "dv":
         values = [v * 1e-3 for v in values]
     elif parameter == "i_threshold":
@@ -264,21 +305,19 @@ def sweep_cmd(mapped_path, tln_path, params_path, parameter, grid, output):
 
 @main.command("write-sim")
 @click.option("--bits", default="4,6,8", show_default=True,
-              help="comparator resolutions to simulate")
+              help=f"comparator resolutions to simulate, 1..{MAX_BITS} bits")
 @click.option("--iprog", default=10.0, show_default=True,
-              help="programming current in uA")
-@click.option("--trials", default=200, show_default=True)
+              type=FloatRange(min=0, min_open=True),
+              help="programming current in uA, at least the write threshold")
+@click.option("--trials", default=200, show_default=True,
+              type=IntRange(min=1))
 @click.option("--tmax", default=20.0, show_default=True,
-              help="write timeout in us")
-@click.option("--seed", default=0, show_default=True)
+              type=FloatRange(min=0, min_open=True), help="write timeout in us")
+@click.option("--seed", default=0, show_default=True, type=IntRange(min=0))
 @click.option("--params", "params_path", default=None)
 @click.option("-o", "--output", default="write_sim.csv", show_default=True)
 def write_sim_cmd(bits, iprog, trials, tmax, seed, params_path, output):
     """Monte-Carlo the feedback write loop over comparator resolutions."""
-    if trials < 1:
-        _fail(EXIT_INPUT, "--trials must be at least 1")
-    if seed < 0:
-        _fail(EXIT_INPUT, "--seed must be at least 0")
     params = _load_params(params_path)
     try:
         bit_list = [int(b) for b in bits.split(",") if b.strip()]
@@ -286,10 +325,16 @@ def write_sim_cmd(bits, iprog, trials, tmax, seed, params_path, output):
         _fail(EXIT_INPUT, f"bad --bits {bits!r}")
     if not bit_list:
         _fail(EXIT_INPUT, "empty --bits grid")
+    if not all(1 <= b <= MAX_BITS for b in bit_list):
+        _fail(EXIT_INPUT, f"--bits must each be between 1 and {MAX_BITS}")
+    try:
+        results = [write_sim_trials(b, iprog * 1e-6, params, trials=trials,
+                                    t_max=tmax * 1e-6, seed=seed)
+                   for b in bit_list]
+    except ValueError as e:  # a current below the write threshold
+        _fail(EXIT_INPUT, f"--iprog: {e}")
     rows = []
-    for b in bit_list:
-        r = write_sim_trials(b, iprog * 1e-6, params, trials=trials,
-                             t_max=tmax * 1e-6, seed=seed)
+    for b, r in zip(bit_list, results):
         rows.append({
             "bits": b,
             "i_prog_uA": iprog,

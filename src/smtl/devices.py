@@ -61,8 +61,8 @@ class DeviceParams:
         for name in ("i_threshold", "t_switch_ref", "v_supply", "delta_v",
                      "r_memristor_min", "r_memristor_max", "r_off",
                      "r_mtj_parallel", "tmr", "p_detect", "f_clk"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.r_memristor_min >= self.r_memristor_max:
             raise ValueError("memristor resistance range is inverted")
 
@@ -156,6 +156,30 @@ def std_read(params):
 K_WRITE = (1e6 - 50e3) / (10e-6 * 1e-6)  # ohm per (A * s)
 
 
+def _check_write(i_prog, params):
+    if i_prog < params.i_write_threshold * (1.0 - 1e-9):
+        raise ValueError(
+            f"programming current {i_prog / UA:.2f} uA below the "
+            f"{params.i_write_threshold / UA:.2f} uA write threshold"
+        )
+
+
+def _stop_voltage(target_r, i_prog, comparator_bits, params,
+                  comparator_offset_sigma, seed):
+    """The comparator's stop level: the target voltage quantized by the
+    DAC, plus an offset drawn by `default_rng(seed)`."""
+    v_lo = i_prog * params.r_memristor_min
+    v_hi = i_prog * params.r_memristor_max
+    if math.isfinite(comparator_bits):
+        lsb = (v_hi - v_lo) / (2 ** comparator_bits)
+        code = round((i_prog * target_r - v_lo) / lsb)
+        v_target = v_lo + code * lsb
+    else:
+        v_target = i_prog * target_r
+    rng = np.random.default_rng(seed)
+    return v_target + rng.normal(0.0, comparator_offset_sigma)
+
+
 def write_with_feedback(target_r, i_prog, comparator_bits, params,
                         comparator_offset_sigma=0.0, dt=1e-9, t_max=20e-6,
                         seed=0, start_r=None, k_write=K_WRITE):
@@ -168,24 +192,11 @@ def write_with_feedback(target_r, i_prog, comparator_bits, params,
     """
     if not params.r_memristor_min <= target_r <= params.r_memristor_max:
         raise ValueError("target resistance outside programmable range")
-    if i_prog < params.i_write_threshold * (1.0 - 1e-9):
-        raise ValueError(
-            f"programming current {i_prog / UA:.2f} uA below the "
-            f"{params.i_write_threshold / UA:.2f} uA write threshold"
-        )
-    rng = np.random.default_rng(seed)
+    _check_write(i_prog, params)
     r = params.r_memristor_max if start_r is None else start_r
     direction = 1.0 if target_r >= r else -1.0
-
-    v_lo = i_prog * params.r_memristor_min
-    v_hi = i_prog * params.r_memristor_max
-    if math.isfinite(comparator_bits):
-        lsb = (v_hi - v_lo) / (2 ** comparator_bits)
-        code = round((i_prog * target_r - v_lo) / lsb)
-        v_target = v_lo + code * lsb
-    else:
-        v_target = i_prog * target_r
-    v_target += rng.normal(0.0, comparator_offset_sigma)
+    v_target = _stop_voltage(target_r, i_prog, comparator_bits, params,
+                             comparator_offset_sigma, seed)
 
     step = k_write * i_prog * dt
     t = 0.0
@@ -206,20 +217,53 @@ def write_with_feedback(target_r, i_prog, comparator_bits, params,
     }
 
 
+def _downward_ramp(i_prog, params, dt, t_max):
+    """The resistances `write_with_feedback` steps through from
+    r_memristor_max towards a lower target, with the same float operations,
+    until the loop would time out or the resistance is clamped at
+    r_memristor_min. Its last entry is where a write that never meets its
+    stop level ends."""
+    r_min, r_max = params.r_memristor_min, params.r_memristor_max
+    step = K_WRITE * i_prog * dt
+    r, t = r_max, 0.0
+    ramp = [r]
+    while t < t_max and r > r_min:
+        r += -1.0 * step
+        r = min(max(r, r_min), r_max)
+        t += dt
+        ramp.append(r)
+    return np.array(ramp)
+
+
 def write_sim_trials(comparator_bits, i_prog, params, trials=200,
                      comparator_offset_sigma=1e-4, dt=1e-9, t_max=20e-6,
                      seed=0):
-    """Monte-Carlo over random targets; returns mean and p95 error."""
+    """Monte-Carlo over random targets; returns mean and p95 error.
+
+    Trial i writes a target drawn by `default_rng(seed)` with comparator
+    offset seed `seed * 100003 + i`, as `write_with_feedback` from
+    r_memristor_max. Every trial below r_memristor_max steps through the
+    same resistances, so the ramp is built once and each trial's stop step
+    is found by search: the first resistance whose voltage is at or below
+    its stop level, or the ramp's end.
+    """
+    _check_write(i_prog, params)
     rng = np.random.default_rng(seed)
+    ramp = _downward_ramp(i_prog, params, dt, t_max)
+    falling = -(i_prog * ramp)  # ascending: the voltages only fall
     errors = []
     for i in range(trials):
         target = rng.uniform(params.r_memristor_min, params.r_memristor_max)
-        res = write_with_feedback(
-            target, i_prog, comparator_bits, params,
-            comparator_offset_sigma=comparator_offset_sigma,
-            dt=dt, t_max=t_max, seed=seed * 100003 + i,
-        )
-        errors.append(res["error_fraction"])
+        if target >= params.r_memristor_max:
+            # the loop would ramp upwards from its clamp, so never moves
+            r = params.r_memristor_max
+        else:
+            v_target = _stop_voltage(target, i_prog, comparator_bits, params,
+                                     comparator_offset_sigma,
+                                     seed * 100003 + i)
+            stop = np.searchsorted(falling, -v_target)
+            r = float(ramp[min(stop, len(ramp) - 1)])
+        errors.append(abs(r - target) / target)
     errors = np.array(errors)
     return {
         "bits": comparator_bits,

@@ -15,7 +15,8 @@ import dataclasses
 import numpy as np
 
 from . import partition
-from .bench import evaluate_many, pack, unpack
+from .bench import (MUX_WORDS, TABLE_FAN_IN_LIMIT, evaluate_many, mux, pack,
+                    unpack)
 from .devices import (NO_SWITCH, DeviceParams, bias_chunks, std_switch_time,
                       weight_to_conductance)
 from .tlg import W_MAX, input_rows, threshold_step
@@ -74,11 +75,6 @@ class Levelized:
     outputs: np.ndarray
 
 
-# A node's truth table has 2^fan-in rows and its mux tree holds 2^(fan-in-1)
-# words per vector word, so fan-in is bounded; synthesis emits at most 4.
-TABLE_FAN_IN_LIMIT = 10
-
-
 def lower(design, params, w_max=W_MAX):
     """Levelize a mapped design and program its nominal conductances.
 
@@ -86,11 +82,10 @@ def lower(design, params, w_max=W_MAX):
     weight above w_max.
     """
     tln = design.tln
-    order = tln.topological_order()
+    order, level_groups = tln.levelized()
     index = {name: i for i, name in enumerate(list(tln.inputs) + order)}
-    level = dict.fromkeys(tln.inputs, 0)
     g, plus, minus = [], [], []
-    groups, bias = {}, {}
+    weight_rows, bias = {}, {}
     for nid in order:
         gate = tln.nodes[nid].gate
         if gate.fan_in > TABLE_FAN_IN_LIMIT:
@@ -102,20 +97,19 @@ def lower(design, params, w_max=W_MAX):
         g += [gp for gp, _ in pairs] + [gm for _, gm in pairs]
         plus += range(at, at + n)
         minus += range(at + n, at + 2 * n)
-        level[nid] = 1 + max(level[i] for i in gate.inputs)
-        groups.setdefault((level[nid], gate.fan_in), []).append(
-            (index[nid], [index[i] for i in gate.inputs],
-             range(row, row + gate.fan_in)))
+        weight_rows[nid] = range(row, row + gate.fan_in)
         bias.setdefault(n - gate.fan_in, []).append(
             (index[nid], range(row + gate.fan_in, row + n)))
+    groups = [[(index[nid], [index[i] for i in tln.nodes[nid].gate.inputs],
+                weight_rows[nid]) for nid in group] for group in level_groups]
     return Levelized(
         n_inputs=len(tln.inputs),
         n_signals=len(index),
         g=np.array(g, dtype=float),
         plus=np.array(plus, dtype=np.intp),
         minus=np.array(minus, dtype=np.intp),
-        groups=tuple(tuple(np.array(col, dtype=np.intp) for col in
-                           zip(*groups[key])) for key in sorted(groups)),
+        groups=tuple(tuple(np.array(col, dtype=np.intp) for col in zip(*group))
+                     for group in groups),
         bias=tuple(tuple(np.array(col, dtype=np.intp) for col in
                          zip(*bias[b])) for b in sorted(bias) if b),
         outputs=np.array([index[o] for o in tln.outputs], dtype=np.intp),
@@ -132,21 +126,6 @@ def programmed(g, sigma, seeds):
     rows = [g * (1.0 + np.random.default_rng(seed).normal(0.0, sigma, g.shape))
             for seed in seeds]
     return np.array(rows).reshape(len(rows), len(g))
-
-
-# words held by one mux-tree temporary; bounds the memory of a level group
-MUX_WORDS = 1 << 19
-
-
-def _mux(tables, x):
-    """Shannon mux tree: the functions with truth tables `tables`
-    (..., 2^k) bool, row r setting input j to bit j of r, at packed input
-    words x (..., k, W); returns (..., W) words."""
-    f = np.where(tables, ~np.uint64(0), np.uint64(0))[..., None]
-    for j in range(x.shape[-2]):
-        lo, hi = f[..., 0::2, :], f[..., 1::2, :]
-        f = lo ^ ((lo ^ hi) & x[..., j, None, :])
-    return f[..., 0, :]
 
 
 def simulate_batch(low, words, count, want, g, params, i_threshold_eff=0.0):
@@ -185,10 +164,10 @@ def simulate_batch(low, words, count, want, g, params, i_threshold_eff=0.0):
         for at in range(0, len(nodes), step):
             part = slice(at, at + step)
             x = vals[:, inputs[part]]
-            vals[:, nodes[part]] = _mux(fires[:, part], x)
+            vals[:, nodes[part]] = mux(fires[:, part], x)
             if i_threshold_eff > 0.0:
                 band = np.abs(params.delta_v * s[:, part]) < i_threshold_eff
-                indeterminate |= np.bitwise_or.reduce(_mux(band, x), axis=1)
+                indeterminate |= np.bitwise_or.reduce(mux(band, x), axis=1)
     out = vals[:, low.outputs]
     bad = np.bitwise_or.reduce(out ^ want, axis=1) | indeterminate
     return out, unpack(bad, count).sum(axis=-1)

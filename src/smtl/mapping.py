@@ -9,7 +9,6 @@ backward connections, and a barycenter column reorder that maximizes direct
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -180,10 +179,8 @@ def insert_buffers(tln, k):
             chains[key] = nid
         return chains[key]
 
-    for nid in list(tln.nodes):
+    for nid in list(tln.nodes):  # the buffers made here are not rewired
         node = tln.nodes[nid]
-        if node.id in chains.values():
-            continue
         g = node.gate
         srcs = []
         for src in g.inputs:
@@ -511,7 +508,7 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
                w_max=W_MAX):
     """Run the full mapping pipeline on a synthesized network."""
     cfg = config or MappingConfig()
-    tln = copy.deepcopy(tln)
+    tln = tln.copy()
     for node in tln.nodes.values():
         need = node.gate.fan_in + bias_rows(node.gate.bias)
         if need > cfg.rows:
@@ -532,9 +529,12 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
         for i in range(0, len(tln.inputs), cfg.cols)
     ]
     n_stages = max((n.stage for n in tln.nodes.values()), default=0)
+    by_stage = [[] for _ in range(n_stages + 1)]  # insertion order per stage
+    for nid, node in tln.nodes.items():
+        by_stage[node.stage].append(nid)
     for s in range(1, n_stages + 1):
-        nodes = [nid for nid in tln.nodes if tln.nodes[nid].stage == s]
-        design.blocks[s] = partition.rebin(nodes, tln, cfg.rows, cfg.cols)
+        design.blocks[s] = partition.rebin(by_stage[s], tln, cfg.rows,
+                                           cfg.cols)
     absorb_small_layers(design)
     reorder_stages(design)
     validate(design, fanin_limit, w_max)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph
+from .bench import MUX_WORDS, TABLE_FAN_IN_LIMIT, mux, pack, unpack
 
 FANIN_LIMIT = 4
 W_MAX = 6
@@ -97,17 +98,36 @@ def input_rows(n, count=None, seed=0):
     return rng.integers(0, 2, size=(count, n)).astype(bool)
 
 
+def row_sums(gates):
+    """Weighted sum + bias of gates of one fan-in k on each of their 2^k
+    input rows, (len(gates), 2^k), from one `threshold_step`."""
+    return threshold_step(
+        np.array([g.bias for g in gates])[:, None],
+        np.array([g.weights for g in gates]).T[:, :, None],
+        input_rows(gates[0].fan_in).T)[0]
+
+
 def gate_margin(gate):
     """Min over all input rows of |weighted sum + bias|."""
-    s, _ = threshold_step(gate.bias, gate.weights, input_rows(gate.fan_in).T)
-    return int(np.min(np.abs(s)))
+    return gate_margins([gate])[0]
+
+
+def gate_margins(gates):
+    """`gate_margin` of each gate, with one `row_sums` per fan-in."""
+    by_fan_in = {}
+    for i, gate in enumerate(gates):
+        by_fan_in.setdefault(gate.fan_in, []).append(i)
+    margins = [0] * len(gates)
+    for idx in by_fan_in.values():
+        s = row_sums([gates[i] for i in idx])
+        for i, m in zip(idx, np.abs(s).min(axis=1)):
+            margins[i] = int(m)
+    return margins
 
 
 def truth_table(gate):
     """Truth table as a tuple of 2^fan_in bits; input i is bit i (LSB first)."""
-    _, fires = threshold_step(gate.bias, gate.weights,
-                              input_rows(gate.fan_in).T)
-    return tuple(int(v) for v in fires)
+    return tuple(int(v) for v in row_sums([gate])[0] >= 0)
 
 
 def bias_bound(n, w_max=W_MAX):
@@ -115,12 +135,15 @@ def bias_bound(n, w_max=W_MAX):
 
 
 # Weight lattice per (n, w_max): all weight vectors sorted by (sum|w|, vector),
-# plus the precomputed row-sum matrix. Cached because the greedy collapse in
-# synthesis calls solve_weights many times.
+# their row-sum matrix, and for the solver that matrix transposed to
+# (2^n, vectors) in the narrowest signed type holding +-bias_bound: int8 up
+# to n * w_max = 126, so at fan-in 4 and W_MAX_LIMIT, where |s| <= 32.
+# Cached because the greedy collapse in synthesis calls solve_weights many
+# times.
 _lattice_cache = {}
 
 
-def _lattice(n, w_max):
+def _lattice_entry(n, w_max):
     key = (n, w_max)
     if key not in _lattice_cache:
         vals = np.arange(-w_max, w_max + 1)
@@ -131,8 +154,14 @@ def _lattice(n, w_max):
         S, _ = threshold_step(  # (num_vectors, 2^n) row sums
             np.zeros((len(W), 2 ** n), dtype=np.int64), W.T[:, :, None],
             input_rows(n).T)
-        _lattice_cache[key] = (W, S)
+        narrow = np.min_scalar_type(-bias_bound(n, w_max) - 1)
+        _lattice_cache[key] = (W, S, np.ascontiguousarray(S.T, dtype=narrow))
     return _lattice_cache[key]
+
+
+def _lattice(n, w_max):
+    """The weight vectors W and their int64 row sums S = W @ rows.T."""
+    return _lattice_entry(n, w_max)[:2]
 
 
 def solve_weights(table, w_max=W_MAX, fanin_limit=FANIN_LIMIT):
@@ -147,17 +176,19 @@ def solve_weights(table, w_max=W_MAX, fanin_limit=FANIN_LIMIT):
     n = _table_arity(table)
     if n > fanin_limit:
         raise ValueError(f"arity {n} exceeds fan-in limit {fanin_limit}")
-    W, S = _lattice(n, w_max)
+    W, _, rows = _lattice_entry(n, w_max)
     t = np.array(table, dtype=bool)
     b_max = bias_bound(n, w_max)
 
-    # For true rows need s + b >= 1, for false rows s + b <= -1.
-    lo = np.full(len(W), -b_max, dtype=np.int64)
-    hi = np.full(len(W), b_max, dtype=np.int64)
+    # For true rows need s + b >= 1, for false rows s + b <= -1. Every
+    # bound lies within +-b_max, held by int16 (or the wider lattice type).
+    wide = np.promote_types(rows.dtype, np.int16)
+    lo = np.full(len(W), -b_max, dtype=wide)
+    hi = np.full(len(W), b_max, dtype=wide)
     if t.any():
-        lo = np.maximum(lo, 1 - S[:, t].min(axis=1))
+        lo = np.maximum(lo, 1 - rows[t].min(axis=0).astype(wide))
     if (~t).any():
-        hi = np.minimum(hi, -1 - S[:, ~t].max(axis=1))
+        hi = np.minimum(hi, -1 - rows[~t].max(axis=0).astype(wide))
     feasible = lo <= hi
     if not feasible.any():
         return NOT_THRESHOLD
@@ -194,6 +225,24 @@ def complement_gate(gate):
     )
 
 
+def _gate_error(node, fanin_limit, w_max):
+    """What `validate` reports for the node's gate short of its margin."""
+    g = node.gate
+    if g.fan_in > fanin_limit:
+        return f"{node.id}: fan-in {g.fan_in} > {fanin_limit}"
+    if any(w == 0 for w in g.weights):
+        return f"{node.id}: zero weight stored"
+    if any(abs(w) > w_max for w in g.weights):
+        return f"{node.id}: weight magnitude > {w_max}"
+    return None
+
+
+def _check_margins(nodes):
+    for node, margin in zip(nodes, gate_margins([n.gate for n in nodes])):
+        if margin < 1:
+            raise ValueError(f"{node.id}: margin < 1")
+
+
 @dataclass
 class TLGNode:
     """A threshold gate instantiated in a network, with mapping metadata."""
@@ -222,6 +271,15 @@ class ThresholdLogicNetwork:
         node = TLGNode(node_id, gate, is_buffer=is_buffer)
         self.nodes[node_id] = node
         return node
+
+    def copy(self):
+        """A copy whose node list and nodes can change without touching this
+        network; the frozen gates are shared."""
+        return ThresholdLogicNetwork(
+            inputs=list(self.inputs),
+            nodes={nid: TLGNode(n.id, n.gate, n.level, n.stage, n.is_buffer)
+                   for nid, n in self.nodes.items()},
+            outputs=list(self.outputs))
 
     def consumers(self):
         """Map node/input id -> list of node ids consuming it (with multiplicity)."""
@@ -256,27 +314,63 @@ class ThresholdLogicNetwork:
         self.assign_levels()
         return max((n.level for n in self.nodes.values()), default=0)
 
+    def levelized(self):
+        """The topological order, and the nodes grouped by (ASAP level,
+        fan-in) in level order, each group in topological order."""
+        order = self.topological_order()
+        level = dict.fromkeys(self.inputs, 0)
+        groups = {}
+        for nid in order:
+            gate = self.nodes[nid].gate
+            level[nid] = 1 + max(level[i] for i in gate.inputs)
+            groups.setdefault((level[nid], gate.fan_in), []).append(nid)
+        return order, [groups[key] for key in sorted(groups)]
+
+    def evaluate_packed(self, words):
+        """Ideal evaluation of packed input words (`bench.pack`), one row
+        per input; returns one row of words per output.
+
+        Per (level, fan-in) group, `row_sums` builds every gate's 2^k-row
+        truth table at once and a mux tree applies it to the words.
+        Raises ValueError for a gate above TABLE_FAN_IN_LIMIT inputs.
+        """
+        order, groups = self.levelized()
+        index = {name: i for i, name in enumerate(list(self.inputs) + order)}
+        vals = np.empty((len(index), words.shape[1]), dtype=np.uint64)
+        vals[:len(self.inputs)] = words
+        for group in groups:
+            gates = [self.nodes[nid].gate for nid in group]
+            k = gates[0].fan_in
+            if k > TABLE_FAN_IN_LIMIT:
+                raise ValueError(f"node {group[0]}: fan-in {k} above "
+                                 f"{TABLE_FAN_IN_LIMIT} cannot be tabulated")
+            tables = row_sums(gates) >= 0
+            nodes = np.array([index[nid] for nid in group])
+            inputs = np.array([[index[i] for i in g.inputs] for g in gates])
+            step = max(1, MUX_WORDS // (2 ** (k - 1) * words.shape[1] or 1))
+            for at in range(0, len(group), step):
+                part = slice(at, at + step)
+                vals[nodes[part]] = mux(tables[part], vals[inputs[part]])
+        return vals[[index[o] for o in self.outputs]]
+
     def evaluate_many(self, vectors):
         """Ideal (infinite precision) evaluation over a vector matrix."""
-        vals = dict(zip(self.inputs, np.asarray(vectors, dtype=bool).T))
-        for nid in self.topological_order():
-            g = self.nodes[nid].gate
-            _, vals[nid] = threshold_step(g.bias, g.weights,
-                                          [vals[i] for i in g.inputs])
-        return np.column_stack([vals[o] for o in self.outputs])
+        vectors = np.asarray(vectors, dtype=bool)
+        words = self.evaluate_packed(pack(vectors))
+        return unpack(words, vectors.shape[0]).T
 
     def validate(self, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
+        """Raise ValueError naming the first node, in insertion order, that
+        breaks a gate check (fan-in, zero weight, weight magnitude, margin),
+        or the first unresolved output."""
         self.topological_order()
-        for node in self.nodes.values():
-            g = node.gate
-            if g.fan_in > fanin_limit:
-                raise ValueError(f"{node.id}: fan-in {g.fan_in} > {fanin_limit}")
-            if any(w == 0 for w in g.weights):
-                raise ValueError(f"{node.id}: zero weight stored")
-            if any(abs(w) > w_max for w in g.weights):
-                raise ValueError(f"{node.id}: weight magnitude > {w_max}")
-            if gate_margin(g) < 1:
-                raise ValueError(f"{node.id}: margin < 1")
+        nodes = list(self.nodes.values())
+        for at, node in enumerate(nodes):
+            error = _gate_error(node, fanin_limit, w_max)
+            if error:
+                _check_margins(nodes[:at])  # an earlier node fails first
+                raise ValueError(error)
+        _check_margins(nodes)
         for o in self.outputs:
             if o not in self.nodes and o not in self.inputs:
                 raise ValueError(f"output {o!r} unresolved")

@@ -425,3 +425,95 @@ def test_evaluate_rejects_gates_it_cannot_simulate(runner, artifacts,
                              "--report", str(rep)])
     _assert_input_error(r, message)
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("text", ["", "INPUT(a)\n",
+                                  "INPUT(a)\nINPUT(b)\ng = AND(a, b)\n"])
+def test_synth_rejects_netlist_without_outputs(runner, tmp_path, text):
+    # an empty netlist ended in "need at least one array to concatenate"
+    bench, out = tmp_path / "empty.bench", tmp_path / "t.json"
+    bench.write_text(text)
+    r = runner.invoke(main, ["synth", "--bench", str(bench), "-o", str(out)])
+    _assert_input_error(r, "no outputs")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "3", "nan", "inf"])
+def test_write_sim_rejects_bad_programming_current(runner, tmp_path, value):
+    # 0 ended in a ValueError traceback and nan in "cannot convert float
+    # NaN"; 3 uA is below the 5 uA write threshold
+    out = tmp_path / "ws.csv"
+    r = runner.invoke(main, ["write-sim", "--iprog", value, "--trials", "2",
+                             "-o", str(out)])
+    _assert_input_error(r, "--iprog")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bits", ["0", "-3", "4,0", "65"])
+def test_write_sim_rejects_bits_out_of_range(runner, tmp_path, bits):
+    # 0 and -3 bits exited 0 with errors for a meaningless comparator
+    out = tmp_path / "ws.csv"
+    r = runner.invoke(main, ["write-sim", "--bits", bits, "--trials", "2",
+                             "-o", str(out)])
+    _assert_input_error(r, "--bits")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tmax", ["-1", "0", "nan", "inf"])
+def test_write_sim_rejects_non_positive_timeout(runner, tmp_path, tmax):
+    # -1 exited 0 reporting mean error 2.09: the write loop never ran
+    out = tmp_path / "ws.csv"
+    r = runner.invoke(main, ["write-sim", "--tmax", tmax, "--trials", "2",
+                             "-o", str(out)])
+    _assert_input_error(r, "--tmax")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "25,-inf"])
+def test_sweep_rejects_non_finite_grid(runner, artifacts, tmp_path, grid):
+    # exited 0 with a CSV row of NaNs
+    out = tmp_path / "s.csv"
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--param", "dv", "--grid", grid, "-o", str(out)])
+    _assert_input_error(r, "grid")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given,missing", [
+    ("--baseline-energy", "--baseline-delay"),
+    ("--baseline-delay", "--baseline-energy")])
+def test_evaluate_rejects_half_a_baseline(runner, artifacts, tmp_path, given,
+                                         missing):
+    # one baseline figure alone was silently ignored
+    rep = tmp_path / "report.json"
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--vectors", "32", given, "1e-9",
+                             "--report", str(rep)])
+    _assert_input_error(r, missing)
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--baseline-energy", "-1"),
+                                        ("--baseline-delay", "0"),
+                                        ("--baseline-delay", "nan"),
+                                        ("--sigma", "inf")])
+def test_evaluate_rejects_non_finite_or_non_positive_figures(
+        runner, artifacts, tmp_path, flag, value):
+    rep = tmp_path / "report.json"
+    args = {"--baseline-energy": "1e-9", "--baseline-delay": "1e-7"}
+    args[flag] = value
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--vectors", "32", "--report", str(rep),
+                             *(x for kv in args.items() for x in kv)])
+    _assert_input_error(r, flag)
+    assert not rep.exists()
+
+
+def test_evaluate_corrupt_params_prints_one_error_line(runner, artifacts,
+                                                       tmp_path):
+    bad = tmp_path / "params.json"
+    bad.write_text("{not json")
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--params", str(bad),
+                             "--report", str(tmp_path / "rep.json")])
+    _assert_input_error(r, "bad device parameters")

@@ -2,6 +2,7 @@
 stage absorption and the column reorder pass."""
 
 import copy
+import json
 import random
 
 import pytest
@@ -422,3 +423,17 @@ def test_config_rejects_non_positive_dimensions():
         with pytest.raises(ValueError):
             MappingConfig(**kw)
     assert MappingConfig(k=2.0).k == 2 and type(MappingConfig(k=2.0).k) is int
+
+
+@pytest.mark.parametrize("cfg", [MappingConfig(k=2),
+                                 MappingConfig(k=1, cols=8),
+                                 MappingConfig(k=2, blocks_per_stage=2,
+                                               cols=16)])
+def test_map_design_leaves_its_input_unchanged(c432, c432_tln, cfg):
+    # map_design works on a copy: fresh nodes sharing the frozen gates
+    before = json.dumps(c432_tln.to_json(), sort_keys=True)
+    design = map_design(c432_tln, c432, cfg)
+    assert json.dumps(c432_tln.to_json(), sort_keys=True) == before
+    assert design.tln.nodes.keys() != c432_tln.nodes.keys()
+    shared = c432_tln.nodes.keys() & design.tln.nodes.keys()
+    assert all(design.tln.nodes[n] is not c432_tln.nodes[n] for n in shared)

@@ -1,13 +1,17 @@
 """The incremental synth and map passes, the evaluators built on the
-shared threshold step and input-row generator, and the bit-packed,
-seed-batched crossbar simulation give exactly the output of the
-straightforward implementations they replaced.
+shared threshold step and input-row generator, the bit-packed,
+seed-batched crossbar simulation, the batched gate kernels (narrow weight
+lattice, margins per fan-in, bit-packed ideal evaluation) and the write
+loop's shared ramp give exactly the output of the straightforward
+implementations they replaced.
 
 The reference passes below are test-only copies of those implementations:
 rescanning passes, whose compiles are compared as JSON artifacts, and
-per-evaluator loops, the column-wise Boolean oracle, the per-seed
-tolerance loop and row builders, whose outputs, error counts, curves and
-truth tables are compared exactly.
+per-evaluator loops, the column-wise Boolean and threshold evaluators, the
+per-seed tolerance loop, row builders, the int64 weight solver, the
+per-node validation and the per-pulse write loop, whose outputs, error
+counts, curves, truth tables, gates, messages and error statistics are
+compared exactly.
 """
 
 import contextlib
@@ -22,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from smtl import evaluate, graph, mapping, partition, synthesis, tlg
+from smtl import devices, evaluate, graph, mapping, partition, synthesis, tlg
 from smtl.bench import (BenchError, BooleanNetwork, evaluate_many, load_bench,
                         pack, parse_bench, unpack)
 from smtl.devices import DeviceParams, bias_chunks, weight_to_conductance
@@ -319,6 +323,122 @@ def ref_variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     return sigma_star, curve
 
 
+def ref_solve_weights(table, w_max=W_MAX, fanin_limit=4):
+    """The solver on the int64 row-sum matrix, one row per weight vector."""
+    table = tuple(int(b) for b in table)
+    n = tlg._table_arity(table)
+    if n > fanin_limit:
+        raise ValueError(f"arity {n} exceeds fan-in limit {fanin_limit}")
+    W, S = tlg._lattice(n, w_max)
+    t = np.array(table, dtype=bool)
+    b_max = tlg.bias_bound(n, w_max)
+    lo = np.full(len(W), -b_max, dtype=np.int64)
+    hi = np.full(len(W), b_max, dtype=np.int64)
+    if t.any():
+        lo = np.maximum(lo, 1 - S[:, t].min(axis=1))
+    if (~t).any():
+        hi = np.minimum(hi, -1 - S[:, ~t].max(axis=1))
+    feasible = lo <= hi
+    if not feasible.any():
+        return tlg.NOT_THRESHOLD
+    idx = int(np.argmax(feasible))
+    b = tlg._pick_bias(int(lo[idx]), int(hi[idx]))
+    return ThresholdGate(
+        tuple(f"x{i}" for i in range(n)), tuple(int(w) for w in W[idx]), b)
+
+
+def ref_validate(tln, fanin_limit=4, w_max=W_MAX):
+    """One margin computation per node, checks in node order."""
+    tln.topological_order()
+    for node in tln.nodes.values():
+        g = node.gate
+        if g.fan_in > fanin_limit:
+            raise ValueError(f"{node.id}: fan-in {g.fan_in} > {fanin_limit}")
+        if any(w == 0 for w in g.weights):
+            raise ValueError(f"{node.id}: zero weight stored")
+        if any(abs(w) > w_max for w in g.weights):
+            raise ValueError(f"{node.id}: weight magnitude > {w_max}")
+        s = ref_input_rows(g.fan_in) @ np.array(g.weights) + g.bias
+        if int(np.min(np.abs(s))) < 1:
+            raise ValueError(f"{node.id}: margin < 1")
+    for o in tln.outputs:
+        if o not in tln.nodes and o not in tln.inputs:
+            raise ValueError(f"output {o!r} unresolved")
+
+
+def ref_write_with_feedback(target_r, i_prog, comparator_bits, params,
+                            comparator_offset_sigma=0.0, dt=1e-9,
+                            t_max=20e-6, seed=0, k_write=devices.K_WRITE):
+    """The per-pulse write loop from r_memristor_max."""
+    rng = np.random.default_rng(seed)
+    r = params.r_memristor_max
+    direction = 1.0 if target_r >= r else -1.0
+    v_lo = i_prog * params.r_memristor_min
+    v_hi = i_prog * params.r_memristor_max
+    if math.isfinite(comparator_bits):
+        lsb = (v_hi - v_lo) / (2 ** comparator_bits)
+        code = round((i_prog * target_r - v_lo) / lsb)
+        v_target = v_lo + code * lsb
+    else:
+        v_target = i_prog * target_r
+    v_target += rng.normal(0.0, comparator_offset_sigma)
+    step = k_write * i_prog * dt
+    t = 0.0
+    while t < t_max:
+        v = i_prog * r
+        if (direction < 0 and v <= v_target) or (direction > 0 and
+                                                 v >= v_target):
+            break
+        r += direction * step
+        r = min(max(r, params.r_memristor_min), params.r_memristor_max)
+        t += dt
+    return abs(r - target_r) / target_r
+
+
+def ref_write_sim_trials(comparator_bits, i_prog, params, trials=200,
+                         comparator_offset_sigma=1e-4, dt=1e-9, t_max=20e-6,
+                         seed=0):
+    rng = np.random.default_rng(seed)
+    errors = []
+    for i in range(trials):
+        target = rng.uniform(params.r_memristor_min, params.r_memristor_max)
+        errors.append(ref_write_with_feedback(
+            target, i_prog, comparator_bits, params,
+            comparator_offset_sigma=comparator_offset_sigma, dt=dt,
+            t_max=t_max, seed=seed * 100003 + i))
+    errors = np.array(errors)
+    return float(errors.mean()), float(np.quantile(errors, 0.95))
+
+
+def ref_map_design(tln, source, config=None, fanin_limit=4, w_max=W_MAX):
+    """Mapping on a deep copy, scanning every node for each stage."""
+    cfg = config or MappingConfig()
+    tln = copy.deepcopy(tln)
+    for node in tln.nodes.values():
+        need = node.gate.fan_in + mapping.bias_rows(node.gate.bias)
+        if need > cfg.rows:
+            raise mapping.MappingInfeasible(
+                f"node {node.id} needs {need} rows, block has {cfg.rows}")
+    mapping.assign_stages(tln, cfg.k)
+    mapping.insert_buffers(tln, cfg.k)
+    mapping.enforce_capacity(tln, cfg)
+    mapping.split_fanout(tln, cfg.f_max)
+    if cfg.blocks_per_stage is not None:
+        mapping.enforce_capacity(tln, cfg)
+        mapping.split_fanout(tln, cfg.f_max)
+    design = mapping.MappedDesign(config=cfg, tln=tln, source=source)
+    design.input_blocks = [list(tln.inputs[i:i + cfg.cols])
+                           for i in range(0, len(tln.inputs), cfg.cols)]
+    n_stages = max((n.stage for n in tln.nodes.values()), default=0)
+    for s in range(1, n_stages + 1):
+        nodes = [nid for nid in tln.nodes if tln.nodes[nid].stage == s]
+        design.blocks[s] = partition.rebin(nodes, tln, cfg.rows, cfg.cols)
+    mapping.absorb_small_layers(design)
+    mapping.reorder_stages(design)
+    mapping.validate(design, fanin_limit, w_max)
+    return design
+
+
 @contextlib.contextmanager
 def reference_passes():
     with pytest.MonkeyPatch.context() as m:
@@ -327,6 +447,7 @@ def reference_passes():
         m.setattr(synthesis, "collapse_tln", ref_collapse_tln)
         m.setattr(mapping, "split_fanout", ref_split_fanout)
         m.setattr(mapping, "reorder_stages", ref_reorder_stages)
+        m.setattr(mapping, "map_design", ref_map_design)
         yield
 
 
@@ -414,7 +535,8 @@ def _dump(obj):
 
 def _compile(net, fanin, ks, cols):
     tln = synthesize_tln(net, fanin_limit=fanin)
-    maps = [map_design(tln, net, MappingConfig(k=k, cols=c), fanin_limit=fanin)
+    maps = [mapping.map_design(tln, net, MappingConfig(k=k, cols=c),
+                               fanin_limit=fanin)
             for k in ks for c in cols]
     return _dump(tln.to_json()), [_dump(d.to_json()) for d in maps]
 
@@ -791,3 +913,218 @@ def test_reports_classify_links_once_per_design(compiled, monkeypatch):
     calls[0] = 0
     evaluate.sweep(design, params, "subarray_dim", [16, 32, 64])
     assert calls[0] == 3
+
+
+# --- batched gate kernels ----------------------------------------------------
+
+def _tables(n):
+    return itertools.product((0, 1), repeat=2 ** n)
+
+
+def _n4_tables(count, seed):
+    """Random 4-input tables plus the tables of random threshold gates, so
+    both infeasible and feasible tables are drawn."""
+    rng = random.Random(seed)
+    tables = [tuple(rng.randint(0, 1) for _ in range(16))
+              for _ in range(count // 2)]
+    while len(tables) < count:
+        gate = ThresholdGate(tuple("abcd"), tuple(rng.randint(-6, 6)
+                                                  for _ in range(4)),
+                             rng.randint(-12, 12))
+        tables.append(truth_table(gate))
+    return tables
+
+
+@pytest.mark.parametrize("w_max", (2, 3, 6, 8))
+def test_solve_weights_matches_int64_reference(w_max):
+    # w_max 8 is W_MAX_LIMIT, where row sums reach +-32 and bounds +-33
+    tables = [t for n in range(1, 4) for t in _tables(n)]
+    tables += _n4_tables(120 if w_max == 8 else 400, seed=w_max)
+    feasible = 0
+    for table in tables:
+        got = solve_weights(table, w_max)
+        want = ref_solve_weights(table, w_max)
+        assert got == want, table
+        feasible += not isinstance(want, NotThreshold)
+    assert 0 < feasible < len(tables)
+
+
+def test_solve_weights_on_a_wide_lattice_matches_reference():
+    # n * w_max past 126 needs a lattice type wider than int8; wrapped row
+    # sums would make XOR look like a threshold function
+    for table in itertools.chain(_tables(1), _tables(2)):
+        assert solve_weights(table, 70) == ref_solve_weights(table, 70)
+
+
+def _defective_tln(seed):
+    """A random threshold network with up to three gates broken: margin
+    0, a zero weight, a weight above the limit or a fan-in above it."""
+    rng = random.Random(seed)
+    tln = random_tln(seed)
+    ids = list(tln.nodes)
+    for nid in rng.sample(ids, min(len(ids), rng.randint(0, 3))):
+        g = tln.nodes[nid].gate
+        kind = rng.choice(("margin", "zero", "weight", "fan-in"))
+        if kind == "margin":  # the sum is 0 on the all-zero row
+            g = ThresholdGate(g.inputs, g.weights, 0)
+        elif kind == "zero":
+            g = ThresholdGate(g.inputs, g.weights[:-1] + (0,), g.bias)
+        elif kind == "weight":
+            g = ThresholdGate(g.inputs, (W_MAX + 1,) + g.weights[1:], g.bias)
+        else:
+            g = ThresholdGate(tuple(tln.inputs)[:1] * 5, (2,) * 5, -1)
+        tln.nodes[nid].gate = g
+    if rng.random() < 0.1:
+        tln.outputs.append("nowhere")
+    return tln
+
+
+def _message(check, tln, **kw):
+    try:
+        check(tln, **kw)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_validate_matches_per_node_reference(seed):
+    tln = _defective_tln(seed)
+    for kw in ({}, {"fanin_limit": 5}, {"w_max": W_MAX + 1}):
+        assert _message(ThresholdLogicNetwork.validate, tln, **kw) == \
+            _message(ref_validate, tln, **kw)
+
+
+def test_validate_reports_the_first_of_several_failures():
+    tln = ThresholdLogicNetwork(inputs=["a", "b"])
+    tln.add_node("ok", ThresholdGate(("a", "b"), (2, 2), -1))
+    tln.add_node("flat", ThresholdGate(("a", "b"), (2, 2), -2))
+    tln.add_node("zero", ThresholdGate(("a", "b"), (2, 0), -1))
+    tln.add_node("flat2", ThresholdGate(("a",), (2,), 0))
+    tln.outputs = ["flat2"]
+    # a margin failure before a zero weight is reported first, and after it
+    assert _message(ThresholdLogicNetwork.validate, tln) == "flat: margin < 1"
+    del tln.nodes["flat"]
+    assert _message(ThresholdLogicNetwork.validate, tln) == \
+        "zero: zero weight stored"
+
+
+def test_validate_computes_margins_once_per_fan_in(compiled, monkeypatch):
+    tln, _ = compiled("c432", 4)
+    calls = _counting(monkeypatch, tlg, "threshold_step")
+    tln.validate()
+    assert calls[0] == len({n.gate.fan_in for n in tln.nodes.values()})
+
+
+def random_raw_tln(seed):
+    """A random threshold network with unchecked gates: zero weights and
+    rows summing to exactly 0 (which fire) included."""
+    rng = random.Random(seed)
+    tln = ThresholdLogicNetwork(inputs=[f"i{j}" for j in range(
+        rng.randint(1, 6))])
+    avail = list(tln.inputs)
+    for j in range(rng.randint(1, 25)):
+        k = rng.randint(1, 5)
+        srcs = tuple(rng.choice(avail) for _ in range(k))
+        gate = ThresholdGate(srcs, tuple(rng.randint(-3, 3) for _ in srcs),
+                             rng.randint(-4, 4))
+        avail.append(tln.add_node(f"n{j}", gate).id)
+    tln.outputs = rng.sample(avail, rng.randint(1, min(4, len(avail))))
+    return tln
+
+
+def _random_rows(count, n, seed):
+    """Exactly `count` random rows, even when 2^n is smaller."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=(count, n)).astype(bool)
+
+
+@pytest.mark.parametrize("name", NETLISTS)
+@pytest.mark.parametrize("fanin", (2, 3, 4))
+def test_tln_evaluate_many_matches_column_loop(compiled, name, fanin):
+    tln, _ = compiled(name, fanin)
+    for count in VECTOR_COUNTS + (10_000,):
+        vectors = _random_rows(count, len(tln.inputs), seed=count)
+        got = tln.evaluate_many(vectors)
+        assert got.shape == (count, len(tln.outputs))
+        assert (got == ref_tln_evaluate_many(tln, vectors)).all(), count
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tln_evaluate_many_matches_column_loop_on_raw_gates(seed):
+    tln = random_raw_tln(seed)
+    for count in (1, 64, 65, 300):
+        vectors = _random_rows(count, len(tln.inputs), seed=seed)
+        assert (tln.evaluate_many(vectors) ==
+                ref_tln_evaluate_many(tln, vectors)).all()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=small_netlists(), fanin=st.integers(2, 4),
+       count=st.sampled_from(VECTOR_COUNTS))
+def test_tln_evaluate_many_matches_column_loop_on_generated(net, fanin,
+                                                            count):
+    tln = synthesize_tln(net, fanin_limit=fanin)
+    vectors = _random_rows(count, len(tln.inputs), seed=count)
+    assert (tln.evaluate_many(vectors) ==
+            ref_tln_evaluate_many(tln, vectors)).all()
+
+
+def test_tln_evaluate_many_chunks_large_groups(compiled, monkeypatch):
+    # one gate per mux-tree temporary: every group is split into chunks
+    tln, _ = compiled("gen0", 3)
+    vectors = _random_rows(200, len(tln.inputs), seed=1)
+    want = ref_tln_evaluate_many(tln, vectors)
+    monkeypatch.setattr(tlg, "MUX_WORDS", 1)
+    assert (tln.evaluate_many(vectors) == want).all()
+
+
+def test_tln_evaluate_many_rejects_untabulated_fan_in():
+    tln = ThresholdLogicNetwork(inputs=["a"])
+    tln.add_node("wide", ThresholdGate(("a",) * 11, (1,) * 11, -1))
+    tln.outputs = ["wide"]
+    with pytest.raises(ValueError, match="fan-in 11"):
+        tln.evaluate_many([[True]])
+
+
+# --- write loop --------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", (0, 1, 7))
+@pytest.mark.parametrize("t_max", (20e-6, 1e-6, 0.4e-6, 1e-9, 0.0))
+def test_write_sim_trials_match_per_pulse_loop(seed, t_max):
+    params = DeviceParams()
+    for bits in (4, 6, 8, math.inf):
+        for i_prog in (params.i_write_threshold, 10e-6):
+            got = devices.write_sim_trials(bits, i_prog, params, trials=60,
+                                           t_max=t_max, seed=seed)
+            want = ref_write_sim_trials(bits, i_prog, params, trials=60,
+                                        t_max=t_max, seed=seed)
+            assert (got["mean_error"], got["p95_error"]) == want, bits
+
+
+def test_write_sim_trials_match_per_pulse_loop_at_top_of_range(monkeypatch):
+    # a target drawn at r_memristor_max itself: the loop ramps upwards
+    real = np.random.default_rng
+
+    class TopTargets:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def uniform(self, low, high):
+            return high if self.gen.random() < 0.5 else self.gen.uniform(
+                low, high)
+
+    def rng(seed):
+        return TopTargets(real(seed)) if seed == 99 else real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    params = DeviceParams()
+    got = devices.write_sim_trials(6, 10e-6, params, trials=40, seed=99)
+    want = ref_write_sim_trials(6, 10e-6, params, trials=40, seed=99)
+    assert (got["mean_error"], got["p95_error"]) == want
+
+
+def test_write_sim_trials_reject_a_current_below_threshold():
+    with pytest.raises(ValueError, match="write threshold"):
+        devices.write_sim_trials(4, 1e-6, DeviceParams(), trials=3)
