@@ -57,13 +57,6 @@ class BooleanNetwork:
     def gate(self, name):
         return self._gate_map[name]
 
-    def is_input(self, name):
-        return name in self._input_set
-
-    @property
-    def _input_set(self):
-        return set(self.inputs)
-
     def topological_order(self):
         """Gate names in dependency order (inputs excluded).
 
@@ -71,7 +64,7 @@ class BooleanNetwork:
         """
         try:
             return graph.topological_order(
-                ((g.name, g.inputs) for g in self.gates), self._input_set
+                ((g.name, g.inputs) for g in self.gates), set(self.inputs)
             )
         except graph.CycleError as e:
             raise BenchError("cycle detected among gates: " +

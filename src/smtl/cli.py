@@ -45,11 +45,15 @@ class InputError(click.ClickException):
 
 class _OneLine:
     """Click type mix-in: a malformed or out-of-range value is an
-    InputError naming the option, not a usage error."""
+    InputError naming the option (and `what` it sets), not a usage error."""
+
+    def __init__(self, *args, what=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.what = f"{what} " if what else ""
 
     def fail(self, message, param=None, ctx=None):
         name = "/".join(param.opts) if param is not None else "value"
-        raise InputError(f"{name}: {message}")
+        raise InputError(f"{name}: {self.what}{message}")
 
 
 class IntRange(_OneLine, click.IntRange):
@@ -106,6 +110,7 @@ def main():
 @click.option("--bench", "bench_path", required=True,
               type=click.Path(exists=False), help="ISCAS85 .bench netlist")
 @click.option("--fanin", default=4, show_default=True,
+              type=IntRange(2, 4, what="fan-in limit"),
               help="fan-in limit for threshold gates (2..4)")
 @click.option("--wmax", default=6, show_default=True,
               type=IntRange(2, W_MAX_LIMIT),  # primitive gates have |w| = 2
@@ -117,8 +122,6 @@ def main():
 @click.option("-o", "--output", default="tln.json", show_default=True)
 def synth(bench_path, fanin, wmax, output):
     """Compile a gate netlist into a threshold logic network."""
-    if not 2 <= fanin <= 4:
-        _fail(EXIT_INPUT, "fan-in limit must be between 2 and 4")
     try:
         net = load_bench(bench_path)
     except (OSError, BenchError) as e:
@@ -156,27 +159,26 @@ def _load_tln(path):
 @main.command("map")
 @click.option("--tln", "tln_path", required=True, type=click.Path())
 @click.option("--levels-per-stage", "k", default=2, show_default=True,
-              help="MCA logic levels per pipeline stage")
-@click.option("--blocks", default=None, type=int,
+              type=IntRange(min=1), help="MCA logic levels per pipeline stage")
+@click.option("--blocks", default=None, type=IntRange(min=1),
               help="blocks per stage (default: as many as needed)")
-@click.option("--rows", default=64, show_default=True)
-@click.option("--cols", default=32, show_default=True)
+@click.option("--rows", default=64, show_default=True, type=IntRange(min=1))
+@click.option("--cols", default=32, show_default=True, type=IntRange(min=1))
 @click.option("--subarray", default=None,
               help="sub-array dims RxC for partitioning (default rows x cols)")
-@click.option("--fmax", default=8, show_default=True, help="fan-out bound")
+@click.option("--fmax", default=8, show_default=True, type=IntRange(min=2),
+              help="fan-out bound")
 @click.option("-o", "--output", default="mapped.json", show_default=True)
 def map_cmd(tln_path, k, blocks, rows, cols, subarray, fmax, output):
     """Map a threshold network onto pipelined crossbar blocks."""
     if subarray:
         try:
             rows, cols = (int(v) for v in subarray.lower().split("x"))
+            if min(rows, cols) < 1:
+                raise ValueError
         except ValueError:
-            _fail(EXIT_INPUT, f"bad --subarray {subarray!r}, expected RxC")
-    for flag, value, low in (("--levels-per-stage", k, 1), ("--fmax", fmax, 2),
-                             ("--rows", rows, 1), ("--cols", cols, 1),
-                             ("--blocks", blocks, 1)):
-        if value is not None and value < low:
-            _fail(EXIT_INPUT, f"{flag} must be at least {low}")
+            _fail(EXIT_INPUT, f"bad --subarray {subarray!r}, expected RxC "
+                              f"with R and C at least 1")
     tln, net, doc = _load_tln(tln_path)
     cfg = MappingConfig(k=k, rows=rows, cols=cols, blocks_per_stage=blocks,
                         f_max=fmax)

@@ -14,7 +14,6 @@ from importlib import resources
 import numpy as np
 
 UA = 1e-6
-NS = 1e-9
 
 
 class ReadDisturbError(Exception):

@@ -190,15 +190,11 @@ def insert_buffers(tln, k):
     return len(chains)
 
 
-def _rebuffer(tln, k):
-    strip_buffers(tln)
-    return insert_buffers(tln, k)
-
-
-def _bump_level(tln, nid, new_level, k):
-    """Raise a node's level (and stage), cascading to same/lower consumers."""
+def _bump_level(tln, nid, new_level, k, cons):
+    """Raise a node's level and stage, cascading through the consumer map
+    `cons` to same/lower consumers; returns the ids of the moved nodes."""
+    moved = []
     work = [(nid, new_level)]
-    cons = tln.consumers()
     while work:
         name, lvl = work.pop()
         node = tln.nodes[name]
@@ -206,45 +202,56 @@ def _bump_level(tln, nid, new_level, k):
             continue
         node.level = lvl
         node.stage = math.ceil(lvl / k)
+        moved.append(name)
         for c in cons[name]:
             if tln.nodes[c].level <= lvl:
                 work.append((c, lvl + 1))
+    return moved
 
 
 def enforce_capacity(tln, cfg):
-    """Defer overflowing nodes to the next stage until every stage fits.
+    """Defer overflowing nodes to later stages in one forward sweep.
 
-    Selection priority per stage: first nodes whose fan-out skips the next
-    stage entirely (their direct consumers are all buffers), then minimum
-    fan-in; ties broken by insertion order.
+    Stage s holds its nodes plus one buffer per value made before s and
+    read after s (`insert_buffers`' chain rule). Deferring a node moves only
+    it and its descendants, adding load to s and later stages, never to an
+    earlier one, so each stage is settled once with buffers stripped, and
+    buffers are re-inserted at the end. Victims: nodes whose consumers all
+    skip the next stage first, then lowest fan-in, then insertion order. A
+    stage left with no node is infeasible: at most one stage per node.
     """
     if cfg.blocks_per_stage is None:
         return
     cap = cfg.blocks_per_stage * cfg.cols
-    order = {nid: i for i, nid in enumerate(tln.nodes)}
-    for _pass in range(50):
-        moved = False
-        s = 1
-        while s <= max((n.stage for n in tln.nodes.values()), default=0):
-            load = [n for n in tln.nodes.values() if n.stage == s]
-            while len(load) > cap:
-                cons = tln.consumers()
+    strip_buffers(tln)
+    nodes = tln.nodes
+    order = {nid: i for i, nid in enumerate(nodes)}
+    cons = tln.consumers()
+    last = max((n.stage for n in nodes.values()), default=0)
+    s = 1
+    while s <= last:
+        load = {nid for nid, n in nodes.items() if n.stage == s}
+        through = {src for n in nodes.values() if n.stage > s
+                   for src in n.gate.inputs if _stage_of(tln, src) < s}
 
-                def key(n):
-                    skips_next = all(
-                        tln.nodes[c].is_buffer for c in cons[n.id]
-                    ) and bool(cons[n.id])
-                    return (not skips_next, n.gate.fan_in, order.get(n.id, 0))
+        def key(nid):
+            skips_next = bool(cons[nid]) and all(
+                nodes[c].stage >= s + 2 for c in cons[nid])
+            return (not skips_next, nodes[nid].gate.fan_in, order[nid])
 
-                victim = min(load, key=key)
-                _bump_level(tln, victim.id, s * cfg.k + 1, cfg.k)
-                moved = True
-                load = [n for n in tln.nodes.values() if n.stage == s]
-            s += 1
-        _rebuffer(tln, cfg.k)
-        if not moved:
-            return
-    raise MappingInfeasible("capacity enforcement did not converge")
+        while load and len(load) + len(through) > cap:
+            victim = min(load, key=key)
+            for nid in _bump_level(tln, victim, s * cfg.k + 1, cfg.k, cons):
+                load.discard(nid)
+                last = max(last, nodes[nid].stage)
+                through.update(src for src in nodes[nid].gate.inputs
+                               if _stage_of(tln, src) < s)
+        if not load:
+            raise MappingInfeasible(
+                f"stage {s} left with no node: {len(through)} pass-through "
+                f"values, budget {cap} columns")
+        s += 1
+    insert_buffers(tln, cfg.k)
 
 
 def split_fanout(tln, f_max):
@@ -465,10 +472,9 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
                     f"> {cfg.rows}"
                 )
         limit = cfg.blocks_per_stage
-        load = sum(len(c) for c in blks)
-        if limit is not None and load > limit * cfg.cols:
+        if limit is not None and len(blks) > limit:
             raise MappingInfeasible(
-                f"stage {s}: {load} nodes > {limit} blocks x {cfg.cols}"
+                f"stage {s}: {len(blks)} blocks > {limit} blocks per stage"
             )
     if seen != set(tln.nodes):
         missing = set(tln.nodes) - seen

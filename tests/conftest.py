@@ -4,6 +4,8 @@ Session-scoped because synthesis and mapping of the large benchmark are
 the expensive steps; tests that mutate a network must deepcopy it first.
 """
 
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,24 @@ def say(request):
             print(line)
 
     return _say
+
+
+@pytest.fixture(scope="session")
+def deadline():
+    """`with deadline(seconds):` fails a block that runs past `seconds`
+    instead of letting a non-terminating pass hang the suite."""
+
+    @contextmanager
+    def _deadline(seconds):
+        def expired(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        old = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    return _deadline

@@ -332,6 +332,39 @@ def test_map_rejects_non_positive_dimensions(runner, artifacts, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["0x32", "32x0", "-4x32"])
+def test_map_rejects_non_positive_subarray(runner, artifacts, tmp_path, spec):
+    # the message blamed --rows, an option the command line did not give
+    out = tmp_path / "m.json"
+    r = runner.invoke(main, ["map", "--tln", artifacts["tln"],
+                             "--subarray", spec, "-o", str(out)])
+    _assert_input_error(r, "--subarray")
+    assert not out.exists()
+
+
+def test_synth_rejects_fanin_above_four(runner, tmp_path):
+    out = tmp_path / "t.json"
+    r = runner.invoke(main, ["synth", "--bench", C17, "--fanin", "5",
+                             "-o", str(out)])
+    _assert_input_error(r, "--fanin")
+    assert "fan-in" in r.output
+    assert not out.exists()
+
+
+def test_map_blocks_bound_counts_row_forced_blocks(runner, artifacts,
+                                                   tmp_path):
+    # four rows split c17's first stage into two blocks; --blocks 1 let
+    # that through because only nodes <= blocks x cols was checked
+    out = tmp_path / "m.json"
+    r = runner.invoke(main, ["map", "--tln", artifacts["tln"], "--blocks",
+                             "1", "--rows", "4", "-o", str(out)])
+    assert r.exit_code == 3, r.output
+    lines = [l for l in r.output.splitlines() if l.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error: stage 1")
+    assert "blocks" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["-0.1", "nan"])
 def test_evaluate_rejects_negative_sigma(runner, artifacts, tmp_path, sigma):
     rep = tmp_path / "report.json"

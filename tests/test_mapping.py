@@ -8,7 +8,8 @@ import random
 import pytest
 
 from smtl import partition
-from smtl.bench import parse_bench
+from smtl.bench import evaluate_many, parse_bench
+from smtl.evaluate import simulate_mapped
 from smtl.mapping import (
     MappedDesign,
     MappingConfig,
@@ -25,7 +26,7 @@ from smtl.mapping import (
     validate,
 )
 from smtl.synthesis import exhaustive_vectors, synthesize_tln
-from smtl.tlg import ThresholdGate, ThresholdLogicNetwork
+from smtl.tlg import ThresholdGate, ThresholdLogicNetwork, input_rows
 
 NOT = lambda src: ThresholdGate((src,), (-2,), 1)       # noqa: E731
 BUF = lambda src: ThresholdGate((src,), (2,), -1)       # noqa: E731
@@ -194,6 +195,30 @@ def test_capacity_tie_break_lowest_insertion_order():
     assert tln.nodes["r1"].stage == 2      # first-inserted node moved
     assert tln.nodes["r2"].stage == 1 and tln.nodes["r3"].stage == 1
     assert (tln.evaluate_many(exhaustive_vectors(3)) == want).all()
+
+
+def test_capacity_counts_pass_through_buffers(c432, c432_tln, deadline):
+    # the 50-pass strip/re-buffer loop gave up here ("did not converge")
+    cfg = MappingConfig(k=2, cols=24, blocks_per_stage=1)
+    with deadline(20):
+        d = map_design(c432_tln, c432, cfg)
+    assert all(len(blks) == 1 for blks in d.blocks.values())
+    unbounded = map_design(c432_tln, c432, MappingConfig(k=2, cols=24))
+    assert d.n_stages > unbounded.n_stages     # nodes were deferred
+    vectors = input_rows(len(c432.inputs), 4000, seed=0)
+    sim = simulate_mapped(d, vectors)
+    assert sim["errors"] == 0
+    assert (sim["outputs"] == evaluate_many(c432, vectors)).all()
+
+
+def test_capacity_rejects_a_stage_left_without_nodes(c432, c432_tln,
+                                                      deadline):
+    # at k=1 the buffers forwarded through stage 2 fill all 24 columns;
+    # deferring every node there would forward the same values forever
+    cfg = MappingConfig(k=1, cols=24, blocks_per_stage=1)
+    with deadline(20), pytest.raises(MappingInfeasible,
+                                      match=r"^stage 2 .*pass-through"):
+        map_design(c432_tln, c432, cfg)
 
 
 # --- fan-out splitting ----------------------------------------------------
@@ -399,6 +424,18 @@ def test_validate_catches_row_overflow(c17_mapped):
     d.config.rows = 2
     with pytest.raises(MappingInfeasible, match="rows"):
         validate(d)
+
+
+def test_validate_counts_blocks_per_stage(c17, c17_tln):
+    # a low row budget splits a stage that fits the column budget into
+    # two blocks; validate checked only nodes <= blocks_per_stage x cols
+    d = map_design(c17_tln, c17, MappingConfig(rows=4))
+    assert max(len(blks) for blks in d.blocks.values()) == 2
+    d.config.blocks_per_stage = 1
+    with pytest.raises(MappingInfeasible, match="2 blocks > 1"):
+        validate(d)
+    with pytest.raises(MappingInfeasible, match="blocks"):
+        map_design(c17_tln, c17, MappingConfig(rows=4, blocks_per_stage=1))
 
 
 def test_mapped_design_json_round_trip(c432_mapped):

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -746,6 +747,55 @@ def test_sigma_zero_simulation_equals_oracle(net, fanin, k):
     sim = simulate_mapped(design, vectors)
     assert sim["errors"] == 0
     assert (sim["outputs"] == evaluate_many(net, vectors)).all()
+
+
+# layered netlists wide enough that one block per stage binds and still fits
+LAYERED = st.builds(generated_netlist, seed=st.integers(0, 99),
+                    n_inputs=st.integers(6, 10), layers=st.integers(4, 8),
+                    width=st.integers(5, 10))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=st.one_of(small_netlists(), LAYERED), fanin=st.integers(2, 4),
+       k=st.integers(1, 3), cols=st.sampled_from((4, 8, 16, 32)))
+def test_capacity_limited_map_is_exact_or_infeasible(net, fanin, k, cols,
+                                                     deadline):
+    tln = synthesize_tln(net, fanin_limit=fanin)
+    cfg = MappingConfig(k=k, cols=cols, blocks_per_stage=1)
+    vectors = input_rows(len(net.inputs))
+    # the sweep alone: every stage fits, buffers included, or it says which
+    # stage could not keep a node
+    staged = mapping.assign_stages(tln.copy(), k)
+    mapping.insert_buffers(staged, k)
+    with deadline(20):
+        try:
+            mapping.enforce_capacity(staged, cfg)
+        except mapping.MappingInfeasible as e:
+            assert "pass-through" in str(e)
+        else:
+            load = Counter(n.stage for n in staged.nodes.values())
+            assert max(load.values(), default=0) <= cols
+            assert (staged.evaluate_many(vectors) ==
+                    tln.evaluate_many(vectors)).all()
+    # the whole map
+    with deadline(20):
+        try:
+            design = map_design(tln, net, cfg, fanin_limit=fanin)
+        except mapping.MappingInfeasible:
+            return
+    assert mapping.validate(design, fanin_limit=fanin)
+    sim = simulate_mapped(design, vectors)
+    assert sim["errors"] == 0
+    assert (sim["outputs"] == evaluate_many(net, vectors)).all()
+    again = map_design(tln, net, cfg, fanin_limit=fanin)
+    assert _dump(again.to_json()) == _dump(design.to_json())
+    # every stage keeps a node that is not a pass-through buffer
+    kept = design.tln.copy()
+    mapping.strip_buffers(kept)
+    assert all(any(nid in kept.nodes for nid in design.stage_nodes(s))
+               for s in design.blocks)
+    assert design.n_stages <= len(kept.nodes)
 
 
 # --- bit-packed, seed-batched simulation ------------------------------------
