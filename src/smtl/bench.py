@@ -217,12 +217,6 @@ def mux(tables, x):
     return f[..., 0, :]
 
 
-def evaluate_network(net, assignment):
-    """Evaluate one input vector; returns a tuple of output bits."""
-    out = evaluate_many(net, np.asarray(assignment, dtype=bool).reshape(1, -1))
-    return tuple(int(b) for b in out[0])
-
-
 def evaluate_packed(net, words):
     """Evaluate packed input words, one row per input; returns one row of
     words per output."""
@@ -245,15 +239,6 @@ def evaluate_many(net, vectors):
         )
     words = evaluate_packed(net, pack(vectors))
     return unpack(words, vectors.shape[0]).T
-
-
-def topological_levels(net):
-    """ASAP levels: inputs at 0, each gate 1 + max over its input levels."""
-    levels = {name: 0 for name in net.inputs}
-    for name in net.topological_order():
-        g = net.gate(name)
-        levels[name] = 1 + max(levels[i] for i in g.inputs)
-    return levels
 
 
 def load_bench(path):

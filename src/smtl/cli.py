@@ -29,6 +29,7 @@ EXIT_MISMATCH = 4
 EXIT_TIMING = 5
 
 PARAMS_ENV = "SMTL_PARAMS"
+OVERFLOW = "a figure to be written overflows a double"
 # comparator resolution cap: past 52 bits the DAC step is below the
 # resolution of a double at the target voltage
 MAX_BITS = 64
@@ -70,28 +71,45 @@ class FloatRange(_OneLine, click.FloatRange):
         return rv
 
 
+class Choice(_OneLine, click.Choice):
+    pass
+
+
 def _atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".smtl-")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".smtl-")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _dump(obj):
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=1, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise InputError(OVERFLOW) from None
+
+
+def _csv(rows):
+    if not all(math.isfinite(v) for row in rows for v in row.values()
+               if isinstance(v, float)):
+        raise InputError(OVERFLOW)
+    return evaluate.sweep_csv(rows)
 
 
 def _load_params(path):
     path = path or os.environ.get(PARAMS_ENV)
     try:
         return DeviceParams.load(path)
-    except (OSError, ValueError, TypeError, KeyError,
-            json.JSONDecodeError) as e:
+    except (OSError, ValueError, TypeError, KeyError) as e:
         raise InputError(f"bad device parameters: {e}")
 
 
@@ -152,7 +170,7 @@ def _load_tln(path):
             doc = json.load(f)
         return (ThresholdLogicNetwork.from_json(doc["tln"]),
                 BooleanNetwork.from_json(doc["source"]), doc)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, KeyError, ValueError, TypeError) as e:
         _fail(EXIT_INPUT, f"bad TLN file {path}: {e}")
 
 
@@ -188,6 +206,8 @@ def map_cmd(tln_path, k, blocks, rows, cols, subarray, fmax, output):
                             w_max=doc.get("w_max", 6))
     except MappingInfeasible as e:
         _fail(EXIT_CAPACITY, str(e))
+    except (ValueError, TypeError) as e:  # a gate or field edited by hand
+        _fail(EXIT_INPUT, f"bad TLN file {tln_path}: {e}")
     _atomic_write(output, _dump(design.to_json()))
     s = summary(design)
     click.echo(
@@ -205,7 +225,7 @@ def _load_design(path):
     try:
         with open(path) as f:
             return MappedDesign.from_json(json.load(f))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, KeyError, ValueError, TypeError) as e:
         _fail(EXIT_INPUT, f"bad mapped design {path}: {e}")
 
 
@@ -241,12 +261,16 @@ def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
                                    vectors=vectors, seed=seed)
     except ValueError as e:  # a gate the crossbar model cannot program
         _fail(EXIT_INPUT, str(e))
+    except OverflowError:
+        _fail(EXIT_INPUT, OVERFLOW)
     except evaluate.TimingViolation as e:
         _fail(EXIT_TIMING, str(e))
     if baseline_energy is not None:
-        rep["baseline"] = evaluate.baseline_ratios(
-            rep, baseline_energy, baseline_delay
-        )
+        try:
+            rep["baseline"] = evaluate.baseline_ratios(
+                rep, baseline_energy, baseline_delay)
+        except ValueError as e:
+            _fail(EXIT_INPUT, f"--baseline-energy/--baseline-delay: {e}")
     if sigma == 0.0 and rep["errors"]:
         _atomic_write(report_path, _dump(rep))
         _fail(EXIT_MISMATCH,
@@ -267,7 +291,7 @@ def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
               help="synthesized TLN (required for --param k)")
 @click.option("--params", "params_path", default=None)
 @click.option("--param", "parameter", required=True,
-              type=click.Choice(["dv", "i_threshold", "k", "subarray_dim"]))
+              type=Choice(evaluate.SWEEP_PARAMS))
 @click.option("--grid", required=True,
               help="comma-separated values; dv in mV, i_threshold in uA")
 @click.option("-o", "--output", default="sweep.csv", show_default=True)
@@ -297,11 +321,13 @@ def sweep_cmd(mapped_path, tln_path, params_path, parameter, grid, output):
                               source_tln=source_tln)
     except ValueError as e:
         _fail(EXIT_INPUT, str(e))
+    except OverflowError:
+        _fail(EXIT_INPUT, OVERFLOW)
     except MappingInfeasible as e:
         _fail(EXIT_CAPACITY, str(e))
     except evaluate.TimingViolation as e:
         _fail(EXIT_TIMING, str(e))
-    _atomic_write(output, evaluate.sweep_csv(rows))
+    _atomic_write(output, _csv(rows))
     click.echo(f"{len(rows)} rows -> {output}")
 
 
@@ -348,7 +374,7 @@ def write_sim_cmd(bits, iprog, trials, tmax, seed, params_path, output):
         })
         click.echo(f"bits={b} mean_error={r['mean_error']:.4f} "
                    f"p95={r['p95_error']:.4f}")
-    _atomic_write(output, evaluate.sweep_csv(rows))
+    _atomic_write(output, _csv(rows))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 from . import partition
-from .devices import bias_rows
 from .partition import MappingInfeasible
 from .tlg import (
     FANIN_LIMIT,
@@ -104,7 +103,7 @@ class MappedDesign:
     def from_json(cls, obj):
         from .bench import BooleanNetwork
 
-        return cls(
+        design = cls(
             config=MappingConfig.from_json(obj["config"]),
             tln=ThresholdLogicNetwork.from_json(obj["tln"]),
             source=BooleanNetwork.from_json(obj["source"]),
@@ -114,6 +113,15 @@ class MappedDesign:
             backward_edges=[tuple(e) for e in obj["backward_edges"]],
             warnings=list(obj["warnings"]),
         )
+        placed = [n for blks in design.blocks.values() for blk in blks
+                  for n in blk]
+        inputs = [n for blk in design.input_blocks for n in blk]
+        if (sorted(placed) != sorted(design.tln.nodes)
+                or sorted(inputs) != sorted(design.tln.inputs)
+                or not design.absorbed <= design.tln.nodes.keys()):
+            raise ValueError("blocks must place every node and input once, "
+                             "and absorb only nodes")
+        return design
 
 
 def _stage_of(tln, name):
@@ -312,7 +320,8 @@ def absorb_small_layers(design):
 
     A stage is absorbed only when each of its nodes can sit in the block
     already holding all of its sources, with at most b_max backward
-    connections per block; otherwise it is skipped with a warning.
+    connections per block and the block still within its columns and
+    `block_rows`; otherwise it is skipped with a warning.
     """
     cfg = design.config
     tln = design.tln
@@ -340,11 +349,12 @@ def absorb_small_layers(design):
             back_count[b] = back_count.get(b, 0) + len(srcs)
         if ok:
             for b, cnt in back_count.items():
-                if cnt > cfg.b_max:
-                    ok = False
-                if len(design.blocks[s - 1][b]) + sum(
-                    1 for x in plan.values() if x == b
-                ) > cfg.cols:
+                block = design.blocks[s - 1][b] + [
+                    nid for nid, x in plan.items() if x == b]
+                if (cnt > cfg.b_max or len(block) > cfg.cols
+                        or partition.block_rows(
+                            [tln.nodes[nid].gate for nid in block])
+                        > cfg.rows):
                     ok = False
         if not ok:
             design.warnings.append(
@@ -458,18 +468,15 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
                 raise MappingInfeasible(
                     f"stage {s} block {b}: {len(colnodes)} nodes > {cfg.cols} columns"
                 )
-            srcs = set()
-            brows = 0
             for nid in colnodes:
                 if nid in seen:
                     raise MappingInfeasible(f"{nid} placed twice")
                 seen.add(nid)
-                srcs.update(tln.nodes[nid].gate.inputs)
-                brows = max(brows, bias_rows(tln.nodes[nid].gate.bias, w_max))
-            if len(srcs) + brows > cfg.rows:
+            need = partition.block_rows(
+                [tln.nodes[nid].gate for nid in colnodes])
+            if need > cfg.rows:
                 raise MappingInfeasible(
-                    f"stage {s} block {b}: needs {len(srcs) + brows} rows "
-                    f"> {cfg.rows}"
+                    f"stage {s} block {b}: needs {need} rows > {cfg.rows}"
                 )
         limit = cfg.blocks_per_stage
         if limit is not None and len(blks) > limit:
@@ -515,12 +522,6 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
     """Run the full mapping pipeline on a synthesized network."""
     cfg = config or MappingConfig()
     tln = tln.copy()
-    for node in tln.nodes.values():
-        need = node.gate.fan_in + bias_rows(node.gate.bias)
-        if need > cfg.rows:
-            raise MappingInfeasible(
-                f"node {node.id} needs {need} rows, block has {cfg.rows}"
-            )
     assign_stages(tln, cfg.k)
     insert_buffers(tln, cfg.k)
     enforce_capacity(tln, cfg)

@@ -8,10 +8,10 @@ is charged Manhattan distance in block-pitch units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .devices import bias_rows
+from .tlg import W_MAX
 
 # geometry defaults: 4F^2 per 1T1M cell at F = 45 nm, 20% periphery per
 # block, one cell-row of interconnect per unit route length
@@ -24,29 +24,38 @@ class MappingInfeasible(Exception):
     """The design does not fit the given hardware (rows, blocks, budgets)."""
 
 
+def gate_rows(gate):
+    """The input rows a gate occupies: one per distinct source, keyed by
+    it, and (None, j) for each always-on bias row, as many as the crossbar
+    programs (`bias_chunks` at W_MAX). The gates of a block share both
+    kinds, so a block needs their union (`block_rows`)."""
+    return set(gate.inputs).union(
+        (None, j) for j in range(bias_rows(gate.bias, W_MAX)))
+
+
+def block_rows(gates):
+    """Input rows of a block holding `gates`."""
+    return len(set().union(*map(gate_rows, gates)))
+
+
 def rebin(node_ids, tln, rows, cols):
     """Greedy binning of a stage's nodes into blocks of rows x cols.
 
-    A block closes when its columns fill up or the distinct input rows
-    (sources plus always-on bias rows) would exceed the row budget.
+    A block closes when its columns fill up or its rows (`gate_rows`)
+    would exceed the row budget.
     """
-    blocks, cur, cur_srcs, cur_brows = [], [], set(), 0
+    blocks, cur, used = [], [], set()
     for nid in node_ids:
-        gate = tln.nodes[nid].gate
-        need = bias_rows(gate.bias)
-        if gate.fan_in + need > rows:
-            raise MappingInfeasible(
-                f"node {nid}: fan-in {gate.fan_in} + {need} bias rows "
-                f"exceed {rows} rows"
-            )
-        new_srcs = cur_srcs | set(gate.inputs)
-        new_brows = max(cur_brows, need)
-        if cur and (len(cur) >= cols or len(new_srcs) + new_brows > rows):
+        mine = gate_rows(tln.nodes[nid].gate)
+        if len(mine) > rows:
+            raise MappingInfeasible(f"node {nid} needs {len(mine)} rows, "
+                                    f"block has {rows}")
+        grown = used | mine
+        if cur and (len(cur) >= cols or len(grown) > rows):
             blocks.append(cur)
-            cur, cur_srcs, cur_brows = [], set(), 0
-            new_srcs, new_brows = set(gate.inputs), need
+            cur, grown = [], mine
         cur.append(nid)
-        cur_srcs, cur_brows = new_srcs, new_brows
+        used = grown
     if cur:
         blocks.append(cur)
     return blocks

@@ -1,4 +1,5 @@
-"""Threshold logic gates: evaluation, margins and integer weight solving.
+"""Threshold logic gates and networks: evaluation, margins, integer weight
+solving, and the lowered network evaluator that the crossbar model shares.
 
 A gate fires (outputs 1) iff the weighted input sum plus bias is >= 0.
 Synthesized gates additionally keep the sum at least 1 away from zero on
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import graph
 from .bench import MUX_WORDS, TABLE_FAN_IN_LIMIT, mux, pack, unpack
+from .devices import bias_chunks
 
 FANIN_LIMIT = 4
 W_MAX = 6
@@ -213,18 +215,6 @@ def _table_arity(table):
     return n
 
 
-def complement_gate(gate):
-    """Gate computing the complement under the same >= 0 convention.
-
-    Only exact for gates with margin >= 1 (negating flips every strict sum).
-    """
-    return ThresholdGate(
-        gate.inputs,
-        tuple(-w for w in gate.weights),
-        -gate.bias,
-    )
-
-
 def _gate_error(node, fanin_limit, w_max):
     """What `validate` reports for the node's gate short of its margin."""
     g = node.gate
@@ -241,6 +231,71 @@ def _check_margins(nodes):
     for node, margin in zip(nodes, gate_margins([n.gate for n in nodes])):
         if margin < 1:
             raise ValueError(f"{node.id}: margin < 1")
+
+
+@dataclass(frozen=True)
+class Lowered:
+    """A network lowered once for `evaluate_lowered`.
+
+    Signals are the inputs, then the nodes in topological order. Each node
+    owns consecutive crossbar rows, in the same order: one per weight, then
+    one per `bias_chunks` level of its bias. Row r has signed level
+    `levels[r]` and its node's first row is `first[r]`.
+    """
+
+    n_inputs: int
+    n_signals: int
+    w_max: int
+    levels: np.ndarray
+    first: np.ndarray
+    # per (ASAP level, fan-in k), in level order: node signals (G,), input
+    # signals (G, k) and weight rows (G, k), each in topological order
+    groups: tuple
+    # (node signals (B,), bias rows (B, b)), one entry per bias-row count b
+    bias: tuple
+    outputs: np.ndarray
+
+
+def evaluate_lowered(low, words, net, band=None):
+    """Evaluate packed input words (`bench.pack`, one row per input) with
+    the row levels of each row of `net` (S, len(low.levels)): integer
+    levels for ideal evaluation, net conductances for the crossbar.
+
+    A node fires iff its bias rows plus its weight rows on, summed by
+    `threshold_step` in that order, are >= 0. Per (level, fan-in) group
+    every node's 2^k-row truth table is built at once and a mux tree
+    applies it to the words, chunked to MUX_WORDS words. With `band`, a
+    predicate on those sums, the vectors that reach a node on a row where
+    it holds are flagged too. Returns the output words (S, n_outputs, W)
+    and the flagged words (S, W).
+    """
+    n_words = words.shape[1]
+    const = np.zeros((len(net), low.n_signals), dtype=net.dtype)
+    for nodes, rows in low.bias:
+        # numpy adds fewer than 8 terms in order along any axis, as a
+        # scalar 1-D sum does; longer 1-D sums are pairwise
+        terms = net[:, rows]
+        const[:, nodes] = (terms.sum(axis=-1) if rows.shape[1] < 8 else
+                           [[t.sum() for t in seed] for seed in terms])
+    vals = np.empty((len(net), low.n_signals, n_words), dtype=np.uint64)
+    vals[:, :low.n_inputs] = words
+    flagged = np.zeros((len(net), n_words), dtype=np.uint64)
+    table_rows = {k: input_rows(k).T
+                  for k in {inputs.shape[1] for _, inputs, _ in low.groups}}
+    for nodes, inputs, rows in low.groups:
+        k = inputs.shape[1]
+        s, fires = threshold_step(const[:, nodes, None],
+                                  np.moveaxis(net[:, rows], -1, 0)[..., None],
+                                  table_rows[k])
+        step = max(1, MUX_WORDS // (len(net) * 2 ** (k - 1) * n_words or 1))
+        for at in range(0, len(nodes), step):
+            part = slice(at, at + step)
+            x = vals[:, inputs[part]]
+            vals[:, nodes[part]] = mux(fires[:, part], x)
+            if band is not None:
+                flagged |= np.bitwise_or.reduce(mux(band(s[:, part]), x),
+                                                axis=1)
+    return vals[:, low.outputs], flagged
 
 
 @dataclass
@@ -314,50 +369,57 @@ class ThresholdLogicNetwork:
         self.assign_levels()
         return max((n.level for n in self.nodes.values()), default=0)
 
-    def levelized(self):
-        """The topological order, and the nodes grouped by (ASAP level,
-        fan-in) in level order, each group in topological order."""
+    def lower(self, w_max=W_MAX):
+        """Lower the network once for `evaluate_lowered`: signals, crossbar
+        rows (weights, then the `bias_chunks` of the bias at w_max) and
+        the (ASAP level, fan-in) groups. Raises ValueError for a gate above
+        TABLE_FAN_IN_LIMIT inputs."""
         order = self.topological_order()
+        index = {name: i for i, name in enumerate(list(self.inputs) + order)}
         level = dict.fromkeys(self.inputs, 0)
-        groups = {}
+        levels, first, groups, bias = [], [], {}, {}
         for nid in order:
             gate = self.nodes[nid].gate
-            level[nid] = 1 + max(level[i] for i in gate.inputs)
-            groups.setdefault((level[nid], gate.fan_in), []).append(nid)
-        return order, [groups[key] for key in sorted(groups)]
-
-    def evaluate_packed(self, words):
-        """Ideal evaluation of packed input words (`bench.pack`), one row
-        per input; returns one row of words per output.
-
-        Per (level, fan-in) group, `row_sums` builds every gate's 2^k-row
-        truth table at once and a mux tree applies it to the words.
-        Raises ValueError for a gate above TABLE_FAN_IN_LIMIT inputs.
-        """
-        order, groups = self.levelized()
-        index = {name: i for i, name in enumerate(list(self.inputs) + order)}
-        vals = np.empty((len(index), words.shape[1]), dtype=np.uint64)
-        vals[:len(self.inputs)] = words
-        for group in groups:
-            gates = [self.nodes[nid].gate for nid in group]
-            k = gates[0].fan_in
+            k = gate.fan_in
             if k > TABLE_FAN_IN_LIMIT:
-                raise ValueError(f"node {group[0]}: fan-in {k} above "
+                raise ValueError(f"node {nid}: fan-in {k} above "
                                  f"{TABLE_FAN_IN_LIMIT} cannot be tabulated")
-            tables = row_sums(gates) >= 0
-            nodes = np.array([index[nid] for nid in group])
-            inputs = np.array([[index[i] for i in g.inputs] for g in gates])
-            step = max(1, MUX_WORDS // (2 ** (k - 1) * words.shape[1] or 1))
-            for at in range(0, len(group), step):
-                part = slice(at, at + step)
-                vals[nodes[part]] = mux(tables[part], vals[inputs[part]])
-        return vals[[index[o] for o in self.outputs]]
+            row = len(levels)
+            chunks = bias_chunks(gate.bias, w_max)
+            levels += gate.weights
+            levels += chunks
+            first += [row] * (k + len(chunks))
+            level[nid] = 1 + max(level[i] for i in gate.inputs)
+            groups.setdefault((level[nid], k), []).append(
+                (index[nid], [index[i] for i in gate.inputs], row))
+            if chunks:
+                bias.setdefault(len(chunks), []).append((index[nid], row + k))
+
+        def columns(entries, width):
+            # entries are (node signal, [input signals,] first row); each
+            # first row becomes `width` consecutive rows
+            nodes, *srcs, rows = (np.array(col, dtype=np.intp)
+                                  for col in zip(*entries))
+            return (nodes, *srcs, rows[:, None] + np.arange(width))
+
+        return Lowered(
+            n_inputs=len(self.inputs),
+            n_signals=len(index),
+            w_max=w_max,
+            levels=np.array(levels, dtype=np.int64),
+            first=np.array(first, dtype=np.intp),
+            groups=tuple(columns(groups[key], key[1])
+                         for key in sorted(groups)),
+            bias=tuple(columns(bias[b], b) for b in sorted(bias)),
+            outputs=np.array([index[o] for o in self.outputs], dtype=np.intp),
+        )
 
     def evaluate_many(self, vectors):
         """Ideal (infinite precision) evaluation over a vector matrix."""
         vectors = np.asarray(vectors, dtype=bool)
-        words = self.evaluate_packed(pack(vectors))
-        return unpack(words, vectors.shape[0]).T
+        low = self.lower()
+        out, _ = evaluate_lowered(low, pack(vectors), low.levels[None])
+        return unpack(out[0], vectors.shape[0]).T
 
     def validate(self, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
         """Raise ValueError naming the first node, in insertion order, that
@@ -400,6 +462,9 @@ class ThresholdLogicNetwork:
         # not necessarily topological; resolve references after loading all.
         for n in obj["nodes"]:
             gate = ThresholdGate(tuple(n["inputs"]), tuple(n["weights"]), n["bias"])
+            if not all(type(w) is int for w in gate.weights + (gate.bias,)):
+                raise ValueError(f"node {n['id']!r}: weights and bias must "
+                                 f"be integers")
             node = TLGNode(n["id"], gate, is_buffer=n.get("is_buffer", False))
             node.level = n.get("level", 0)
             node.stage = n.get("stage", 0)

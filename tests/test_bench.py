@@ -15,9 +15,7 @@ from smtl.bench import (
     BenchError,
     BooleanNetwork,
     evaluate_many,
-    evaluate_network,
     parse_bench,
-    topological_levels,
 )
 
 C17_TEXT = """\
@@ -50,6 +48,12 @@ def _c17_reference(i1, i2, i3, i6, i7):
     return nand(n10, n16), nand(n16, n19)
 
 
+def evaluate_one(net, bits):
+    """Output bits of one input vector, from a one-row `evaluate_many`."""
+    out = evaluate_many(net, np.array([bits], dtype=bool))
+    return tuple(int(b) for b in out[0])
+
+
 def test_c17_shape():
     net = parse_bench(C17_TEXT)
     assert len(net.inputs) == 5
@@ -64,7 +68,7 @@ def test_c17_matches_benchmark_file(c17):
 
 def test_c17_all_zeros():
     net = parse_bench(C17_TEXT)
-    got = evaluate_network(net, (0, 0, 0, 0, 0))
+    got = evaluate_one(net, (0, 0, 0, 0, 0))
     assert got == _c17_reference(0, 0, 0, 0, 0)
     assert got == (0, 0)
 
@@ -72,28 +76,28 @@ def test_c17_all_zeros():
 def test_c17_exhaustive_against_reference():
     net = parse_bench(C17_TEXT)
     for bits in itertools.product((0, 1), repeat=5):
-        assert evaluate_network(net, bits) == _c17_reference(*bits)
+        assert evaluate_one(net, bits) == _c17_reference(*bits)
 
 
 def test_identity_netlist():
     net = parse_bench("INPUT(a)\nOUTPUT(a)\n")
     assert len(net.gates) == 0
     assert net.outputs == ("a",)
-    assert evaluate_network(net, (1,)) == (1,)
-    assert evaluate_network(net, (0,)) == (0,)
+    assert evaluate_one(net, (1,)) == (1,)
+    assert evaluate_one(net, (0,)) == (0,)
 
 
 def test_single_not():
     net = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
-    assert evaluate_network(net, (1,)) == (0,)
-    assert evaluate_network(net, (0,)) == (1,)
+    assert evaluate_one(net, (1,)) == (0,)
+    assert evaluate_one(net, (0,)) == (1,)
 
 
 def test_xor2():
     net = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n")
-    assert evaluate_network(net, (1, 1)) == (0,)
-    assert evaluate_network(net, (1, 0)) == (1,)
-    assert evaluate_network(net, (0, 0)) == (0,)
+    assert evaluate_one(net, (1, 1)) == (0,)
+    assert evaluate_one(net, (1, 0)) == (1,)
+    assert evaluate_one(net, (0, 0)) == (0,)
 
 
 @pytest.mark.parametrize("kind,fn", [
@@ -110,20 +114,20 @@ def test_gate_kinds_exhaustive(kind, fn):
         text += f"OUTPUT(y)\ny = {kind}({', '.join(names)})\n"
         net = parse_bench(text)
         for bits in itertools.product((0, 1), repeat=arity):
-            assert evaluate_network(net, bits) == (fn(bits),), (kind, bits)
+            assert evaluate_one(net, bits) == (fn(bits),), (kind, bits)
 
 
 def test_unary_kinds():
     net = parse_bench("INPUT(a)\nOUTPUT(y)\ny = BUFF(a)\n")
-    assert evaluate_network(net, (1,)) == (1,)
-    assert evaluate_network(net, (0,)) == (0,)
+    assert evaluate_one(net, (1,)) == (1,)
+    assert evaluate_one(net, (0,)) == (0,)
 
 
 def test_evaluate_many_matches_single(c17):
     vectors = np.array(list(itertools.product((0, 1), repeat=5)), dtype=bool)
     mat = evaluate_many(c17, vectors)
     for row, bits in zip(mat, vectors):
-        assert tuple(int(v) for v in row) == evaluate_network(c17, bits)
+        assert tuple(int(v) for v in row) == evaluate_one(c17, bits)
 
 
 def test_evaluate_many_shape_check(c17):
@@ -185,30 +189,11 @@ def test_comments_and_blank_lines_ignored():
     assert len(net.gates) == 1
 
 
-def test_levels_c17(c17):
-    levels = topological_levels(c17)
-    assert max(levels.values()) == 3
-    assert levels["10"] == 1 and levels["16"] == 2 and levels["22"] == 3
-
-
-def test_levels_buff_chain():
-    text = "INPUT(a)\nOUTPUT(d)\n"
-    text += "b = BUFF(a)\nc = BUFF(b)\nd = BUFF(c)\ne = BUFF(d)\n"
-    levels = topological_levels(parse_bench(text))
-    assert [levels[n] for n in "bcde"] == [1, 2, 3, 4]
-
-
-def test_levels_independent_nots():
-    text = "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nOUTPUT(y)\nx = NOT(a)\ny = NOT(b)\n"
-    levels = topological_levels(parse_bench(text))
-    assert levels["x"] == 1 and levels["y"] == 1
-
-
 def test_out_of_order_definitions_ok():
     # gates may appear before their sources in the file
     text = "INPUT(a)\nOUTPUT(y)\ny = NOT(x)\nx = NOT(a)\n"
     net = parse_bench(text)
-    assert evaluate_network(net, (1,)) == (1,)
+    assert evaluate_one(net, (1,)) == (1,)
 
 
 def test_json_round_trip(c17):

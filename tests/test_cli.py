@@ -89,6 +89,28 @@ def test_map_infeasible_rows(runner, artifacts, tmp_path):
     assert r.exit_code == 3
 
 
+@pytest.mark.parametrize("bench,rows", [(C432, "8"), (C432, "6"),
+                                        (C17, "8")])
+def test_map_counts_bias_rows_as_the_crossbar_programs_them(runner, tmp_path,
+                                                            bench, rows):
+    # validate counted bias rows at --wmax 2 (ceil(|b| / 2)) while binning
+    # and the crossbar use 6 levels, so c432_like at 8 rows exited 3 with
+    # "stage 1 block 3: needs 10 rows > 8" for a block binning had built;
+    # c17 also needs absorption to keep a block within its rows
+    tln, mapped, rep = (str(tmp_path / f) for f in
+                        ("t.json", "m.json", "r.json"))
+    r = runner.invoke(main, ["synth", "--bench", bench, "--wmax", "2",
+                             "-o", tln])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["map", "--tln", tln, "--rows", rows,
+                             "-o", mapped])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["evaluate", "--mapped", mapped, "--vectors",
+                             "2000", "--report", rep])
+    assert r.exit_code == 0, r.output
+    assert json.loads(Path(rep).read_text())["errors"] == 0
+
+
 def test_map_bad_subarray_spec(runner, artifacts, tmp_path):
     r = runner.invoke(main, ["map", "--tln", artifacts["tln"],
                              "--subarray", "64by32",
@@ -550,3 +572,113 @@ def test_evaluate_corrupt_params_prints_one_error_line(runner, artifacts,
                              "--params", str(bad),
                              "--report", str(tmp_path / "rep.json")])
     _assert_input_error(r, "bad device parameters")
+
+
+# --- defects the command-line fuzz found: exit 1, one `error:` line ------
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_output_is_an_input_error(runner, tmp_path, where):
+    # ended in IsADirectoryError / FileNotFoundError tracebacks
+    out = tmp_path if where == "directory" else tmp_path / "no" / "t.json"
+    r = runner.invoke(main, ["synth", "--bench", C17, "-o", str(out)])
+    _assert_input_error(r, "cannot write")
+
+
+def _edited(artifact, tmp_path, edit):
+    doc = json.loads(Path(artifact).read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '{"tln": 1, "source": 2}'])
+@pytest.mark.parametrize("command,flag", [("map", "--tln"),
+                                          ("evaluate", "--mapped")])
+def test_json_of_the_wrong_shape_is_an_input_error(runner, tmp_path, text,
+                                                   command, flag):
+    # ended in TypeError tracebacks
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    r = runner.invoke(main, [command, flag, str(bad), "-o" if command ==
+                             "map" else "--report", str(tmp_path / "out")])
+    _assert_input_error(r, str(bad))
+
+
+def _first_node(**fields):
+    return lambda doc: doc["tln"]["nodes"][0].update(fields)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: _first_node(inputs=[doc["tln"]["nodes"][-1]["id"]] * 2)(
+        doc), "cycle"),
+    (_first_node(weights=["a", 1]), "integers"),
+    (_first_node(weights=[7, 7]), "weight magnitude"),
+    (_first_node(weights=[0, 0]), "zero weight"),
+    (lambda doc: doc.update(w_max="6"), "bad TLN file"),
+    (lambda doc: doc["tln"].update(outputs=["ghost"]), "unresolved")])
+def test_map_rejects_a_hand_edited_tln(runner, artifacts, tmp_path, edit,
+                                       message):
+    # each ended in a ValueError or TypeError traceback
+    r = runner.invoke(main, ["map", "--tln", _edited(artifacts["tln"],
+                                                     tmp_path, edit),
+                             "-o", str(tmp_path / "m.json")])
+    _assert_input_error(r, message)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["blocks"]["1"][0].append("ghost"),
+    lambda doc: doc["blocks"]["1"][0].pop(),
+    lambda doc: doc["input_blocks"][0].pop(),
+    lambda doc: doc["absorbed"].append("ghost")])
+def test_sweep_rejects_blocks_that_misplace_nodes(runner, artifacts, tmp_path,
+                                                  edit):
+    # an unknown node in a block ended in "KeyError: 'ghost'", and so did
+    # one in `absorbed` for a subarray_dim sweep
+    r = runner.invoke(main, ["sweep", "--mapped",
+                             _edited(artifacts["mapped"], tmp_path, edit),
+                             "--param", "subarray_dim", "--grid", "16",
+                             "-o", str(tmp_path / "s.csv")])
+    _assert_input_error(r, "place every node")
+
+
+def test_evaluate_rejects_baseline_ratios_that_overflow(runner, artifacts,
+                                                        tmp_path):
+    # wrote "energy_ratio": Infinity into the report
+    rep = tmp_path / "r.json"
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--vectors", "32", "--baseline-energy", "1e308",
+                             "--baseline-delay", "1e-8", "--report",
+                             str(rep)])
+    _assert_input_error(r, "--baseline-energy")
+    assert not rep.exists()
+
+
+def test_evaluate_rejects_a_sigma_that_overflows(runner, artifacts, tmp_path):
+    # a conductance of inf programmed NaN currents and exited 0
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--sigma", "1e308", "--report",
+                             str(tmp_path / "r.json")])
+    _assert_input_error(r, "sigma")
+
+
+@pytest.mark.parametrize("param,grid", [("dv", "1e300"),
+                                        ("subarray_dim", "1e300")])
+def test_sweep_rejects_figures_that_overflow(runner, artifacts, tmp_path,
+                                            param, grid):
+    # ended in OverflowError tracebacks
+    out = tmp_path / "s.csv"
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--param", param, "--grid", grid, "-o",
+                             str(out)])
+    _assert_input_error(r, "overflows")
+    assert not out.exists()
+
+
+def test_sweep_unknown_parameter_is_one_line(runner, artifacts, tmp_path):
+    # a click usage error: exit 2 (the equivalence-failure code) and four
+    # lines of usage text
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--param", "gain", "--grid", "1", "-o",
+                             str(tmp_path / "s.csv")])
+    _assert_input_error(r, "--param")

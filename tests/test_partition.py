@@ -58,6 +58,17 @@ def test_rebin_accounts_for_bias_rows():
         partition.rebin(["n0"], tln, rows=3, cols=32)
 
 
+def test_block_rows_share_sources_and_bias_rows():
+    # bias -9 needs two 6-level rows and -3 one; the block holds sources
+    # a, b, c and the larger gate's two bias rows
+    g0 = ThresholdGate(("a", "b"), (6, 6), -9)
+    g1 = ThresholdGate(("b", "c", "c"), (2, 2, 2), -3)
+    assert partition.block_rows([g0]) == 4
+    assert partition.block_rows([g1]) == 3  # c is read twice, one row
+    assert partition.block_rows([g0, g1]) == 5
+    assert partition.block_rows([]) == 0
+
+
 # --- link classification --------------------------------------------------
 
 def _two_block_design():

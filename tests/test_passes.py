@@ -31,7 +31,7 @@ from smtl import devices, evaluate, graph, mapping, partition, synthesis, tlg
 from smtl.bench import (BenchError, BooleanNetwork, evaluate_many, load_bench,
                         pack, parse_bench, unpack)
 from smtl.devices import DeviceParams, bias_chunks, weight_to_conductance
-from smtl.evaluate import (lower, programmed, simulate_batch, simulate_mapped,
+from smtl.evaluate import (programmed, simulate_batch, simulate_mapped,
                            variation_tolerance)
 from smtl.mapping import MappingConfig, map_design
 from smtl.synthesis import synthesize_tln
@@ -416,7 +416,7 @@ def ref_map_design(tln, source, config=None, fanin_limit=4, w_max=W_MAX):
     cfg = config or MappingConfig()
     tln = copy.deepcopy(tln)
     for node in tln.nodes.values():
-        need = node.gate.fan_in + mapping.bias_rows(node.gate.bias)
+        need = node.gate.fan_in + devices.bias_rows(node.gate.bias)
         if need > cfg.rows:
             raise mapping.MappingInfeasible(
                 f"node {node.id} needs {need} rows, block has {cfg.rows}")
@@ -806,10 +806,10 @@ VECTOR_COUNTS = (1, 63, 64, 65, 2000)
 
 
 def _batch(design, vectors, sigma, seeds, params, band=0.0):
-    low = lower(design, params)
+    low = design.tln.lower()
     want = pack(ref_evaluate_many(design.source, vectors))
     return simulate_batch(low, pack(vectors), len(vectors), want,
-                          programmed(low.g, sigma, seeds), params, band)
+                          programmed(low, params, sigma, seeds), params, band)
 
 
 @pytest.mark.parametrize("name", NETLISTS)
@@ -946,7 +946,7 @@ def test_map_design_classifies_links_at_most_twice(netlists, monkeypatch):
 def test_variation_tolerance_evaluates_the_oracle_once(compiled, monkeypatch):
     _, design = compiled("c432", 4)
     oracle = _counting(monkeypatch, evaluate, "evaluate_many")
-    lowered = _counting(monkeypatch, evaluate, "lower")
+    lowered = _counting(monkeypatch, ThresholdLogicNetwork, "lower")
     _, curve = variation_tolerance(design, (0.0, 0.05, 0.1, 0.2),
                                    vectors_per_probe=500, early_stop=False,
                                    params=DeviceParams())

@@ -17,7 +17,6 @@ from smtl.tlg import (
     ThresholdGate,
     ThresholdLogicNetwork,
     bias_bound,
-    complement_gate,
     eval_tlg,
     gate_margin,
     solve_weights,
@@ -195,18 +194,6 @@ def test_solver_rejects_bad_tables():
         solve_weights((0, 1, 1))  # not a power of two
     with pytest.raises(ValueError):
         solve_weights(tuple([0] * 32))  # arity 5 > fan-in limit
-
-
-def test_complement_gate():
-    rng = random.Random(3)
-    for _ in range(50):
-        n = rng.choice((2, 3))
-        table = tuple(rng.randint(0, 1) for _ in range(2 ** n))
-        g = solve_weights(table)
-        if isinstance(g, NotThreshold):
-            continue
-        comp = complement_gate(g)
-        assert truth_table(comp) == tuple(1 - b for b in table)
 
 
 # --- networks -------------------------------------------------------------
