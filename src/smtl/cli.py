@@ -20,7 +20,7 @@ from .bench import BenchError, BooleanNetwork, load_bench
 from .devices import DeviceParams, write_sim_trials
 from .mapping import MappingConfig, MappingInfeasible, map_design, summary
 from .synthesis import synthesize_tln, verify_equivalence
-from .tlg import W_MAX_LIMIT, ThresholdLogicNetwork
+from .tlg import FANIN_LIMIT, W_MAX, ThresholdLogicNetwork
 
 EXIT_INPUT = 1
 EXIT_EQUIV = 2
@@ -127,16 +127,13 @@ def main():
 @main.command()
 @click.option("--bench", "bench_path", required=True,
               type=click.Path(exists=False), help="ISCAS85 .bench netlist")
-@click.option("--fanin", default=4, show_default=True,
-              type=IntRange(2, 4, what="fan-in limit"),
-              help="fan-in limit for threshold gates (2..4)")
-@click.option("--wmax", default=6, show_default=True,
-              type=IntRange(2, W_MAX_LIMIT),  # primitive gates have |w| = 2
-              help=f"number of conductance levels / max |weight|, 2.."
-                   f"{W_MAX_LIMIT}; the weight solver's lattice holds "
-                   f"(2*wmax+1)^fanin weight vectors, "
-                   f"{(2 * W_MAX_LIMIT + 1) ** 4:,} at {W_MAX_LIMIT} and "
-                   f"fan-in 4")
+@click.option("--fanin", default=FANIN_LIMIT, show_default=True,
+              type=IntRange(2, FANIN_LIMIT, what="fan-in limit"),
+              help=f"fan-in limit for threshold gates (2..{FANIN_LIMIT})")
+@click.option("--wmax", default=W_MAX, show_default=True,
+              type=IntRange(2, W_MAX),  # primitive gates have |w| = 2
+              help=f"max |weight|, 2..{W_MAX}: the crossbar programs "
+                   f"{W_MAX} conductance levels")
 @click.option("-o", "--output", default="tln.json", show_default=True)
 def synth(bench_path, fanin, wmax, output):
     """Compile a gate netlist into a threshold logic network."""
@@ -202,8 +199,8 @@ def map_cmd(tln_path, k, blocks, rows, cols, subarray, fmax, output):
                         f_max=fmax)
     try:
         design = map_design(tln, net, cfg,
-                            fanin_limit=doc.get("fanin_limit", 4),
-                            w_max=doc.get("w_max", 6))
+                            fanin_limit=doc.get("fanin_limit", FANIN_LIMIT),
+                            w_max=doc.get("w_max", W_MAX))
     except MappingInfeasible as e:
         _fail(EXIT_CAPACITY, str(e))
     except (ValueError, TypeError) as e:  # a gate or field edited by hand

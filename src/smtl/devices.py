@@ -14,6 +14,9 @@ from importlib import resources
 import numpy as np
 
 UA = 1e-6
+# Distinct conductance levels a memristor is programmed to: the largest
+# |weight| (or bias chunk) one crossbar row holds.
+W_MAX = 6
 
 
 class ReadDisturbError(Exception):
@@ -82,30 +85,30 @@ class DeviceParams:
         return cls.from_json(json.loads(text))
 
 
-def bias_rows(bias, w_max=6):
+def bias_rows(bias):
     """Always-on input rows needed to realize a gate bias."""
-    return math.ceil(abs(bias) / w_max)
+    return math.ceil(abs(bias) / W_MAX)
 
 
-def bias_chunks(bias, w_max=6):
-    """Split a bias into per-row signed conductance levels, |chunk| <= w_max."""
+def bias_chunks(bias):
+    """Split a bias into per-row signed conductance levels, |chunk| <= W_MAX."""
     chunks, rest = [], bias
     while rest:
-        step = max(-w_max, min(w_max, rest))
+        step = max(-W_MAX, min(W_MAX, rest))
         chunks.append(step)
         rest -= step
     return chunks
 
 
-def weight_to_conductance(w, w_max, params):
+def weight_to_conductance(w, params):
     """Map a signed integer weight to the (g_plus, g_minus) conductance pair.
 
-    |w| scales linearly up to 1/R_min at |w| = w_max; the unused polarity
+    |w| scales linearly up to 1/R_min at |w| = W_MAX; the unused polarity
     (and both, for w = 0) sits at the off-state conductance.
     """
-    if abs(w) > w_max:
-        raise ValueError(f"|{w}| exceeds {w_max} conductance levels")
-    g_unit = (1.0 / params.r_memristor_min) / w_max
+    if abs(w) > W_MAX:
+        raise ValueError(f"|{w}| exceeds {W_MAX} conductance levels")
+    g_unit = (1.0 / params.r_memristor_min) / W_MAX
     g_off = 1.0 / params.r_off
     if w > 0:
         return w * g_unit, g_off

@@ -19,7 +19,7 @@ from . import partition
 from .bench import evaluate_many, pack, unpack
 from .devices import (NO_SWITCH, DeviceParams, bias_chunks, std_switch_time,
                       weight_to_conductance)
-from .tlg import W_MAX, evaluate_lowered, input_rows
+from .tlg import evaluate_lowered, input_rows
 
 I_DTCS_BASE = 5e-6        # A per input row, quoted at the 2 uA device threshold
 I_THRESHOLD_REF = 2e-6    # A, device threshold the drive current is sized for
@@ -31,8 +31,7 @@ class TimingViolation(Exception):
     pass
 
 
-def crossbar_net_current(weights, bias, x, params, w_max=W_MAX,
-                         perturb=None):
+def crossbar_net_current(weights, bias, x, params, perturb=None):
     """Net column current for one gate and one input vector.
 
     `perturb` optionally maps each device conductance g to its perturbed
@@ -43,10 +42,10 @@ def crossbar_net_current(weights, bias, x, params, w_max=W_MAX,
     p = perturb or (lambda g: g)
     current = 0.0
     for w, xi in zip(weights, x):
-        gp, gm = weight_to_conductance(w, w_max, params)
+        gp, gm = weight_to_conductance(w, params)
         current += int(bool(xi)) * (p(gp) - p(gm))
-    for chunk in bias_chunks(bias, w_max):
-        gp, gm = weight_to_conductance(chunk, w_max, params)
+    for chunk in bias_chunks(bias):
+        gp, gm = weight_to_conductance(chunk, params)
         current += p(gp) - p(gm)
     return params.delta_v * current
 
@@ -55,15 +54,15 @@ def programmed(low, params, sigma, seeds):
     """Net conductance g+ - g- of every crossbar row of the lowered network
     `low` as programmed under each seed, one row per seed.
 
-    A row of level w holds the pair `weight_to_conductance(w, low.w_max)`,
-    and every device is programmed once: g' = g * (1 + e), e ~ N(0, sigma)
-    drawn by `default_rng(seed)` per node in topological order, its g+
-    devices then its g- devices. At sigma 0 every seed programs g exactly,
-    and one row stands for all of them. Raises ValueError for a level above
-    w_max or a conductance that overflows.
+    A row of level w holds the pair `weight_to_conductance(w)`, and every
+    device is programmed once: g' = g * (1 + e), e ~ N(0, sigma) drawn by
+    `default_rng(seed)` per node in topological order, its g+ devices then
+    its g- devices. At sigma 0 every seed programs g exactly, and one row
+    stands for all of them. Raises ValueError for a level above W_MAX or a
+    conductance that overflows.
     """
     levels, at = np.unique(low.levels, return_inverse=True)
-    pairs = np.array([weight_to_conductance(int(w), low.w_max, params)
+    pairs = np.array([weight_to_conductance(int(w), params)
                       for w in levels]).reshape(-1, 2)[at]
     # a node's first row f and its m rows hold draws 2f .. 2f + 2m - 1
     plus = low.first + np.arange(len(at))
@@ -101,7 +100,7 @@ def simulate_batch(low, words, count, want, net, params, i_threshold_eff=0.0):
 
 
 def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
-                    i_threshold_eff=0.0, w_max=W_MAX):
+                    i_threshold_eff=0.0):
     """Simulate the mapped design through the crossbar current model.
 
     Each device conductance is perturbed once per call (per-device
@@ -115,7 +114,7 @@ def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
     vectors = np.asarray(vectors, dtype=bool)
     count = vectors.shape[0]
     want = pack(evaluate_many(design.source, vectors))
-    low = design.tln.lower(w_max)
+    low = design.tln.lower()
     out, errors = simulate_batch(low, pack(vectors), count, want,
                                  programmed(low, params, sigma, [seed]),
                                  params, i_threshold_eff)

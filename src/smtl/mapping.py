@@ -9,6 +9,7 @@ backward connections, and a barycenter column reorder that maximizes direct
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -269,10 +270,12 @@ def split_fanout(tln, f_max):
     suffices. Primary inputs are left as-is (they have no gate to copy).
     A node's consumer slots are (owner, input position) in owner insertion
     order, then (None, output position); slot i moves to copy
-    i // f_max. The slot index is built once and each copy's slots are
-    appended as the copy is created (copies go last in insertion order, and
-    a node's own slots are never rewritten before it is processed), so the
-    index always equals a full rescan: O(N + E) plus the sort.
+    i // f_max. A copy of n takes the first unused id `n$c1`, `n$c2`, ...,
+    so a second call leaves the first call's copies be. The slot index is
+    built once and each copy's slots are appended as the copy is created
+    (copies go last in insertion order, and a node's own slots are never
+    rewritten before it is processed), so the index always equals a full
+    rescan: O(N + E) plus the sort.
     """
     if f_max < 2:
         raise ValueError("f_max must be >= 2")
@@ -291,8 +294,10 @@ def split_fanout(tln, f_max):
             continue
         n_copies = math.ceil(len(mine) / f_max)
         targets = [nid]
-        for j in range(1, n_copies):
-            cid = f"{nid}$c{j}"
+        fresh = (cid for cid in (f"{nid}$c{j}" for j in itertools.count(1))
+                 if cid not in tln.nodes and cid not in slots)
+        for _ in range(1, n_copies):
+            cid = next(fresh)
             cnode = tln.add_node(cid, node.gate, is_buffer=node.is_buffer)
             cnode.level, cnode.stage = node.level, node.stage
             for pos, src in enumerate(node.gate.inputs):

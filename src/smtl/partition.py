@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .devices import bias_rows
-from .tlg import W_MAX
 
 # geometry defaults: 4F^2 per 1T1M cell at F = 45 nm, 20% periphery per
 # block, one cell-row of interconnect per unit route length
@@ -24,38 +23,34 @@ class MappingInfeasible(Exception):
     """The design does not fit the given hardware (rows, blocks, budgets)."""
 
 
-def gate_rows(gate):
-    """The input rows a gate occupies: one per distinct source, keyed by
-    it, and (None, j) for each always-on bias row, as many as the crossbar
-    programs (`bias_chunks` at W_MAX). The gates of a block share both
-    kinds, so a block needs their union (`block_rows`)."""
-    return set(gate.inputs).union(
-        (None, j) for j in range(bias_rows(gate.bias, W_MAX)))
-
-
 def block_rows(gates):
-    """Input rows of a block holding `gates`."""
-    return len(set().union(*map(gate_rows, gates)))
+    """Input rows of a block holding `gates`: one per distinct source, plus
+    the always-on bias rows, which the gates share, so as many as the
+    largest `bias_rows` among them."""
+    return (len({src for gate in gates for src in gate.inputs})
+            + max((bias_rows(gate.bias) for gate in gates), default=0))
 
 
 def rebin(node_ids, tln, rows, cols):
     """Greedy binning of a stage's nodes into blocks of rows x cols.
 
-    A block closes when its columns fill up or its rows (`gate_rows`)
+    A block closes when its columns fill up or its rows (`block_rows`)
     would exceed the row budget.
     """
-    blocks, cur, used = [], [], set()
+    blocks, cur, used, bias = [], [], set(), 0
     for nid in node_ids:
-        mine = gate_rows(tln.nodes[nid].gate)
-        if len(mine) > rows:
-            raise MappingInfeasible(f"node {nid} needs {len(mine)} rows, "
-                                    f"block has {rows}")
-        grown = used | mine
-        if cur and (len(cur) >= cols or len(grown) > rows):
+        gate = tln.nodes[nid].gate
+        mine, need = set(gate.inputs), bias_rows(gate.bias)
+        if len(mine) + need > rows:
+            raise MappingInfeasible(f"node {nid} needs {len(mine) + need} "
+                                    f"rows, block has {rows}")
+        if cur and (len(cur) >= cols
+                    or len(used | mine) + max(bias, need) > rows):
             blocks.append(cur)
-            cur, grown = [], mine
+            cur, used, bias = [], set(), 0
         cur.append(nid)
-        used = grown
+        used |= mine
+        bias = max(bias, need)
     if cur:
         blocks.append(cur)
     return blocks

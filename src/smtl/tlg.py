@@ -17,13 +17,9 @@ import numpy as np
 
 from . import graph
 from .bench import MUX_WORDS, TABLE_FAN_IN_LIMIT, mux, pack, unpack
-from .devices import bias_chunks
+from .devices import W_MAX, bias_chunks
 
 FANIN_LIMIT = 4
-W_MAX = 6
-# Largest w_max the CLI accepts: the solver lattice holds (2*w_max+1)^n
-# weight vectors with 2^n row sums each, 83,521 x 16 at 8 and fan-in 4.
-W_MAX_LIMIT = 8
 
 
 class NotThreshold:
@@ -139,7 +135,7 @@ def bias_bound(n, w_max=W_MAX):
 # Weight lattice per (n, w_max): all weight vectors sorted by (sum|w|, vector),
 # their row-sum matrix, and for the solver that matrix transposed to
 # (2^n, vectors) in the narrowest signed type holding +-bias_bound: int8 up
-# to n * w_max = 126, so at fan-in 4 and W_MAX_LIMIT, where |s| <= 32.
+# to n * w_max = 126, so at fan-in 4 and W_MAX, where |s| <= 24.
 # Cached because the greedy collapse in synthesis calls solve_weights many
 # times.
 _lattice_cache = {}
@@ -245,7 +241,6 @@ class Lowered:
 
     n_inputs: int
     n_signals: int
-    w_max: int
     levels: np.ndarray
     first: np.ndarray
     # per (ASAP level, fan-in k), in level order: node signals (G,), input
@@ -369,9 +364,9 @@ class ThresholdLogicNetwork:
         self.assign_levels()
         return max((n.level for n in self.nodes.values()), default=0)
 
-    def lower(self, w_max=W_MAX):
+    def lower(self):
         """Lower the network once for `evaluate_lowered`: signals, crossbar
-        rows (weights, then the `bias_chunks` of the bias at w_max) and
+        rows (weights, then the `bias_chunks` of the bias) and
         the (ASAP level, fan-in) groups. Raises ValueError for a gate above
         TABLE_FAN_IN_LIMIT inputs."""
         order = self.topological_order()
@@ -385,7 +380,7 @@ class ThresholdLogicNetwork:
                 raise ValueError(f"node {nid}: fan-in {k} above "
                                  f"{TABLE_FAN_IN_LIMIT} cannot be tabulated")
             row = len(levels)
-            chunks = bias_chunks(gate.bias, w_max)
+            chunks = bias_chunks(gate.bias)
             levels += gate.weights
             levels += chunks
             first += [row] * (k + len(chunks))
@@ -405,7 +400,6 @@ class ThresholdLogicNetwork:
         return Lowered(
             n_inputs=len(self.inputs),
             n_signals=len(index),
-            w_max=w_max,
             levels=np.array(levels, dtype=np.int64),
             first=np.array(first, dtype=np.intp),
             groups=tuple(columns(groups[key], key[1])
@@ -465,7 +459,12 @@ class ThresholdLogicNetwork:
             if not all(type(w) is int for w in gate.weights + (gate.bias,)):
                 raise ValueError(f"node {n['id']!r}: weights and bias must "
                                  f"be integers")
-            node = TLGNode(n["id"], gate, is_buffer=n.get("is_buffer", False))
+            is_buffer = n.get("is_buffer", False)
+            if type(is_buffer) is not bool or (
+                    is_buffer and gate != buffer_gate(gate.inputs[0])):
+                raise ValueError(f"node {n['id']!r}: is_buffer must be a "
+                                 f"bool, true only on a buffer gate")
+            node = TLGNode(n["id"], gate, is_buffer=is_buffer)
             node.level = n.get("level", 0)
             node.stage = n.get("stage", 0)
             tln.nodes[n["id"]] = node

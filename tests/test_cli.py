@@ -111,6 +111,21 @@ def test_map_counts_bias_rows_as_the_crossbar_programs_them(runner, tmp_path,
     assert json.loads(Path(rep).read_text())["errors"] == 0
 
 
+def test_map_splits_fanout_twice_under_a_block_budget(runner, tmp_path):
+    # the second fan-out split named its copies "236$c1" again, so a valid
+    # file exited 1 with "bad TLN file ...: duplicate node id '236$c1'"
+    tln, mapped = str(tmp_path / "t.json"), tmp_path / "m.json"
+    r = runner.invoke(main, ["synth", "--bench", C432, "--fanin", "3",
+                             "-o", tln])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["map", "--tln", tln, "--levels-per-stage", "2",
+                             "--cols", "32", "--blocks", "1", "--fmax", "3",
+                             "-o", str(mapped)])
+    assert r.exit_code == 3, r.output
+    assert r.output == "error: stage 1: 2 blocks > 1 blocks per stage\n"
+    assert not mapped.exists()
+
+
 def test_map_bad_subarray_spec(runner, artifacts, tmp_path):
     r = runner.invoke(main, ["map", "--tln", artifacts["tln"],
                              "--subarray", "64by32",
@@ -420,15 +435,16 @@ def test_sweep_infeasible_subarray_exit_code(runner, artifacts, tmp_path):
 
 
 def test_synth_caps_wmax(runner, tmp_path):
-    from smtl.tlg import W_MAX_LIMIT
+    from smtl.tlg import W_MAX
 
     out = tmp_path / "t.json"
-    r = runner.invoke(main, ["synth", "--bench", C17, "--wmax",
-                             str(W_MAX_LIMIT + 1), "-o", str(out)])
-    _assert_input_error(r, "--wmax")
-    assert not out.exists()
+    for wmax in (W_MAX + 1, 8):  # weights the crossbar cannot program
+        r = runner.invoke(main, ["synth", "--bench", C17, "--wmax",
+                                 str(wmax), "-o", str(out)])
+        _assert_input_error(r, "--wmax")
+        assert not out.exists()
     r = runner.invoke(main, ["synth", "--bench", C17, "--fanin", "2",
-                             "--wmax", str(W_MAX_LIMIT), "-o", str(out)])
+                             "--wmax", str(W_MAX), "-o", str(out)])
     assert r.exit_code == 0, r.output
 
 
@@ -616,7 +632,11 @@ def _first_node(**fields):
     (_first_node(weights=[7, 7]), "weight magnitude"),
     (_first_node(weights=[0, 0]), "zero weight"),
     (lambda doc: doc.update(w_max="6"), "bad TLN file"),
-    (lambda doc: doc["tln"].update(outputs=["ghost"]), "unresolved")])
+    (lambda doc: doc["tln"].update(outputs=["ghost"]), "unresolved"),
+    # node 11 is a NAND: stripped as a buffer, it mapped and then failed
+    # 18 vectors at sigma 0
+    (_first_node(is_buffer=True), "true only on a buffer gate"),
+    (_first_node(is_buffer=1), "is_buffer must be a bool")])
 def test_map_rejects_a_hand_edited_tln(runner, artifacts, tmp_path, edit,
                                        message):
     # each ended in a ValueError or TypeError traceback

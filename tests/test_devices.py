@@ -64,30 +64,30 @@ def test_bias_chunks():
 # --- conductances ---------------------------------------------------------
 
 def test_full_weight_hits_r_min(params):
-    gp, gm = weight_to_conductance(6, 6, params)
+    gp, gm = weight_to_conductance(6, params)
     assert gp == pytest.approx(1.0 / 50e3)           # 20 uS
     assert gm == pytest.approx(1.0 / 10e6)           # off-state leak
 
 
 def test_unit_weight_proportional(params):
-    gp, _ = weight_to_conductance(1, 6, params)
+    gp, _ = weight_to_conductance(1, params)
     assert gp == pytest.approx(1.0 / 300e3)          # 3.33 uS
 
 
 def test_negative_weight_uses_minus_side(params):
-    gp, gm = weight_to_conductance(-4, 6, params)
+    gp, gm = weight_to_conductance(-4, params)
     assert gm == pytest.approx(4.0 / (6 * 50e3))
     assert gp == pytest.approx(1.0 / 10e6)
 
 
 def test_zero_weight_both_off(params):
-    gp, gm = weight_to_conductance(0, 6, params)
+    gp, gm = weight_to_conductance(0, params)
     assert gp == gm == pytest.approx(1.0 / 10e6)
 
 
 def test_overweight_rejected(params):
     with pytest.raises(ValueError):
-        weight_to_conductance(7, 6, params)
+        weight_to_conductance(7, params)
 
 
 # --- switching ------------------------------------------------------------

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from smtl import devices, evaluate, graph, mapping, partition, synthesis, tlg
 from smtl.bench import (BenchError, BooleanNetwork, evaluate_many, load_bench,
@@ -140,8 +140,10 @@ def ref_split_fanout(tln, f_max):
             continue
         n_copies = math.ceil(len(slots) / f_max)
         targets = [nid]
-        for j in range(1, n_copies):
-            cid = f"{nid}$c{j}"
+        names = (f"{nid}$c{j}" for j in itertools.count(1))
+        for _ in range(1, n_copies):
+            cid = next(c for c in names
+                       if c not in tln.nodes and c not in tln.inputs)
             cnode = tln.add_node(cid, node.gate, is_buffer=node.is_buffer)
             cnode.level, cnode.stage = node.level, node.stage
             targets.append(cid)
@@ -258,25 +260,25 @@ def ref_tln_evaluate_many(tln, vectors):
     return np.column_stack([vals[o] for o in tln.outputs])
 
 
-def ref_programmed(design, params, w_max=W_MAX):
+def ref_programmed(design, params):
     table = []
     for nid in design.tln.topological_order():
         gate = design.tln.nodes[nid].gate
-        levels = list(gate.weights) + bias_chunks(gate.bias, w_max)
+        levels = list(gate.weights) + bias_chunks(gate.bias)
         gp = np.empty(len(levels))
         gm = np.empty(len(levels))
         for i, w in enumerate(levels):
-            gp[i], gm[i] = weight_to_conductance(w, w_max, params)
+            gp[i], gm[i] = weight_to_conductance(w, params)
         table.append((nid, gate.inputs, len(gate.weights), gp, gm))
     return table
 
 
 def ref_simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
-                        i_threshold_eff=0.0, w_max=W_MAX):
+                        i_threshold_eff=0.0):
     params = params or DeviceParams()
     vectors = np.asarray(vectors, dtype=bool)
     rng = np.random.default_rng(seed)
-    prog = ref_programmed(design, params, w_max)
+    prog = ref_programmed(design, params)
     vals = {name: vectors[:, i] for i, name in enumerate(design.tln.inputs)}
     indeterminate = np.zeros(vectors.shape[0], dtype=bool)
     for nid, inputs, n_in, gp, gm in prog:
@@ -758,11 +760,14 @@ LAYERED = st.builds(generated_netlist, seed=st.integers(0, 99),
 @settings(derandomize=True, max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(net=st.one_of(small_netlists(), LAYERED), fanin=st.integers(2, 4),
-       k=st.integers(1, 3), cols=st.sampled_from((4, 8, 16, 32)))
+       k=st.integers(1, 3), cols=st.sampled_from((4, 8, 16, 32)),
+       f_max=st.sampled_from((2, 3, 8)), blocks=st.sampled_from((1, 2)))
+# the second fan-out split reused the first one's copy ids
+@example(net=generated_netlist(0), fanin=3, k=3, cols=32, f_max=2, blocks=2)
 def test_capacity_limited_map_is_exact_or_infeasible(net, fanin, k, cols,
-                                                     deadline):
+                                                     f_max, blocks, deadline):
     tln = synthesize_tln(net, fanin_limit=fanin)
-    cfg = MappingConfig(k=k, cols=cols, blocks_per_stage=1)
+    cfg = MappingConfig(k=k, cols=cols, blocks_per_stage=blocks, f_max=f_max)
     vectors = input_rows(len(net.inputs))
     # the sweep alone: every stage fits, buffers included, or it says which
     # stage could not keep a node
@@ -775,7 +780,7 @@ def test_capacity_limited_map_is_exact_or_infeasible(net, fanin, k, cols,
             assert "pass-through" in str(e)
         else:
             load = Counter(n.stage for n in staged.nodes.values())
-            assert max(load.values(), default=0) <= cols
+            assert max(load.values(), default=0) <= cols * blocks
             assert (staged.evaluate_many(vectors) ==
                     tln.evaluate_many(vectors)).all()
     # the whole map
@@ -846,7 +851,7 @@ def test_batched_simulation_with_many_bias_rows_matches_reference():
     tln.add_node("y", ThresholdGate(("a", "b"), (2, 2), -3))
     tln.add_node("z", ThresholdGate(("a", "b"), (6, 2), -51))
     design = map_design(tln, net, MappingConfig(k=1, rows=16))
-    assert len(bias_chunks(-51, W_MAX)) == 9
+    assert len(bias_chunks(-51)) == 9
     params = DeviceParams()
     vectors = input_rows(2)
     out, errors = _batch(design, vectors, 0.5, BATCH_SEEDS, params)
@@ -987,7 +992,7 @@ def _n4_tables(count, seed):
 
 @pytest.mark.parametrize("w_max", (2, 3, 6, 8))
 def test_solve_weights_matches_int64_reference(w_max):
-    # w_max 8 is W_MAX_LIMIT, where row sums reach +-32 and bounds +-33
+    # at w_max 8 row sums reach +-32 and bounds +-33
     tables = [t for n in range(1, 4) for t in _tables(n)]
     tables += _n4_tables(120 if w_max == 8 else 400, seed=w_max)
     feasible = 0
