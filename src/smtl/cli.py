@@ -145,11 +145,8 @@ def synth(bench_path, fanin, wmax, output):
         _fail(EXIT_INPUT, f"{bench_path}: no outputs, so no gates to "
                           f"synthesize")
     tln = synthesize_tln(net, fanin_limit=fanin, w_max=wmax)
-    n_inputs = len(net.inputs)
-    if n_inputs <= 20:
-        ok, ce = verify_equivalence(net, tln, "exhaustive")
-    else:
-        ok, ce = verify_equivalence(net, tln, "sampled", count=10_000, seed=0)
+    ok, ce = verify_equivalence(
+        net, tln, count=None if len(net.inputs) <= 20 else 10_000)
     if not ok:
         _fail(EXIT_EQUIV, f"synthesized network is not equivalent: {ce}")
     doc = {"tln": tln.to_json(), "source": net.to_json(),
@@ -195,12 +192,16 @@ def map_cmd(tln_path, k, blocks, rows, cols, subarray, fmax, output):
             _fail(EXIT_INPUT, f"bad --subarray {subarray!r}, expected RxC "
                               f"with R and C at least 1")
     tln, net, doc = _load_tln(tln_path)
+    limits = {}
+    for name, top in (("fanin_limit", FANIN_LIMIT), ("w_max", W_MAX)):
+        value = limits[name] = doc.get(name, top)
+        if type(value) is not int or not 2 <= value <= top:  # synth's ranges
+            _fail(EXIT_INPUT, f"bad TLN file {tln_path}: {name} must be a "
+                              f"whole number in 2..{top}, got {value!r}")
     cfg = MappingConfig(k=k, rows=rows, cols=cols, blocks_per_stage=blocks,
                         f_max=fmax)
     try:
-        design = map_design(tln, net, cfg,
-                            fanin_limit=doc.get("fanin_limit", FANIN_LIMIT),
-                            w_max=doc.get("w_max", W_MAX))
+        design = map_design(tln, net, cfg, **limits)
     except MappingInfeasible as e:
         _fail(EXIT_CAPACITY, str(e))
     except (ValueError, TypeError) as e:  # a gate or field edited by hand

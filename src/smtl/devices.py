@@ -23,16 +23,6 @@ class ReadDisturbError(Exception):
     """Sense current would move the domain wall."""
 
 
-class NoSwitch:
-    """Sentinel: net current below the device threshold, no transition."""
-
-    def __repr__(self):
-        return "NoSwitch"
-
-
-NO_SWITCH = NoSwitch()
-
-
 @dataclass
 class DeviceParams:
     i_threshold: float = 2e-6        # A, minimum current to move the wall
@@ -118,12 +108,13 @@ def weight_to_conductance(w, params):
 
 
 def std_switch_time(i_net, params):
-    """Domain-wall transit time for a net drive current, or NO_SWITCH.
+    """Domain-wall transit time for a net drive current, or None below the
+    threshold current (no transition).
 
     Linear speed-current model: t = t_ref * I_th / |I|.
     """
     if abs(i_net) < params.i_threshold:
-        return NO_SWITCH
+        return None
     return params.t_switch_ref * params.i_threshold / abs(i_net)
 
 

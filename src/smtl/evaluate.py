@@ -17,7 +17,7 @@ import numpy as np
 
 from . import partition
 from .bench import evaluate_many, pack, unpack
-from .devices import (NO_SWITCH, DeviceParams, bias_chunks, std_switch_time,
+from .devices import (DeviceParams, bias_chunks, std_switch_time,
                       weight_to_conductance)
 from .tlg import evaluate_lowered, input_rows
 
@@ -210,7 +210,7 @@ def delay_report(design, params, i_dtcs_base=I_DTCS_BASE):
     period = 1.0 / params.f_clk
     drive = drive_current(params, k, i_dtcs_base) / k
     t_sw = std_switch_time(drive, params)
-    if t_sw is NO_SWITCH:
+    if t_sw is None:
         raise TimingViolation(
             f"drive current {drive * 1e6:.2f} uA below device threshold"
         )

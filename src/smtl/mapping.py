@@ -1,8 +1,9 @@
 """Map a threshold logic network onto pipelined crossbar-array hardware.
 
-Passes, in pipeline order: ASAP stage assignment, path-equalizing buffer
-insertion, per-stage capacity enforcement, heavy fan-out splitting, binning
-into fixed-size crossbar blocks, absorption of underfilled stages via
+Passes, in pipeline order, each run once: ASAP stage assignment, per-stage
+capacity enforcement (on the columns the next two passes build),
+path-equalizing buffer insertion, heavy fan-out splitting, binning into
+fixed-size crossbar blocks, absorption of underfilled stages via
 backward connections, and a barycenter column reorder that maximizes direct
 (face-to-face) links. Every public entry point ends with `validate`.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import partition
@@ -218,16 +220,30 @@ def _bump_level(tln, nid, new_level, k, cons):
     return moved
 
 
+def _stage_columns(tln, cfg):
+    """Columns per stage once buffered and split: `insert_buffers` and
+    `split_fanout` themselves, run on a copy."""
+    out = tln.copy()
+    insert_buffers(out, cfg.k)
+    split_fanout(out, cfg.f_max)
+    return Counter(n.stage for n in out.nodes.values())
+
+
 def enforce_capacity(tln, cfg):
     """Defer overflowing nodes to later stages in one forward sweep.
 
-    Stage s holds its nodes plus one buffer per value made before s and
-    read after s (`insert_buffers`' chain rule). Deferring a node moves only
-    it and its descendants, adding load to s and later stages, never to an
-    earlier one, so each stage is settled once with buffers stripped, and
-    buffers are re-inserted at the end. Victims: nodes whose consumers all
-    skip the next stage first, then lowest fan-in, then insertion order. A
-    stage left with no node is infeasible: at most one stage per node.
+    Runs on the unbuffered network, before `insert_buffers` and
+    `split_fanout` (buffers a hand-edited TLN carries are stripped). Stage
+    s's load is the columns it takes after those passes: its nodes, one
+    buffer per value made before s and read after s, and the fan-out copies.
+    Nodes plus pass-through values never exceed that count and decide most
+    deferrals; only a stage they fit is checked against the real count,
+    taken by `_stage_columns` and retaken after each deferral. Deferring a
+    node moves only it and its descendants, adding load to s and later
+    stages, never to an earlier one, so each stage is settled once. Victims:
+    nodes whose consumers all skip the next stage first, then lowest
+    fan-in, then insertion order. A stage left with no node is infeasible:
+    at most one stage per node.
     """
     if cfg.blocks_per_stage is None:
         return
@@ -237,6 +253,7 @@ def enforce_capacity(tln, cfg):
     order = {nid: i for i, nid in enumerate(nodes)}
     cons = tln.consumers()
     last = max((n.stage for n in nodes.values()), default=0)
+    columns = None  # real columns per stage, None once a deferral stales it
     s = 1
     while s <= last:
         load = {nid for nid, n in nodes.items() if n.stage == s}
@@ -248,19 +265,24 @@ def enforce_capacity(tln, cfg):
                 nodes[c].stage >= s + 2 for c in cons[nid])
             return (not skips_next, nodes[nid].gate.fan_in, order[nid])
 
-        while load and len(load) + len(through) > cap:
+        while load:
+            if len(load) + len(through) <= cap:
+                if columns is None:
+                    columns = _stage_columns(tln, cfg)
+                if columns[s] <= cap:
+                    break
             victim = min(load, key=key)
             for nid in _bump_level(tln, victim, s * cfg.k + 1, cfg.k, cons):
                 load.discard(nid)
                 last = max(last, nodes[nid].stage)
                 through.update(src for src in nodes[nid].gate.inputs
                                if _stage_of(tln, src) < s)
+            columns = None
         if not load:
             raise MappingInfeasible(
                 f"stage {s} left with no node: {len(through)} pass-through "
                 f"values, budget {cap} columns")
         s += 1
-    insert_buffers(tln, cfg.k)
 
 
 def split_fanout(tln, f_max):
@@ -528,12 +550,9 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
     cfg = config or MappingConfig()
     tln = tln.copy()
     assign_stages(tln, cfg.k)
-    insert_buffers(tln, cfg.k)
     enforce_capacity(tln, cfg)
+    insert_buffers(tln, cfg.k)
     split_fanout(tln, cfg.f_max)
-    if cfg.blocks_per_stage is not None:
-        enforce_capacity(tln, cfg)
-        split_fanout(tln, cfg.f_max)
 
     design = MappedDesign(config=cfg, tln=tln, source=source)
     design.input_blocks = [

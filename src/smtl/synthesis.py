@@ -16,9 +16,7 @@ from . import graph
 from .bench import evaluate_many
 from .tlg import (
     FANIN_LIMIT,
-    NOT_THRESHOLD,
     W_MAX,
-    NotThreshold,
     ThresholdGate,
     ThresholdLogicNetwork,
     buffer_gate,
@@ -216,7 +214,7 @@ def collapse_tln(tln, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
         if table not in solved:
             solved[table] = solve_weights(table, w_max, fanin_limit)
         gate = solved[table]
-        if isinstance(gate, NotThreshold):
+        if gate is None:
             continue
         keep = [(s, w) for s, w in zip(support, gate.weights) if w != 0]
         if not keep:
@@ -257,8 +255,9 @@ def _prune_dead(tln):
 exhaustive_vectors = sampled_vectors = input_rows
 
 
-def verify_equivalence(net, tln, mode="exhaustive", count=10_000, seed=0):
-    """Compare a Boolean network against a threshold network.
+def verify_equivalence(net, tln, count=None, seed=0):
+    """Compare a Boolean network against a threshold network on
+    `input_rows(n, count, seed)`: every row when `count` is None.
 
     Returns (ok, counterexample) where the counterexample holds the failing
     input vector and both output vectors.
@@ -267,12 +266,7 @@ def verify_equivalence(net, tln, mode="exhaustive", count=10_000, seed=0):
         raise ValueError("primary input mismatch")
     if len(net.outputs) != len(tln.outputs):
         raise ValueError("primary output arity mismatch")
-    if mode == "exhaustive":
-        vectors = input_rows(len(net.inputs))
-    elif mode == "sampled":
-        vectors = input_rows(len(net.inputs), count, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    vectors = input_rows(len(net.inputs), count, seed)
     want = evaluate_many(net, vectors)
     got = tln.evaluate_many(vectors)
     bad = (want != got).any(axis=1).nonzero()[0]

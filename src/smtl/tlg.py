@@ -22,16 +22,6 @@ from .devices import W_MAX, bias_chunks
 FANIN_LIMIT = 4
 
 
-class NotThreshold:
-    """Sentinel: the requested truth table is not a threshold function."""
-
-    def __repr__(self):
-        return "NotThreshold"
-
-
-NOT_THRESHOLD = NotThreshold()
-
-
 @dataclass(frozen=True)
 class ThresholdGate:
     """Integer-weight threshold gate.
@@ -163,7 +153,8 @@ def _lattice(n, w_max):
 
 
 def solve_weights(table, w_max=W_MAX, fanin_limit=FANIN_LIMIT):
-    """Find integer weights/bias realizing `table`, or NOT_THRESHOLD.
+    """Find integer weights/bias realizing `table`, or None when `table` is
+    not a threshold function.
 
     Exhaustive search over the bounded integer lattice with the margin >= 1
     requirement on every row. Deterministic tie-break: smallest sum of
@@ -189,7 +180,7 @@ def solve_weights(table, w_max=W_MAX, fanin_limit=FANIN_LIMIT):
         hi = np.minimum(hi, -1 - rows[~t].max(axis=0).astype(wide))
     feasible = lo <= hi
     if not feasible.any():
-        return NOT_THRESHOLD
+        return None
     idx = int(np.argmax(feasible))
     b = _pick_bias(int(lo[idx]), int(hi[idx]))
     return ThresholdGate(

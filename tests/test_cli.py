@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from smtl.cli import main
+from smtl.mapping import MappedDesign, validate
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 C17 = str(BENCH_DIR / "c17.bench")
@@ -113,17 +114,25 @@ def test_map_counts_bias_rows_as_the_crossbar_programs_them(runner, tmp_path,
 
 def test_map_splits_fanout_twice_under_a_block_budget(runner, tmp_path):
     # the second fan-out split named its copies "236$c1" again, so a valid
-    # file exited 1 with "bad TLN file ...: duplicate node id '236$c1'"
-    tln, mapped = str(tmp_path / "t.json"), tmp_path / "m.json"
+    # file exited 1 with "bad TLN file ...: duplicate node id '236$c1'";
+    # then its copies went uncounted and the map exited 3 with "stage 1: 2
+    # blocks > 1 blocks per stage"
+    tln, mapped = str(tmp_path / "t.json"), str(tmp_path / "m.json")
     r = runner.invoke(main, ["synth", "--bench", C432, "--fanin", "3",
                              "-o", tln])
     assert r.exit_code == 0, r.output
     r = runner.invoke(main, ["map", "--tln", tln, "--levels-per-stage", "2",
                              "--cols", "32", "--blocks", "1", "--fmax", "3",
-                             "-o", str(mapped)])
-    assert r.exit_code == 3, r.output
-    assert r.output == "error: stage 1: 2 blocks > 1 blocks per stage\n"
-    assert not mapped.exists()
+                             "-o", mapped])
+    assert r.exit_code == 0, r.output
+    design = MappedDesign.from_json(json.loads(Path(mapped).read_text()))
+    assert validate(design, fanin_limit=3)
+    assert all(len(blks) == 1 for blks in design.blocks.values())
+    report = tmp_path / "r.json"
+    r = runner.invoke(main, ["evaluate", "--mapped", mapped, "--sigma", "0",
+                             "--report", str(report)])
+    assert r.exit_code == 0, r.output
+    assert json.loads(report.read_text())["errors"] == 0
 
 
 def test_map_bad_subarray_spec(runner, artifacts, tmp_path):
@@ -636,7 +645,12 @@ def _first_node(**fields):
     # node 11 is a NAND: stripped as a buffer, it mapped and then failed
     # 18 vectors at sigma 0
     (_first_node(is_buffer=True), "true only on a buffer gate"),
-    (_first_node(is_buffer=1), "is_buffer must be a bool")])
+    (_first_node(is_buffer=1), "is_buffer must be a bool"),
+    # mapped at the file's own bounds, then evaluate exited 1 with "|-7|
+    # exceeds 6 conductance levels"
+    (lambda doc: (doc.update(w_max=8),
+                  _first_node(weights=[-7, -7], bias=10)(doc)), "w_max"),
+    (lambda doc: doc.update(fanin_limit=9), "fanin_limit")])
 def test_map_rejects_a_hand_edited_tln(runner, artifacts, tmp_path, edit,
                                        message):
     # each ended in a ValueError or TypeError traceback

@@ -9,8 +9,6 @@ import pytest
 from smtl.devices import (
     DeviceParams,
     K_WRITE,
-    NO_SWITCH,
-    NoSwitch,
     ReadDisturbError,
     bias_chunks,
     bias_rows,
@@ -102,9 +100,7 @@ def test_switch_time_linear(params):
 
 
 def test_subthreshold_no_switch(params):
-    t = std_switch_time(1 * UA, params)
-    assert t is NO_SWITCH
-    assert isinstance(t, NoSwitch)
+    assert std_switch_time(1 * UA, params) is None
 
 
 # --- MTJ read-out ---------------------------------------------------------

@@ -159,9 +159,9 @@ def _capacity_tln(skip_consumer):
 def test_capacity_moves_stage_skipping_node_first():
     tln = assign_stages(_capacity_tln(skip_consumer=True), k=2)
     want = tln.evaluate_many(exhaustive_vectors(3))
-    insert_buffers(tln, k=2)
     cfg = MappingConfig(k=2, cols=7, blocks_per_stage=1)
     enforce_capacity(tln, cfg)
+    insert_buffers(tln, k=2)
     # the node feeding only a later stage was deferred, its peers stayed
     assert tln.nodes["u5"].stage == 2
     assert all(tln.nodes[n].stage == 1
@@ -173,7 +173,6 @@ def test_capacity_moves_stage_skipping_node_first():
 
 def test_capacity_noop_when_under_capacity():
     tln = assign_stages(_capacity_tln(skip_consumer=True), k=2)
-    insert_buffers(tln, k=2)
     stages = {nid: n.stage for nid, n in tln.nodes.items()}
     enforce_capacity(tln, MappingConfig(k=2, cols=32, blocks_per_stage=1))
     assert {nid: n.stage for nid, n in tln.nodes.items()} == stages
@@ -181,7 +180,6 @@ def test_capacity_noop_when_under_capacity():
 
 def test_capacity_noop_when_blocks_unbounded():
     tln = assign_stages(_capacity_tln(skip_consumer=True), k=2)
-    insert_buffers(tln, k=2)
     stages = {nid: n.stage for nid, n in tln.nodes.items()}
     enforce_capacity(tln, MappingConfig(k=2, cols=2, blocks_per_stage=None))
     assert {nid: n.stage for nid, n in tln.nodes.items()} == stages
@@ -190,8 +188,8 @@ def test_capacity_noop_when_blocks_unbounded():
 def test_capacity_tie_break_lowest_insertion_order():
     tln = assign_stages(_capacity_tln(skip_consumer=False), k=2)
     want = tln.evaluate_many(exhaustive_vectors(3))
-    insert_buffers(tln, k=2)
     enforce_capacity(tln, MappingConfig(k=2, cols=7, blocks_per_stage=1))
+    insert_buffers(tln, k=2)
     assert tln.nodes["r1"].stage == 2      # first-inserted node moved
     assert tln.nodes["r2"].stage == 1 and tln.nodes["r3"].stage == 1
     assert (tln.evaluate_many(exhaustive_vectors(3)) == want).all()
@@ -384,9 +382,7 @@ def test_map_design_c432_validates(c432_mapped):
 def test_map_design_equivalent_after_mapping(c432, c432_mapped):
     from smtl.synthesis import verify_equivalence
 
-    ok, _ = verify_equivalence(
-        c432, c432_mapped.tln, "sampled", count=2_000, seed=3
-    )
+    ok, _ = verify_equivalence(c432, c432_mapped.tln, count=2_000, seed=3)
     assert ok
 
 

@@ -168,7 +168,7 @@ def test_collapse_in_place_counts():
 def test_c17_synthesis_small_and_exact(c17, c17_tln):
     assert len(c17_tln.nodes) <= 6
     assert c17_tln.max_fan_in() <= 4
-    ok, ce = verify_equivalence(c17, c17_tln, "exhaustive")
+    ok, ce = verify_equivalence(c17, c17_tln)
     assert ok and ce is None
 
 
@@ -177,7 +177,7 @@ def test_c432_synthesis_constraints(c432, c432_tln):
     for node in c432_tln.nodes.values():
         assert all(1 <= abs(w) <= 6 for w in node.gate.weights)
         assert gate_margin(node.gate) >= 1
-    ok, _ = verify_equivalence(c432, c432_tln, "sampled", count=10_000, seed=0)
+    ok, _ = verify_equivalence(c432, c432_tln, count=10_000, seed=0)
     assert ok
 
 
@@ -195,7 +195,7 @@ def test_verify_catches_mutation(c17, c17_tln):
     broken.nodes[nid].gate = ThresholdGate(
         g.inputs, (-g.weights[0],) + g.weights[1:], g.bias
     )
-    ok, ce = verify_equivalence(c17, broken, "exhaustive")
+    ok, ce = verify_equivalence(c17, broken)
     assert not ok
     assert ce is not None and len(ce["vector"]) == 5
     assert ce["expected"] != ce["got"]
@@ -203,13 +203,11 @@ def test_verify_catches_mutation(c17, c17_tln):
 
 def test_verify_identity():
     net, tln = _synth_single("INPUT(a)\nOUTPUT(a)\n")
-    ok, _ = verify_equivalence(net, tln, "exhaustive")
+    ok, _ = verify_equivalence(net, tln)
     assert ok
 
 
 def test_verify_interface_checks(c17, c17_tln):
-    with pytest.raises(ValueError):
-        verify_equivalence(c17, c17_tln, "telepathy")
     other = copy.deepcopy(c17_tln)
     other.inputs = other.inputs[:-1]
     with pytest.raises(ValueError):

@@ -12,8 +12,6 @@ import random
 import pytest
 
 from smtl.tlg import (
-    NOT_THRESHOLD,
-    NotThreshold,
     ThresholdGate,
     ThresholdLogicNetwork,
     bias_bound,
@@ -120,13 +118,12 @@ def test_solve_or2():
 
 
 def test_solve_xor2_not_threshold():
-    assert isinstance(solve_weights((0, 1, 1, 0)), NotThreshold)
-    assert solve_weights((0, 1, 1, 0)) is NOT_THRESHOLD
+    assert solve_weights((0, 1, 1, 0)) is None
 
 
 def test_solve_parity3_not_threshold():
     table = tuple((bin(r).count("1")) % 2 for r in range(8))
-    assert solve_weights(table) is NOT_THRESHOLD
+    assert solve_weights(table) is None
 
 
 def test_solved_gates_have_margin():
@@ -135,7 +132,7 @@ def test_solved_gates_have_margin():
         n = rng.choice((2, 3, 4))
         table = tuple(rng.randint(0, 1) for _ in range(2 ** n))
         g = solve_weights(table)
-        if isinstance(g, NotThreshold):
+        if g is None:
             continue
         assert truth_table(g) == table
         assert gate_margin(g) >= 1
@@ -148,7 +145,7 @@ def test_solver_matches_reference_all_2_input_tables():
         got = solve_weights(bits)
         want = _naive_solve(bits)
         if want is None:
-            assert got is NOT_THRESHOLD, bits
+            assert got is None, bits
         else:
             assert (got.weights, got.bias) == want, bits
 
@@ -159,7 +156,7 @@ def test_solver_matches_reference_all_3_input_tables():
         got = solve_weights(bits)
         want = _naive_solve(bits)
         if want is None:
-            assert got is NOT_THRESHOLD, bits
+            assert got is None, bits
         else:
             assert (got.weights, got.bias) == want, bits
 
@@ -171,7 +168,7 @@ def test_solver_matches_reference_sampled_4_input_tables():
         got = solve_weights(bits)
         want = _naive_solve(bits)
         if want is None:
-            assert got is NOT_THRESHOLD, bits
+            assert got is None, bits
         else:
             assert (got.weights, got.bias) == want, bits
 
@@ -185,8 +182,8 @@ def test_solver_deterministic():
 def test_solver_w_max_restriction():
     # realizable at w_max=6 but not with weights capped at 1
     table = truth_table(ThresholdGate(("a", "b", "c"), (4, 2, 2), -5))
-    assert not isinstance(solve_weights(table, w_max=6), NotThreshold)
-    assert solve_weights(table, w_max=1) is NOT_THRESHOLD
+    assert solve_weights(table, w_max=6) is not None
+    assert solve_weights(table, w_max=1) is None
 
 
 def test_solver_rejects_bad_tables():
