@@ -4,7 +4,8 @@ The crossbar computes each gate's net current as a dot product of input
 bits with signed conductance pairs; Monte-Carlo conductance perturbation
 models programming inaccuracy. The simulation feeds the programmed net
 conductances of several Monte-Carlo seeds at once to the evaluator ideal
-evaluation uses (`tlg.evaluate_lowered`, on bit-packed vectors). Power
+evaluation uses (`tlg.evaluate_lowered`, on bit-packed vectors), which
+simulates each seed only where it differs from the first row. Power
 splits into crossbar, per-gate detection and routing components.
 """
 
@@ -58,9 +59,11 @@ def programmed(low, params, sigma, seeds):
     device is programmed once: g' = g * (1 + e), e ~ N(0, sigma) drawn by
     `default_rng(seed)` per node in topological order, its g+ devices then
     its g- devices. At sigma 0 every seed programs g exactly, and one row
-    stands for all of them. Raises ValueError for a level above W_MAX or a
-    conductance that overflows.
+    stands for all of them. Raises ValueError for a negative or NaN sigma,
+    a level above W_MAX or a conductance that overflows.
     """
+    if not sigma >= 0.0:  # also NaN
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
     levels, at = np.unique(low.levels, return_inverse=True)
     pairs = np.array([weight_to_conductance(int(w), params)
                       for w in levels]).reshape(-1, 2)[at]
@@ -139,25 +142,31 @@ def variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     """
     if list(sigma_grid) != sorted(sigma_grid):
         raise ValueError("sigma grid must be ascending")
+    if vectors_per_probe < 1 or not len(seeds):
+        raise ValueError(f"variation tolerance needs at least one vector "
+                         f"and one seed, got {vectors_per_probe} vectors "
+                         f"and {len(seeds)} seeds")
     params = params or DeviceParams()
     vectors = input_rows(len(design.tln.inputs), vectors_per_probe,
                          vector_seed)
     count = vectors.shape[0]
-    words = pack(vectors)
     want = pack(evaluate_many(design.source, vectors))
     low = design.tln.lower()
+    # row 0, the unperturbed crossbar, is what every other row overlays
+    nets = [programmed(low, params, sig, seeds)
+            for sig in (0.0, *sigma_grid)]
+    _, errors = simulate_batch(low, pack(vectors), count, want,
+                               np.concatenate(nets), params)
+    ends = np.cumsum([len(net) for net in nets])
     curve = []
     sigma_star = 0.0
     failed = False
-    for sig in sigma_grid:
-        _, errors = simulate_batch(low, words, count, want,
-                                   programmed(low, params, sig, seeds),
-                                   params)
-        errors = np.broadcast_to(errors, len(seeds))
+    for sig, probe in zip(sigma_grid, np.split(errors, ends[:-1])[1:]):
+        probe = np.broadcast_to(probe, len(seeds))
         if early_stop:
-            total = next((int(e) for e in errors if e), 0)
+            total = next((int(e) for e in probe if e), 0)
         else:
-            total = int(errors.sum())
+            total = int(probe.sum())
         curve.append((sig, total))
         if total == 0 and not failed:
             sigma_star = sig

@@ -243,7 +243,8 @@ def enforce_capacity(tln, cfg):
     stages, never to an earlier one, so each stage is settled once. Victims:
     nodes whose consumers all skip the next stage first, then lowest
     fan-in, then insertion order. A stage left with no node is infeasible:
-    at most one stage per node.
+    at most one stage per node. Its message gives the columns that stage's
+    pass-through values and their fan-out copies take.
     """
     if cfg.blocks_per_stage is None:
         return
@@ -281,7 +282,9 @@ def enforce_capacity(tln, cfg):
         if not load:
             raise MappingInfeasible(
                 f"stage {s} left with no node: {len(through)} pass-through "
-                f"values, budget {cap} columns")
+                f"values and their fan-out copies take "
+                f"{_stage_columns(tln, cfg)[s]} columns, budget {cap} "
+                f"columns")
         s += 1
 
 

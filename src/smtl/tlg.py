@@ -249,23 +249,38 @@ def evaluate_lowered(low, words, net, band=None):
 
     A node fires iff its bias rows plus its weight rows on, summed by
     `threshold_step` in that order, are >= 0. Per (level, fan-in) group
-    every node's 2^k-row truth table is built at once and a mux tree
-    applies it to the words, chunked to MUX_WORDS words. With `band`, a
-    predicate on those sums, the vectors that reach a node on a row where
-    it holds are flagged too. Returns the output words (S, n_outputs, W)
-    and the flagged words (S, W).
+    every node's 2^k-row truth table is built at once, for every row of
+    `net`, and a mux tree applies it to the words, chunked to MUX_WORDS
+    words. With `band`, a predicate on those sums, the vectors that reach
+    a node on a row where it holds are flagged too. Returns the output
+    words (S, n_outputs, W) and the flagged words (S, W).
+
+    Row 0 is evaluated in full. Every further row is an overlay on it: a
+    node is evaluated under that row only where its truth table differs
+    from row 0's, one of its inputs differs from row 0's words, or its
+    band table is non-empty; words equal to row 0's are not kept. Work
+    and memory thus grow with the (row, node) pairs that differ, which
+    is few when the rows are perturbed copies of one crossbar.
     """
-    n_words = words.shape[1]
-    const = np.zeros((len(net), low.n_signals), dtype=net.dtype)
+    n_rows, n_words = len(net), words.shape[1]
+    const = np.zeros((n_rows, low.n_signals), dtype=net.dtype)
     for nodes, rows in low.bias:
         # numpy adds fewer than 8 terms in order along any axis, as a
         # scalar 1-D sum does; longer 1-D sums are pairwise
         terms = net[:, rows]
         const[:, nodes] = (terms.sum(axis=-1) if rows.shape[1] < 8 else
                            [[t.sum() for t in seed] for seed in terms])
-    vals = np.empty((len(net), low.n_signals, n_words), dtype=np.uint64)
-    vals[:, :low.n_inputs] = words
-    flagged = np.zeros((len(net), n_words), dtype=np.uint64)
+    # the words of row 0 per signal, then the overlay words; under row r
+    # signal i holds buf[slot[r, i]], an overlay iff that is >= n_signals.
+    # There is room for every (row, node) pair, but only the pages written
+    # become resident, so memory follows the pairs that differ.
+    n_nodes = low.n_signals - low.n_inputs
+    buf = np.empty((low.n_signals + (n_rows - 1) * n_nodes, n_words),
+                   dtype=np.uint64)
+    buf[:low.n_inputs] = words
+    used = low.n_signals
+    slot = np.tile(np.arange(low.n_signals), (n_rows, 1))
+    flagged = np.zeros((n_rows, n_words), dtype=np.uint64)
     table_rows = {k: input_rows(k).T
                   for k in {inputs.shape[1] for _, inputs, _ in low.groups}}
     for nodes, inputs, rows in low.groups:
@@ -273,15 +288,39 @@ def evaluate_lowered(low, words, net, band=None):
         s, fires = threshold_step(const[:, nodes, None],
                                   np.moveaxis(net[:, rows], -1, 0)[..., None],
                                   table_rows[k])
-        step = max(1, MUX_WORDS // (len(net) * 2 ** (k - 1) * n_words or 1))
+        bands = None if band is None else band(s)
+        step = max(1, MUX_WORDS // (2 ** (k - 1) * n_words or 1))
         for at in range(0, len(nodes), step):
             part = slice(at, at + step)
-            x = vals[:, inputs[part]]
-            vals[:, nodes[part]] = mux(fires[:, part], x)
-            if band is not None:
-                flagged |= np.bitwise_or.reduce(mux(band(s[:, part]), x),
-                                                axis=1)
-    return vals[:, low.outputs], flagged
+            x = buf[inputs[part]]
+            buf[nodes[part]] = mux(fires[0, part], x)
+            if bands is not None:
+                flagged[0] |= np.bitwise_or.reduce(mux(bands[0, part], x),
+                                                   axis=0)
+        if n_rows == 1:
+            continue
+        src = slot[:, inputs]
+        # false on row 0, whose tables and words are the reference
+        live = (fires != fires[0]).any(-1) | (src >= low.n_signals).any(-1)
+        if bands is not None:
+            live[1:] |= bands[1:].any(-1)
+        r, g = np.nonzero(live)
+        for at in range(0, len(r), step):
+            pr, pg = r[at:at + step], g[at:at + step]
+            x = buf[src[pr, pg]]
+            out = mux(fires[pr, pg], x)
+            if bands is not None:
+                # pr ascends, so each row's pairs are one run
+                seen, first = np.unique(pr, return_index=True)
+                flagged[seen] |= np.bitwise_or.reduceat(
+                    mux(bands[pr, pg], x), first, axis=0)
+            sig = nodes[pg]
+            hit = np.flatnonzero((out != buf[sig]).any(-1))
+            end = used + len(hit)
+            np.take(out, hit, axis=0, out=buf[used:end])
+            slot[pr[hit], sig[hit]] = np.arange(used, end)
+            used = end
+    return buf[slot[:, low.outputs]], flagged
 
 
 @dataclass

@@ -103,6 +103,14 @@ def test_simulation_deterministic(c17_mapped, params):
     assert a["errors"] == b["errors"]
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+def test_simulate_rejects_a_negative_or_nan_sigma(c17_mapped, params, sigma):
+    # both once simulated the unperturbed crossbar and reported 0 errors
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        evaluate.simulate_mapped(c17_mapped, exhaustive_vectors(5),
+                                 sigma=sigma, params=params)
+
+
 def test_dead_band_counts_as_error(c17_mapped, params):
     res = evaluate.simulate_mapped(
         c17_mapped, exhaustive_vectors(5), sigma=0.0,
@@ -140,6 +148,16 @@ def test_tolerance_stops_at_first_failure(c17_mapped, params):
 def test_tolerance_rejects_unsorted_grid(c17_mapped, params):
     with pytest.raises(ValueError):
         evaluate.variation_tolerance(c17_mapped, [0.1, 0.05], params=params)
+
+
+@pytest.mark.parametrize("kw", [dict(vectors_per_probe=0),
+                                dict(vectors_per_probe=-5), dict(seeds=())])
+def test_tolerance_rejects_a_probe_that_simulates_nothing(c17_mapped, params,
+                                                          kw):
+    # each once returned the top of the grid over a curve of zeros
+    with pytest.raises(ValueError, match="at least one vector and one seed"):
+        evaluate.variation_tolerance(c17_mapped, [0.0, 0.5], params=params,
+                                     **kw)
 
 
 # --- power ----------------------------------------------------------------

@@ -858,6 +858,31 @@ def test_batched_simulation_with_many_bias_rows_matches_reference():
         assert (unpack(words, 4).T == want["outputs"]).all()
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=small_netlists(), fanin=st.integers(2, 4),
+       count=st.sampled_from(VECTOR_COUNTS), seed=st.integers(0, 3))
+def test_overlay_rows_match_each_row_evaluated_alone(net, fanin, count,
+                                                     seed):
+    # rows after row 0 are overlays on it; a row evaluated alone is row 0
+    low = synthesize_tln(net, fanin_limit=fanin).lower()
+    params = DeviceParams()
+    base = programmed(low, params, 0.0, BATCH_SEEDS)
+    stacked = np.concatenate([base, base,
+                              programmed(low, params, 0.05, BATCH_SEEDS),
+                              programmed(low, params, 0.5, BATCH_SEEDS)])
+    words = pack(np.random.default_rng(seed).integers(
+        0, 2, size=(count, len(net.inputs))).astype(bool))
+    for band in (None, lambda s: np.abs(params.delta_v * s) < DEAD_BAND):
+        out, flagged = tlg.evaluate_lowered(low, words, stacked, band)
+        assert out.shape[0] == flagged.shape[0] == len(stacked)
+        for i, row in enumerate(stacked):
+            want_out, want_flagged = tlg.evaluate_lowered(low, words,
+                                                          row[None], band)
+            assert (out[i] == want_out[0]).all(), (i, band)
+            assert (flagged[i] == want_flagged[0]).all(), (i, band)
+
+
 @pytest.mark.parametrize("name,fanin", [("c17", 4), ("c432", 4),
                                         ("gen1", 3), ("gen2", 2)])
 def test_variation_tolerance_matches_per_seed_loop(compiled, name, fanin):
@@ -949,11 +974,14 @@ def test_variation_tolerance_evaluates_the_oracle_once(compiled, monkeypatch):
     _, design = compiled("c432", 4)
     oracle = _counting(monkeypatch, evaluate, "evaluate_many")
     lowered = _counting(monkeypatch, ThresholdLogicNetwork, "lower")
+    kernel = _counting(monkeypatch, evaluate, "evaluate_lowered")
     _, curve = variation_tolerance(design, (0.0, 0.05, 0.1, 0.2),
                                    vectors_per_probe=500, early_stop=False,
                                    params=DeviceParams())
     assert len(curve) == 4
     assert oracle[0] == 1 and lowered[0] == 1
+    # every probe in one kernel call
+    assert kernel[0] == 1
 
 
 def test_reports_classify_links_once_per_design(compiled, monkeypatch):
