@@ -220,6 +220,9 @@ def mux(tables, x):
 def evaluate_packed(net, words):
     """Evaluate packed input words, one row per input; returns one row of
     words per output."""
+    if len(words) != len(net.inputs):
+        raise ValueError(f"expected {len(net.inputs)} rows of input words, "
+                         f"one per input, got {len(words)}")
     vals = dict(zip(net.inputs, words))
     for name in net.topological_order():
         g = net.gate(name)

@@ -17,7 +17,9 @@ import math
 import numpy as np
 
 from . import partition
-from .bench import evaluate_many, pack, unpack
+# evaluate_many is not called here, but perfbench's tracer test patches it
+# on every smtl module that imports it, this one included
+from .bench import evaluate_many, evaluate_packed, pack, unpack  # noqa: F401
 from .devices import (DeviceParams, bias_chunks, std_switch_time,
                       weight_to_conductance)
 from .tlg import evaluate_lowered, input_rows
@@ -32,22 +34,17 @@ class TimingViolation(Exception):
     pass
 
 
-def crossbar_net_current(weights, bias, x, params, perturb=None):
-    """Net column current for one gate and one input vector.
-
-    `perturb` optionally maps each device conductance g to its perturbed
-    value; identity when omitted.
-    """
+def crossbar_net_current(weights, bias, x, params):
+    """Net column current for one gate and one input vector."""
     if len(x) != len(weights):
         raise ValueError("input vector length mismatch")
-    p = perturb or (lambda g: g)
     current = 0.0
     for w, xi in zip(weights, x):
         gp, gm = weight_to_conductance(w, params)
-        current += int(bool(xi)) * (p(gp) - p(gm))
+        current += int(bool(xi)) * (gp - gm)
     for chunk in bias_chunks(bias):
         gp, gm = weight_to_conductance(chunk, params)
-        current += p(gp) - p(gm)
+        current += gp - gm
     return params.delta_v * current
 
 
@@ -84,43 +81,36 @@ def programmed(low, params, sigma, seeds):
     return g[:, plus] - g[:, minus]
 
 
-def simulate_batch(low, words, count, want, net, params, i_threshold_eff=0.0):
+def simulate_batch(low, words, count, want, net):
     """Simulate `count` packed input vectors under every row of net
     conductances (`programmed`) at once.
 
     Returns the output words (S, n_outputs, W) and, per row of `net`, the
     number of vectors that differ from the packed oracle words `want`
-    (n_outputs, W) or reach a node whose net current on their input row
-    lies inside the +-i_threshold_eff dead band.
+    (n_outputs, W).
     """
-    def band(s):
-        return np.abs(params.delta_v * s) < i_threshold_eff
-
-    out, flagged = evaluate_lowered(low, words, net,
-                                    band if i_threshold_eff > 0.0 else None)
-    bad = np.bitwise_or.reduce(out ^ want, axis=1) | flagged
+    out = evaluate_lowered(low, words, net)
+    bad = np.bitwise_or.reduce(out ^ want, axis=1)
     return out, unpack(bad, count).sum(axis=-1)
 
 
-def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
-                    i_threshold_eff=0.0):
+def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
     """Simulate the mapped design through the crossbar current model.
 
     Each device conductance is perturbed once per call (per-device
     programming error, not per-vector noise): g' = g * (1 + e),
     e ~ N(0, sigma), drawn per node in topological order, its g+ devices
-    then its g- devices. Vectors landing inside the +-i_threshold_eff dead
-    band are counted as errors. Returns outputs plus the error count
-    against the Boolean oracle.
+    then its g- devices. Returns outputs plus the error count against the
+    Boolean oracle.
     """
     params = params or DeviceParams()
     vectors = np.asarray(vectors, dtype=bool)
     count = vectors.shape[0]
-    want = pack(evaluate_many(design.source, vectors))
+    words = pack(vectors)
     low = design.tln.lower()
-    out, errors = simulate_batch(low, pack(vectors), count, want,
-                                 programmed(low, params, sigma, [seed]),
-                                 params, i_threshold_eff)
+    out, errors = simulate_batch(low, words, count,
+                                 evaluate_packed(design.source, words),
+                                 programmed(low, params, sigma, [seed]))
     return {
         "outputs": unpack(out[0], count).T,
         "errors": int(errors[0]),
@@ -149,14 +139,15 @@ def variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     params = params or DeviceParams()
     vectors = input_rows(len(design.tln.inputs), vectors_per_probe,
                          vector_seed)
-    count = vectors.shape[0]
-    want = pack(evaluate_many(design.source, vectors))
+    words, count = pack(vectors), len(vectors)
+    del vectors  # only the packed words are live during the kernel
     low = design.tln.lower()
     # row 0, the unperturbed crossbar, is what every other row overlays
     nets = [programmed(low, params, sig, seeds)
             for sig in (0.0, *sigma_grid)]
-    _, errors = simulate_batch(low, pack(vectors), count, want,
-                               np.concatenate(nets), params)
+    _, errors = simulate_batch(low, words, count,
+                               evaluate_packed(design.source, words),
+                               np.concatenate(nets))
     ends = np.cumsum([len(net) for net in nets])
     curve = []
     sigma_star = 0.0
@@ -177,10 +168,10 @@ def variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     return sigma_star, curve
 
 
-def drive_current(params, k, i_dtcs_base=I_DTCS_BASE):
+def drive_current(params, k):
     """Per-row source current: scaled with k to hold throughput, and with
     the device threshold so switching margin is preserved."""
-    return i_dtcs_base * k * (params.i_threshold / I_THRESHOLD_REF)
+    return I_DTCS_BASE * k * (params.i_threshold / I_THRESHOLD_REF)
 
 
 def power_report(design, params, stats=None):
@@ -212,12 +203,12 @@ def power_report(design, params, stats=None):
     }
 
 
-def delay_report(design, params, i_dtcs_base=I_DTCS_BASE):
+def delay_report(design, params):
     """Pipeline timing; raises TimingViolation if the k in-stage switch
     transits do not fit strictly inside one clock period."""
     k = design.config.k
     period = 1.0 / params.f_clk
-    drive = drive_current(params, k, i_dtcs_base) / k
+    drive = drive_current(params, k) / k
     t_sw = std_switch_time(drive, params)
     if t_sw is None:
         raise TimingViolation(
@@ -238,25 +229,33 @@ def delay_report(design, params, i_dtcs_base=I_DTCS_BASE):
     }
 
 
-def full_report(design, params, sigma=0.0, vectors=10_000, seed=0):
-    """EvaluationReport: functional errors, power, delay, energy, area."""
-    vecs = input_rows(len(design.tln.inputs), vectors, seed)
-    sim = simulate_mapped(design, vecs, sigma=sigma, seed=seed, params=params)
+def _costs(design, params):
+    """Links, power, delay, energy and area: what a report and a sweep
+    row take from the design without simulating it."""
     stats = partition.interconnect_stats(design)
     power = power_report(design, params, stats)
     delay = delay_report(design, params)
     energy = power["p_total"] * delay["latency"]
     return {
+        "links": stats,
+        "power": power,
+        "delay": delay,
+        "energy": energy,
+        "energy_delay_product": energy * delay["latency"],
+        "area_um2": partition.area_estimate(design, stats=stats),
+    }
+
+
+def full_report(design, params, sigma=0.0, vectors=10_000, seed=0):
+    """EvaluationReport: functional errors, power, delay, energy, area."""
+    vecs = input_rows(len(design.tln.inputs), vectors, seed)
+    sim = simulate_mapped(design, vecs, sigma=sigma, seed=seed, params=params)
+    return {
         "seed": seed,
         "sigma": sigma,
         "errors": sim["errors"],
         "vectors": sim["vectors"],
-        "power": power,
-        "delay": {k: v for k, v in delay.items()},
-        "energy": energy,
-        "energy_delay_product": energy * delay["latency"],
-        "area_um2": partition.area_estimate(design, stats=stats),
-        "links": stats,
+        **_costs(design, params),
         "nodes": len(design.tln.nodes),
         "buffers": design.buffer_count,
     }
@@ -316,10 +315,8 @@ def sweep(design, params, parameter, grid, source_tln=None):
                 raise ValueError(
                     f"subarray_dim must be a whole number, got {value}")
             d = partition.repartition(design, int(value), int(value))
-        stats = partition.interconnect_stats(d)
-        power = power_report(d, p, stats)
-        delay = delay_report(d, p)
-        energy = power["p_total"] * delay["latency"]
+        c = _costs(d, p)
+        power, stats = c["power"], c["links"]
         rows.append({
             "parameter": parameter,
             "value": value,
@@ -327,10 +324,10 @@ def sweep(design, params, parameter, grid, source_tln=None):
             "p_det": power["p_det"],
             "p_interconnect": power["p_interconnect"],
             "p_total": power["p_total"],
-            "latency": delay["latency"],
-            "energy": energy,
-            "edp": energy * delay["latency"],
-            "area_um2": partition.area_estimate(d, stats=stats),
+            "latency": c["delay"]["latency"],
+            "energy": c["energy"],
+            "edp": c["energy_delay_product"],
+            "area_um2": c["area_um2"],
             "routed_links": stats["routed"],
             "route_length": stats["route_length"],
             "cells": partition.cell_count(d),

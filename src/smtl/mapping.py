@@ -1,11 +1,12 @@
 """Map a threshold logic network onto pipelined crossbar-array hardware.
 
-Passes, in pipeline order, each run once: ASAP stage assignment, per-stage
-capacity enforcement (on the columns the next two passes build),
-path-equalizing buffer insertion, heavy fan-out splitting, binning into
-fixed-size crossbar blocks, absorption of underfilled stages via
-backward connections, and a barycenter column reorder that maximizes direct
-(face-to-face) links. Every public entry point ends with `validate`.
+Passes, in pipeline order, each run once: removal of the path buffers an
+earlier map left, ASAP stage assignment, per-stage capacity enforcement
+(on the columns the next two passes build), path-equalizing buffer
+insertion, heavy fan-out splitting, binning into fixed-size crossbar
+blocks, absorption of underfilled stages via backward connections, and a
+barycenter column reorder that maximizes direct (face-to-face) links.
+Every public entry point ends with `validate`.
 """
 
 from __future__ import annotations
@@ -159,9 +160,9 @@ def strip_buffers(tln):
         return src
 
     for node in tln.nodes.values():
-        if node.id in removable:
-            continue
         g = node.gate
+        if node.id in removable or removable.isdisjoint(g.inputs):
+            continue
         node.gate = ThresholdGate(
             tuple(resolve(i) for i in g.inputs), g.weights, g.bias
         )
@@ -233,9 +234,9 @@ def enforce_capacity(tln, cfg):
     """Defer overflowing nodes to later stages in one forward sweep.
 
     Runs on the unbuffered network, before `insert_buffers` and
-    `split_fanout` (buffers a hand-edited TLN carries are stripped). Stage
-    s's load is the columns it takes after those passes: its nodes, one
-    buffer per value made before s and read after s, and the fan-out copies.
+    `split_fanout`. Stage s's load is the columns it takes after those
+    passes: its nodes, one buffer per value made before s and read after
+    s, and the fan-out copies.
     Nodes plus pass-through values never exceed that count and decide most
     deferrals; only a stage they fit is checked against the real count,
     taken by `_stage_columns` and retaken after each deferral. Deferring a
@@ -249,7 +250,6 @@ def enforce_capacity(tln, cfg):
     if cfg.blocks_per_stage is None:
         return
     cap = cfg.blocks_per_stage * cfg.cols
-    strip_buffers(tln)
     nodes = tln.nodes
     order = {nid: i for i, nid in enumerate(nodes)}
     cons = tln.consumers()
@@ -410,8 +410,9 @@ def absorb_small_layers(design):
     return design
 
 
-def reorder_stages(design, sweeps=None):
-    """Barycenter sweeps reassigning columns to maximize direct links.
+def reorder_stages(design):
+    """Barycenter sweeps (at most `config.reorder_sweeps`) reassigning
+    columns to maximize direct links.
 
     A stage's new ordering is kept only if the design-wide direct-link
     count does not decrease, so the pass is monotone. Stages holding
@@ -425,7 +426,6 @@ def reorder_stages(design, sweeps=None):
     result, equal those of a full recount; cost O(N + E) per sweep.
     """
     cfg = design.config
-    sweeps = cfg.reorder_sweeps if sweeps is None else sweeps
     pinned = {0}
     for s in design.blocks:
         if any(nid in design.absorbed for nid in design.stage_nodes(s)):
@@ -440,7 +440,7 @@ def reorder_stages(design, sweeps=None):
         return sum(1 for u, v in edges
                    if (u, v) not in backward and place[u][1] == place[v][1])
 
-    for _ in range(sweeps):
+    for _ in range(cfg.reorder_sweeps):
         improved = False
         for s in sorted(design.blocks):
             if s in pinned:
@@ -552,6 +552,7 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
     """Run the full mapping pipeline on a synthesized network."""
     cfg = config or MappingConfig()
     tln = tln.copy()
+    strip_buffers(tln)  # a mapped design's TLN carries its path buffers
     assign_stages(tln, cfg.k)
     enforce_capacity(tln, cfg)
     insert_buffers(tln, cfg.k)

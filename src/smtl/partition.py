@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .devices import bias_rows
 
-# geometry defaults: 4F^2 per 1T1M cell at F = 45 nm, 20% periphery per
+# geometry: 4F^2 per 1T1M cell at F = 45 nm, 20% periphery per
 # block, one cell-row of interconnect per unit route length
 F_NM = 45.0
 CELL_AREA_UM2 = 4 * (F_NM / 1000.0) ** 2
@@ -132,21 +132,16 @@ def cell_count(design):
     return n_blocks * cfg.rows * cfg.cols
 
 
-def area_estimate(design, cell_area_um2=CELL_AREA_UM2,
-                  periphery_overhead=PERIPHERY_OVERHEAD,
-                  interconnect_rows=1, stats=None):
+def area_estimate(design, stats=None):
     """Area in um^2: block cells + periphery + routing tracks.
 
-    Routing is charged `interconnect_rows` cell-rows (block width) per unit
-    of route length. `stats` is the design's `interconnect_stats`,
-    computed when omitted.
+    Routing is charged one cell-row (block width) per unit of route
+    length. `stats` is the design's `interconnect_stats`, computed when
+    omitted.
     """
-    cfg = design.config
     cells = cell_count(design)
-    block_area = cells * cell_area_um2 * (1.0 + periphery_overhead)
+    block_area = cells * CELL_AREA_UM2 * (1.0 + PERIPHERY_OVERHEAD)
     if stats is None:
         stats = interconnect_stats(design)
-    route_area = (
-        stats["route_length"] * interconnect_rows * cfg.cols * cell_area_um2
-    )
+    route_area = stats["route_length"] * design.config.cols * CELL_AREA_UM2
     return block_area + route_area

@@ -242,7 +242,7 @@ class Lowered:
     outputs: np.ndarray
 
 
-def evaluate_lowered(low, words, net, band=None):
+def evaluate_lowered(low, words, net):
     """Evaluate packed input words (`bench.pack`, one row per input) with
     the row levels of each row of `net` (S, len(low.levels)): integer
     levels for ideal evaluation, net conductances for the crossbar.
@@ -251,16 +251,13 @@ def evaluate_lowered(low, words, net, band=None):
     `threshold_step` in that order, are >= 0. Per (level, fan-in) group
     every node's 2^k-row truth table is built at once, for every row of
     `net`, and a mux tree applies it to the words, chunked to MUX_WORDS
-    words. With `band`, a predicate on those sums, the vectors that reach
-    a node on a row where it holds are flagged too. Returns the output
-    words (S, n_outputs, W) and the flagged words (S, W).
+    words. Returns the output words (S, n_outputs, W).
 
     Row 0 is evaluated in full. Every further row is an overlay on it: a
-    node is evaluated under that row only where its truth table differs
-    from row 0's, one of its inputs differs from row 0's words, or its
-    band table is non-empty; words equal to row 0's are not kept. Work
-    and memory thus grow with the (row, node) pairs that differ, which
-    is few when the rows are perturbed copies of one crossbar.
+    node is evaluated under that row only where its truth table or one of
+    its inputs differs from row 0's; words equal to row 0's are not kept.
+    Work and memory thus grow with the (row, node) pairs that differ,
+    which is few when the rows are perturbed copies of one crossbar.
     """
     n_rows, n_words = len(net), words.shape[1]
     const = np.zeros((n_rows, low.n_signals), dtype=net.dtype)
@@ -280,47 +277,33 @@ def evaluate_lowered(low, words, net, band=None):
     buf[:low.n_inputs] = words
     used = low.n_signals
     slot = np.tile(np.arange(low.n_signals), (n_rows, 1))
-    flagged = np.zeros((n_rows, n_words), dtype=np.uint64)
     table_rows = {k: input_rows(k).T
                   for k in {inputs.shape[1] for _, inputs, _ in low.groups}}
     for nodes, inputs, rows in low.groups:
         k = inputs.shape[1]
-        s, fires = threshold_step(const[:, nodes, None],
+        _, fires = threshold_step(const[:, nodes, None],
                                   np.moveaxis(net[:, rows], -1, 0)[..., None],
                                   table_rows[k])
-        bands = None if band is None else band(s)
         step = max(1, MUX_WORDS // (2 ** (k - 1) * n_words or 1))
         for at in range(0, len(nodes), step):
             part = slice(at, at + step)
-            x = buf[inputs[part]]
-            buf[nodes[part]] = mux(fires[0, part], x)
-            if bands is not None:
-                flagged[0] |= np.bitwise_or.reduce(mux(bands[0, part], x),
-                                                   axis=0)
+            buf[nodes[part]] = mux(fires[0, part], buf[inputs[part]])
         if n_rows == 1:
             continue
         src = slot[:, inputs]
         # false on row 0, whose tables and words are the reference
         live = (fires != fires[0]).any(-1) | (src >= low.n_signals).any(-1)
-        if bands is not None:
-            live[1:] |= bands[1:].any(-1)
         r, g = np.nonzero(live)
         for at in range(0, len(r), step):
             pr, pg = r[at:at + step], g[at:at + step]
-            x = buf[src[pr, pg]]
-            out = mux(fires[pr, pg], x)
-            if bands is not None:
-                # pr ascends, so each row's pairs are one run
-                seen, first = np.unique(pr, return_index=True)
-                flagged[seen] |= np.bitwise_or.reduceat(
-                    mux(bands[pr, pg], x), first, axis=0)
+            out = mux(fires[pr, pg], buf[src[pr, pg]])
             sig = nodes[pg]
             hit = np.flatnonzero((out != buf[sig]).any(-1))
             end = used + len(hit)
             np.take(out, hit, axis=0, out=buf[used:end])
             slot[pr[hit], sig[hit]] = np.arange(used, end)
             used = end
-    return buf[slot[:, low.outputs]], flagged
+    return buf[slot[:, low.outputs]]
 
 
 @dataclass
@@ -442,7 +425,7 @@ class ThresholdLogicNetwork:
         """Ideal (infinite precision) evaluation over a vector matrix."""
         vectors = np.asarray(vectors, dtype=bool)
         low = self.lower()
-        out, _ = evaluate_lowered(low, pack(vectors), low.levels[None])
+        out = evaluate_lowered(low, pack(vectors), low.levels[None])
         return unpack(out[0], vectors.shape[0]).T
 
     def validate(self, fanin_limit=FANIN_LIMIT, w_max=W_MAX):

@@ -734,3 +734,25 @@ def test_sweep_unknown_parameter_is_one_line(runner, artifacts, tmp_path):
                              "--param", "gain", "--grid", "1", "-o",
                              str(tmp_path / "s.csv")])
     _assert_input_error(r, "--param")
+
+
+@pytest.mark.parametrize("bench", [C17, C432], ids=["c17", "c432_like"])
+@pytest.mark.parametrize("blocks", [[], ["--blocks", "1000"]],
+                         ids=["unbounded", "blocks1000"])
+def test_map_of_a_mapped_design_reproduces_it(runner, tmp_path, bench,
+                                              blocks):
+    # the path buffers of mapped.json were stripped only under --blocks, so
+    # without it c432_like re-mapped to 326 nodes and 125 buffers, not 293
+    # and 92
+    tln, mapped, again = (str(tmp_path / f) for f in
+                          ("t.json", "m.json", "again.json"))
+    assert runner.invoke(main, ["synth", "--bench", bench,
+                                "-o", tln]).exit_code == 0
+    assert runner.invoke(main, ["map", "--tln", tln,
+                                "-o", mapped]).exit_code == 0
+    r = runner.invoke(main, ["map", "--tln", mapped, *blocks, "-o", again])
+    assert r.exit_code == 0, r.output
+    want = json.loads(Path(mapped).read_text())
+    got = json.loads(Path(again).read_text())
+    assert got["tln"] == want["tln"]
+    assert got["blocks"] == want["blocks"]

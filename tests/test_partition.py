@@ -168,20 +168,31 @@ def test_cell_count(c17_mapped):
     assert partition.cell_count(c17_mapped) == n_blocks * 64 * 32
 
 
+def _overheads(design):
+    """Periphery plus one routing cell-row (block width) per unit of route
+    length."""
+    cells = partition.cell_count(design)
+    route = partition.interconnect_stats(design)["route_length"]
+    return (cells * partition.CELL_AREA_UM2 * partition.PERIPHERY_OVERHEAD
+            + route * design.config.cols * partition.CELL_AREA_UM2)
+
+
 def test_area_is_cells_times_cell_area_without_overheads(c17_mapped):
     cells = partition.cell_count(c17_mapped)
-    area = partition.area_estimate(
-        c17_mapped, cell_area_um2=1.0, periphery_overhead=0.0,
-        interconnect_rows=0,
-    )
-    assert area == pytest.approx(cells)
+    area = partition.area_estimate(c17_mapped)
+    assert area - _overheads(c17_mapped) == pytest.approx(
+        cells * partition.CELL_AREA_UM2)
 
 
 def test_area_includes_periphery_and_routing(c432_mapped):
-    lean = partition.area_estimate(
-        c432_mapped, periphery_overhead=0.0, interconnect_rows=0)
-    full = partition.area_estimate(c432_mapped)
-    assert full > lean
+    cells = partition.cell_count(c432_mapped)
+    stats = partition.interconnect_stats(c432_mapped)
+    assert stats["route_length"] > 0
+    area = partition.area_estimate(c432_mapped, stats=stats)
+    assert area == pytest.approx(
+        cells * partition.CELL_AREA_UM2 + _overheads(c432_mapped))
+    assert area > cells * partition.CELL_AREA_UM2 * (
+        1.0 + partition.PERIPHERY_OVERHEAD)
 
 
 def test_empty_design_zero_area():

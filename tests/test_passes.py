@@ -162,16 +162,15 @@ def ref_split_fanout(tln, f_max):
     return n_split
 
 
-def ref_reorder_stages(design, sweeps=None):
+def ref_reorder_stages(design):
     """Recount every direct link after each per-stage trial."""
     cfg = design.config
-    sweeps = cfg.reorder_sweeps if sweeps is None else sweeps
     pinned = {0}
     for s in design.blocks:
         if any(nid in design.absorbed for nid in design.stage_nodes(s)):
             pinned.update((s, s - 1))
     best = partition.direct_link_count(design)
-    for _ in range(sweeps):
+    for _ in range(cfg.reorder_sweeps):
         improved = False
         for s in sorted(design.blocks):
             if s in pinned:
@@ -272,14 +271,12 @@ def ref_programmed(design, params):
     return table
 
 
-def ref_simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
-                        i_threshold_eff=0.0):
+def ref_simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
     params = params or DeviceParams()
     vectors = np.asarray(vectors, dtype=bool)
     rng = np.random.default_rng(seed)
     prog = ref_programmed(design, params)
     vals = {name: vectors[:, i] for i, name in enumerate(design.tln.inputs)}
-    indeterminate = np.zeros(vectors.shape[0], dtype=bool)
     for nid, inputs, n_in, gp, gm in prog:
         if sigma > 0.0:
             gp = gp * (1.0 + rng.normal(0.0, sigma, gp.shape))
@@ -288,13 +285,10 @@ def ref_simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None,
         s = np.full(vectors.shape[0], net[n_in:].sum())
         for j, src in enumerate(inputs):
             s = s + net[j] * vals[src]
-        current = params.delta_v * s
-        if i_threshold_eff > 0.0:
-            indeterminate |= np.abs(current) < i_threshold_eff
-        vals[nid] = current >= 0.0
+        vals[nid] = params.delta_v * s >= 0.0
     outputs = np.column_stack([vals[o] for o in design.tln.outputs])
     want = ref_evaluate_many(design.source, vectors)
-    bad = (outputs != want).any(axis=1) | indeterminate
+    bad = (outputs != want).any(axis=1)
     return {"outputs": outputs, "errors": int(bad.sum()),
             "vectors": int(vectors.shape[0])}
 
@@ -416,6 +410,7 @@ def ref_map_design(tln, source, config=None, fanin_limit=4, w_max=W_MAX):
     """Mapping on a deep copy, scanning every node for each stage."""
     cfg = config or MappingConfig()
     tln = copy.deepcopy(tln)
+    mapping.strip_buffers(tln)
     for node in tln.nodes.values():
         need = node.gate.fan_in + devices.bias_rows(node.gate.bias)
         if need > cfg.rows:
@@ -697,23 +692,6 @@ def test_evaluators_match_reference(compiled, name, fanin):
         assert (got["outputs"] == want["outputs"]).all(), sigma
 
 
-def test_simulate_mapped_dead_band_matches_reference(compiled):
-    _, design = compiled("c432", 4)
-    vectors = input_rows(len(design.tln.inputs), 2000, seed=1)
-    kw = dict(sigma=0.05, seed=3, params=DeviceParams())
-    plain = ref_simulate_mapped(design, vectors, **kw)["errors"]
-    got = simulate_mapped(design, vectors, i_threshold_eff=DEAD_BAND, **kw)
-    want = ref_simulate_mapped(design, vectors, i_threshold_eff=DEAD_BAND,
-                               **kw)
-    assert plain < want["errors"] < len(vectors)  # the band decides some
-    assert got["errors"] == want["errors"]
-    assert (got["outputs"] == want["outputs"]).all()
-
-
-# A; at sigma=0.05 it flags some vectors of c432_like, not all
-DEAD_BAND = 4e-8
-
-
 BENCH_KINDS = ("AND", "OR", "NAND", "NOR", "XOR", "NOT", "BUFF")
 
 
@@ -807,11 +785,11 @@ BATCH_SEEDS = (3, 4, 5)
 VECTOR_COUNTS = (1, 63, 64, 65, 2000)
 
 
-def _batch(design, vectors, sigma, seeds, params, band=0.0):
+def _batch(design, vectors, sigma, seeds, params):
     low = design.tln.lower()
     want = pack(ref_evaluate_many(design.source, vectors))
     return simulate_batch(low, pack(vectors), len(vectors), want,
-                          programmed(low, params, sigma, seeds), params, band)
+                          programmed(low, params, sigma, seeds))
 
 
 @pytest.mark.parametrize("name", NETLISTS)
@@ -824,17 +802,15 @@ def test_batched_simulation_matches_reference_per_seed(compiled, name,
     for count in VECTOR_COUNTS:
         vectors = np.random.default_rng(count).integers(
             0, 2, size=(count, n)).astype(bool)
-        for sigma, band in itertools.product((0.0, 0.05, 0.5),
-                                             (0.0, DEAD_BAND)):
-            out, errors = _batch(design, vectors, sigma, BATCH_SEEDS, params,
-                                 band)
+        for sigma in (0.0, 0.05, 0.5):
+            out, errors = _batch(design, vectors, sigma, BATCH_SEEDS, params)
             # at sigma 0 one row stands for every seed
             assert len(out) == len(errors) == (len(BATCH_SEEDS) if sigma
                                                else 1)
             for seed, words, e in zip(BATCH_SEEDS, out, errors):
                 want = ref_simulate_mapped(design, vectors, sigma, seed,
-                                           params, band)
-                key = (count, sigma, band, seed)
+                                           params)
+                key = (count, sigma, seed)
                 assert e == want["errors"], key
                 assert (unpack(words, count).T ==
                         want["outputs"]).all(), key
@@ -873,14 +849,11 @@ def test_overlay_rows_match_each_row_evaluated_alone(net, fanin, count,
                               programmed(low, params, 0.5, BATCH_SEEDS)])
     words = pack(np.random.default_rng(seed).integers(
         0, 2, size=(count, len(net.inputs))).astype(bool))
-    for band in (None, lambda s: np.abs(params.delta_v * s) < DEAD_BAND):
-        out, flagged = tlg.evaluate_lowered(low, words, stacked, band)
-        assert out.shape[0] == flagged.shape[0] == len(stacked)
-        for i, row in enumerate(stacked):
-            want_out, want_flagged = tlg.evaluate_lowered(low, words,
-                                                          row[None], band)
-            assert (out[i] == want_out[0]).all(), (i, band)
-            assert (flagged[i] == want_flagged[0]).all(), (i, band)
+    out = tlg.evaluate_lowered(low, words, stacked)
+    assert out.shape[0] == len(stacked)
+    for i, row in enumerate(stacked):
+        alone = tlg.evaluate_lowered(low, words, row[None])
+        assert (out[i] == alone[0]).all(), i
 
 
 @pytest.mark.parametrize("name,fanin", [("c17", 4), ("c432", 4),
@@ -972,14 +945,16 @@ def test_map_design_classifies_links_at_most_twice(netlists, monkeypatch):
 
 def test_variation_tolerance_evaluates_the_oracle_once(compiled, monkeypatch):
     _, design = compiled("c432", 4)
-    oracle = _counting(monkeypatch, evaluate, "evaluate_many")
+    oracle = _counting(monkeypatch, evaluate, "evaluate_packed")
+    packed = _counting(monkeypatch, evaluate, "pack")
     lowered = _counting(monkeypatch, ThresholdLogicNetwork, "lower")
     kernel = _counting(monkeypatch, evaluate, "evaluate_lowered")
     _, curve = variation_tolerance(design, (0.0, 0.05, 0.1, 0.2),
                                    vectors_per_probe=500, early_stop=False,
                                    params=DeviceParams())
     assert len(curve) == 4
-    assert oracle[0] == 1 and lowered[0] == 1
+    # the vectors are packed once and the oracle runs on those words
+    assert oracle[0] == packed[0] == lowered[0] == 1
     # every probe in one kernel call
     assert kernel[0] == 1
 
