@@ -50,6 +50,7 @@ class BooleanNetwork:
     outputs: tuple[str, ...]
     gates: tuple[Gate, ...]
     _gate_map: dict = field(repr=False, compare=False, default=None)
+    _order: list = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_gate_map", {g.name: g for g in self.gates})
@@ -58,17 +59,21 @@ class BooleanNetwork:
         return self._gate_map[name]
 
     def topological_order(self):
-        """Gate names in dependency order (inputs excluded).
+        """Gate names in dependency order (inputs excluded), as a new list.
 
-        See `graph.topological_order` for the exact order.
+        See `graph.topological_order` for the exact order. The network is
+        frozen, so the order is computed once.
         """
-        try:
-            return graph.topological_order(
-                ((g.name, g.inputs) for g in self.gates), set(self.inputs)
-            )
-        except graph.CycleError as e:
-            raise BenchError("cycle detected among gates: " +
-                             ", ".join(e.leftover[:5])) from None
+        if self._order is None:
+            try:
+                order = graph.topological_order(
+                    ((g.name, g.inputs) for g in self.gates),
+                    set(self.inputs))
+            except graph.CycleError as e:
+                raise BenchError("cycle detected among gates: " +
+                                 ", ".join(e.leftover[:5])) from None
+            object.__setattr__(self, "_order", order)
+        return list(self._order)
 
     def to_json(self):
         return {

@@ -7,11 +7,13 @@ the output; identical commands produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _json_str
 
 import click
 
@@ -76,12 +78,18 @@ class Choice(_OneLine, click.Choice):
 
 
 def _atomic_write(path, text):
+    """Write `text` to `path` through a temporary file in its directory,
+    with the mode a plain `open` gives: 0666 less the umask (`mkstemp`
+    makes the file 0600)."""
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".smtl-")
         try:
             with os.fdopen(fd, "w") as f:
                 f.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -91,11 +99,104 @@ def _atomic_write(path, text):
 
 
 def _dump(obj):
+    """`json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\\n"`,
+    byte for byte, without the stdlib's pure-Python indenting encoder.
+
+    A NaN or infinite float is an InputError (OVERFLOW); a type other
+    than dict, list, tuple, str, int, float, bool and None (or their
+    subclasses) is a TypeError.
+    """
     try:
-        return json.dumps(obj, indent=1, sort_keys=True,
-                          allow_nan=False) + "\n"
+        return _column([obj], "\n")[0] + "\n"
     except ValueError:
         raise InputError(OVERFLOW) from None
+
+
+def _float(x):
+    if not math.isfinite(x):
+        raise ValueError("out of range float")
+    return float.__repr__(x)
+
+
+_SCALAR = {str: _json_str, int: int.__repr__, float: _float,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): lambda _: "null"}
+
+
+def _column(vals, ind):
+    """JSON text of each value in `vals`, at indentation `ind` ("\\n" and
+    one space per level), as `json.dumps(indent=1, sort_keys=True)`
+    writes it.
+
+    Values of one type are encoded together, so that the work per value is
+    done by C code: scalars through one `map`, the items of all the lists
+    as one column, and dicts with one key set field by field, joined by one
+    format string. A column of mixed types is split by type.
+    """
+    kinds = set(map(type, vals))
+    if len(kinds) != 1:  # one column per type
+        out = [None] * len(vals)
+        for kind in kinds:
+            at = [i for i, v in enumerate(vals) if type(v) is kind]
+            for i, text in zip(at, _column([vals[i] for i in at], ind)):
+                out[i] = text
+        return out
+    kind = kinds.pop()
+    if kind not in _SCALAR and kind not in (list, tuple, dict):
+        kind = _base(kind)
+    if kind in _SCALAR:
+        return list(map(_SCALAR[kind], vals))
+    inner = ind + " "
+    sep = "," + inner
+    if kind is dict:
+        first = vals[0].keys()
+        # equal keys of other types (1, 1.0, True) have other texts
+        if len(vals) > 1 and (any(type(k) is not str for k in first)
+                              or any(d.keys() != first for d in vals)):
+            return [_column([d], ind)[0] for d in vals]
+        if not first:
+            return ["{}"] * len(vals)
+        names = sorted(first)
+        heads = [_json_str(_key(k)) + ": " for k in names]
+        if len(vals) == 1:  # one dict: its values are one column
+            texts = _column([vals[0][k] for k in names], inner)
+            return ["{" + inner + sep.join(map(str.__add__, heads, texts))
+                    + ind + "}"]
+        fmt = ("{{" + inner + sep.join(
+            h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads)
+            + ind + "}}").format
+        return list(map(fmt, *[_column([d[k] for d in vals], inner)
+                               for k in names]))
+    items = _column(list(itertools.chain.from_iterable(vals)), inner)
+    out, at = [], 0
+    for n in map(len, vals):
+        out.append("[" + inner + sep.join(items[at:at + n]) + ind + "]"
+                   if n else "[]")
+        at += n
+    return out
+
+
+def _base(kind):
+    """The type whose encoding the stdlib encoder gives a `kind` value."""
+    for base in (str, int, float, list, tuple, dict):
+        if issubclass(kind, base):
+            return base
+    raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                    f"serializable")
+
+
+def _key(k):
+    """A dict key as a string, as the stdlib encoder converts it."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True or k is False or k is None:
+        return _SCALAR[type(k)](k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not "
+                    f"{type(k).__name__}")
 
 
 def _csv(rows):
@@ -152,8 +253,9 @@ def synth(bench_path, fanin, wmax, output):
     doc = {"tln": tln.to_json(), "source": net.to_json(),
            "fanin_limit": fanin, "w_max": wmax}
     _atomic_write(output, _dump(doc))
+    levels = max((n.level for n in tln.nodes.values()), default=0)
     click.echo(
-        f"nodes={len(tln.nodes)} levels={tln.depth()} "
+        f"nodes={len(tln.nodes)} levels={levels} "
         f"max_fanin={tln.max_fan_in()} -> {output}"
     )
 

@@ -16,6 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import partition
 from .partition import MappingInfeasible
 from .tlg import (
@@ -80,7 +82,9 @@ class MappedDesign:
             for c, name in enumerate(names):
                 place[name] = (0, b, c)
         for s, blks in self.blocks.items():
-            _place_stage(place, blks, s)
+            for b, cols in enumerate(blks):
+                for c, nid in enumerate(cols):
+                    place[nid] = (s, b, c)
         return place
 
     def edges(self):
@@ -412,76 +416,108 @@ def absorb_small_layers(design):
 
 def reorder_stages(design):
     """Barycenter sweeps (at most `config.reorder_sweeps`) reassigning
-    columns to maximize direct links.
+    columns to maximize direct links (Sugiyama, Tagawa & Toda, IEEE SMC
+    1981).
 
-    A stage's new ordering is kept only if the design-wide direct-link
-    count does not decrease, so the pass is monotone. Stages holding
-    absorbed (backward-connected) nodes are pinned.
+    Each unpinned stage in turn is sorted by (barycentre, current position),
+    where a node's barycentre is the mean block index of its inputs and
+    consumers (with multiplicity, 0.0 for none), and re-binned. The new
+    order is kept only if the stage's direct links do not decrease; only
+    edges touching the stage can change, so the pass is monotone in the
+    design-wide count. Stages holding absorbed (backward-connected) nodes
+    are pinned.
 
-    The design-wide count is taken once; a trial on stage s can only change
-    the links of edges touching s, so it is updated by re-counting those
-    edges (each once, backward edges never direct) before and after the
-    trial. The placement map and consumer lists are built once and only
-    stage s's entries change per trial. Accept/reject decisions, and so the
-    result, equal those of a full recount; cost O(N + E) per sweep.
+    Block indices live in one int array over inputs and nodes, and each
+    stage's neighbour and non-backward edge index arrays are built once.
+    The barycentre sums are of small integers, so exact, and the division
+    is correctly rounded: the values, and so every decision, equal those of
+    `sum(neighbours) / len(neighbours)`. A stage whose whole source union
+    and largest `bias_rows` fit `rows` bins into `cols`-wide chunks in any
+    order; only the others go through `partition.rebin`. Direct links
+    depend only on block indices, so a trial that keeps every node's block
+    is accepted without a recount.
     """
     cfg = design.config
+    tln = design.tln
     pinned = {0}
     for s in design.blocks:
         if any(nid in design.absorbed for nid in design.stage_nodes(s)):
             pinned.update((s, s - 1))
-    nodes_of = design.tln.nodes
+    names = list(tln.inputs) + list(tln.nodes)
+    index = {name: i for i, name in enumerate(names)}
+    stage = np.zeros(len(names), dtype=np.intp)
+    block = np.zeros(len(names), dtype=np.intp)
+    local = np.zeros(len(names), dtype=np.intp)  # position in its stage
+    for b, blk in enumerate(design.input_blocks):
+        block[[index[n] for n in blk]] = b
+    for s, blks in design.blocks.items():
+        ids = [index[n] for n in design.stage_nodes(s)]
+        stage[ids], local[ids] = s, np.arange(len(ids))
+        block[ids] = [b for b, blk in enumerate(blks) for _ in blk]
+    pairs = [(src, nid) for nid, n in tln.nodes.items()
+             for src in n.gate.inputs]
+    u = np.array([index[src] for src, _ in pairs], dtype=np.intp)
+    v = np.array([index[nid] for _, nid in pairs], dtype=np.intp)
     backward = set(map(tuple, design.backward_edges))
-    place = design.placements()
-    cons = design.tln.consumers()
-    best = partition.direct_link_count(design)
+    forward = np.array([p not in backward for p in pairs], dtype=bool)
 
-    def direct(edges):
-        return sum(1 for u, v in edges
-                   if (u, v) not in backward and place[u][1] == place[v][1])
+    # per unpinned stage: its nodes, their ids, each neighbour (owner's
+    # position, neighbour id), the neighbour counts, the non-backward edges
+    # touching it, and its chunk binning if any order fits the rows
+    arrays, order, binned = {}, {}, {}
+    for s in sorted(design.blocks):
+        if s in pinned:
+            continue
+        nodes = design.stage_nodes(s)
+        into, out_of = stage[v] == s, stage[u] == s
+        owner = np.concatenate([local[v[into]], local[u[out_of]]])
+        touch = (into | out_of) & forward
+        fits = partition.block_rows(
+            [tln.nodes[n].gate for n in nodes]) <= cfg.rows
+        arrays[s] = (nodes, np.array([index[n] for n in nodes], dtype=np.intp),
+                     owner, np.concatenate([u[into], v[out_of]]),
+                     np.bincount(owner, minlength=len(nodes)),
+                     u[touch], v[touch],
+                     np.arange(len(nodes)) // cfg.cols if fits else None)
+        order[s] = np.arange(len(nodes))
 
     for _ in range(cfg.reorder_sweeps):
         improved = False
-        for s in sorted(design.blocks):
-            if s in pinned:
-                continue
-            old = design.blocks[s]
-            nodes = design.stage_nodes(s)
-            here = set(nodes)
-            edges = [(src, nid) for nid in nodes
-                     for src in nodes_of[nid].gate.inputs]
-            edges += [(nid, c) for nid in nodes for c in cons[nid]
-                      if c not in here]
-            before = direct(edges)
-            bary = {}
-            for i, nid in enumerate(nodes):
-                neigh = [place[src][1] for src in nodes_of[nid].gate.inputs
-                         if src in place]
-                neigh += [place[c][1] for c in cons[nid] if c in place]
-                bary[nid] = (sum(neigh) / len(neigh) if neigh else 0.0, i)
-            ordered = sorted(nodes, key=lambda n: bary[n])
-            design.blocks[s] = partition.rebin(
-                ordered, design.tln, cfg.rows, cfg.cols
-            )
-            _place_stage(place, design.blocks[s], s)
-            now = best - before + direct(edges)
-            if now >= best:
-                if now > best:
-                    improved = True
-                best = now
+        for s, (nodes, ids, owner, nbr, count, eu, ev, chunk) in \
+                arrays.items():
+            sums = np.bincount(owner, weights=block[nbr],
+                               minlength=len(nodes))
+            bary = np.divide(sums, count, out=np.zeros(len(nodes)),
+                             where=count > 0)
+            trial = order[s][np.argsort(bary[order[s]], kind="stable")]
+            if chunk is None:
+                blocks = partition.rebin([nodes[j] for j in trial], tln,
+                                         cfg.rows, cfg.cols)
+                at = [b for b, blk in enumerate(blocks) for _ in blk]
             else:
-                design.blocks[s] = old
-                _place_stage(place, old, s)
+                blocks, at = None, chunk  # chunked once the sweeps end
+            new = np.empty_like(trial)
+            new[trial] = at
+            old = block[ids]
+            if not np.array_equal(new, old):
+                before = np.count_nonzero(block[eu] == block[ev])
+                block[ids] = new
+                after = np.count_nonzero(block[eu] == block[ev])
+                if after < before:
+                    block[ids] = old
+                    continue
+                improved |= after > before
+            order[s], binned[s] = trial, blocks
         if not improved:
             break
+
+    for s, blocks in binned.items():
+        if blocks is None:
+            ordered = [arrays[s][0][j] for j in order[s]]
+            blocks = [ordered[i:i + cfg.cols]
+                      for i in range(0, len(ordered), cfg.cols)]
+        design.blocks[s] = blocks
     return design
-
-
-def _place_stage(place, blocks, s):
-    """Record (stage, block, column) in `place` for every node of stage s."""
-    for b, cols in enumerate(blocks):
-        for c, nid in enumerate(cols):
-            place[nid] = (s, b, c)
 
 
 def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):

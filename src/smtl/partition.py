@@ -110,10 +110,6 @@ def classify_links(design):
     return links
 
 
-def direct_link_count(design):
-    return sum(1 for l in classify_links(design) if l.kind == "direct")
-
-
 def interconnect_stats(design):
     links = classify_links(design)
     return {

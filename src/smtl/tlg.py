@@ -373,10 +373,6 @@ class ThresholdLogicNetwork:
     def max_fan_in(self):
         return max((n.gate.fan_in for n in self.nodes.values()), default=0)
 
-    def depth(self):
-        self.assign_levels()
-        return max((n.level for n in self.nodes.values()), default=0)
-
     def lower(self):
         """Lower the network once for `evaluate_lowered`: signals, crossbar
         rows (weights, then the `bias_chunks` of the bias) and

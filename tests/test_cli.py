@@ -2,11 +2,17 @@
 chain, its exit codes, and byte-level determinism of the artifacts."""
 
 import json
+import math
+import os
+import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+from smtl import cli, evaluate
 from smtl.cli import main
 from smtl.mapping import MappedDesign, validate
 
@@ -756,3 +762,87 @@ def test_map_of_a_mapped_design_reproduces_it(runner, tmp_path, bench,
     got = json.loads(Path(again).read_text())
     assert got["tln"] == want["tln"]
     assert got["blocks"] == want["blocks"]
+
+
+# --- artifact writer ---------------------------------------------------------
+
+def test_artifacts_take_the_umask_mode(runner, artifacts, tmp_path):
+    # mkstemp made every artifact 0600, and turned an overwritten 0644 file
+    # into 0600
+    old = os.umask(0o022)
+    try:
+        fresh, kept = tmp_path / "new.json", tmp_path / "old.json"
+        kept.write_text("{}")
+        kept.chmod(0o644)
+        for out in (fresh, kept):
+            r = runner.invoke(main, ["map", "--tln", artifacts["tln"],
+                                     "-o", str(out)])
+            assert r.exit_code == 0, r.output
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        os.umask(0o077)
+        assert runner.invoke(main, ["map", "--tln", artifacts["tln"], "-o",
+                                    str(kept)]).exit_code == 0
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    finally:
+        os.umask(old)
+
+
+_TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n\t\r",
+                           "é", "☃", "\U0001f600", "\ud800", "a\"b\\c"])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 1e16, 5e-324, 1e-7, 2.0 ** 63])
+            | st.text() | _TRICKY)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(st.text() | _TRICKY, kids)
+                  | st.dictionaries(st.integers(-2, 2) | st.booleans()
+                                    | st.sampled_from([-0.0, 0.5, 1.0]),
+                                    kids)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(obj=_JSON)
+def test_dump_matches_the_stdlib_encoder(obj):
+    want = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._dump(obj) == want
+
+
+@pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [1, True, 0,
+                                 False, None], {"b": (1, [2.5, "x"])},
+                                 -0.0, 1e16, 5e-324, True, None, "é",
+                                 [np.float64(0.1), np.float64(-0.0)],
+                                 [{True: 1}, {1: 2}, {1.0: 3}],
+                                 [{"a": 1, "b": [{}]}, {"a": True, "b": []}],
+                                 [{"x{y}": [[1], []]}, {"x{y}": [(2,)]}]])
+def test_dump_matches_the_stdlib_encoder_on_edge_cases(obj):
+    want = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._dump(obj) == want
+
+
+@pytest.mark.parametrize("bad", [{1}, object(), {(1, 2): 3}])
+def test_dump_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        cli._dump([bad])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_figures_exit_1_and_keep_the_old_artifact(
+        runner, artifacts, tmp_path, monkeypatch, value):
+    report = tmp_path / "r.json"
+    report.write_text("old\n")
+    full_report = evaluate.full_report
+
+    def bad_report(*args, **kwargs):
+        rep = full_report(*args, **kwargs)
+        rep["power"]["p_total"] = value
+        return rep
+
+    monkeypatch.setattr(evaluate, "full_report", bad_report)
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--vectors", "32", "--report", str(report)])
+    _assert_input_error(r, "overflows")
+    assert report.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]

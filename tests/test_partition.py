@@ -121,11 +121,6 @@ def test_all_direct_design_has_zero_length(c17_mapped):
     assert stats["routed"] == 0 and stats["route_length"] == 0
 
 
-def test_direct_link_count_matches_stats(c432_mapped):
-    stats = partition.interconnect_stats(c432_mapped)
-    assert partition.direct_link_count(c432_mapped) == stats["direct"]
-
-
 # --- repartitioning -------------------------------------------------------
 
 def test_repartition_preserves_nodes(c432_mapped):

@@ -162,6 +162,10 @@ def ref_split_fanout(tln, f_max):
     return n_split
 
 
+def _direct(design):
+    return partition.interconnect_stats(design)["direct"]
+
+
 def ref_reorder_stages(design):
     """Recount every direct link after each per-stage trial."""
     cfg = design.config
@@ -169,7 +173,7 @@ def ref_reorder_stages(design):
     for s in design.blocks:
         if any(nid in design.absorbed for nid in design.stage_nodes(s)):
             pinned.update((s, s - 1))
-    best = partition.direct_link_count(design)
+    best = _direct(design)
     for _ in range(cfg.reorder_sweeps):
         improved = False
         for s in sorted(design.blocks):
@@ -189,7 +193,7 @@ def ref_reorder_stages(design):
             ordered = sorted(nodes, key=lambda n: bary[n])
             design.blocks[s] = partition.rebin(
                 ordered, design.tln, cfg.rows, cfg.cols)
-            now = partition.direct_link_count(design)
+            now = _direct(design)
             if now >= best:
                 if now > best:
                     improved = True
@@ -527,12 +531,24 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True)
 
 
-def _compile(net, fanin, ks, cols):
+# k and cols, then row budgets that bind (so `rebin` closes blocks on rows
+# inside `reorder_stages`), with and without a block budget
+CONFIGS = [dict(k=k, cols=c) for k in (1, 2, 3) for c in (32, 8)] + [
+    dict(k=2, rows=16, cols=8), dict(k=1, rows=8, cols=16),
+    dict(k=2, rows=16, blocks_per_stage=4),
+    dict(k=3, rows=8, cols=8, blocks_per_stage=2)]
+
+
+def _compile(net, fanin):
     tln = synthesize_tln(net, fanin_limit=fanin)
-    maps = [mapping.map_design(tln, net, MappingConfig(k=k, cols=c),
-                               fanin_limit=fanin)
-            for k in ks for c in cols]
-    return _dump(tln.to_json()), [_dump(d.to_json()) for d in maps]
+    maps = []
+    for cfg in CONFIGS:
+        try:
+            maps.append(_dump(mapping.map_design(
+                tln, net, MappingConfig(**cfg), fanin_limit=fanin).to_json()))
+        except mapping.MappingInfeasible:
+            maps.append("infeasible")
+    return _dump(tln.to_json()), maps
 
 
 # --- identical output --------------------------------------------------------
@@ -541,14 +557,12 @@ def _compile(net, fanin, ks, cols):
 @pytest.mark.parametrize("fanin", (2, 3, 4))
 def test_compile_identical_to_reference(netlists, name, fanin):
     net = netlists[name]
-    ks, cols = (1, 2, 3), (32, 8)
     with reference_passes():
-        want = _compile(net, fanin, ks, cols)
-    got = _compile(net, fanin, ks, cols)
+        want = _compile(net, fanin)
+    got = _compile(net, fanin)
     assert got[0] == want[0]
-    for k_cols, g, w in zip([(k, c) for k in ks for c in cols], got[1],
-                            want[1]):
-        assert g == w, f"mapped JSON differs at k, cols = {k_cols}"
+    for cfg, g, w in zip(CONFIGS, got[1], want[1]):
+        assert g == w, f"mapped JSON differs at {cfg}"
 
 
 @pytest.mark.parametrize("seed", range(20))
