@@ -191,7 +191,10 @@ def pack(rows):
     count, n = rows.shape
     nbytes = -(-count // 64) * 8
     out = np.zeros((n, nbytes), dtype=np.uint8)
-    out[:, :-(-count // 8)] = np.packbits(rows.T, axis=1, bitorder="little")
+    # packbits reads a contiguous copy of the columns several times faster
+    # than the strided view
+    out[:, :-(-count // 8)] = np.packbits(np.ascontiguousarray(rows.T),
+                                          axis=1, bitorder="little")
     return out.view("<u8")
 
 

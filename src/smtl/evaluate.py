@@ -174,24 +174,32 @@ def drive_current(params, k):
     return I_DTCS_BASE * k * (params.i_threshold / I_THRESHOLD_REF)
 
 
-def power_report(design, params, stats=None):
-    """Power split into crossbar, detection and routing; `stats` is the
-    design's `partition.interconnect_stats`, computed when omitted.
+def _design_figures(design):
+    """What the costs take from the design alone, whatever the device
+    parameters: its `partition.interconnect_stats` and the occupied input
+    rows of every block (`partition.block_rows`)."""
+    tln = design.tln
+    active_rows = sum(
+        partition.block_rows([tln.nodes[nid].gate for nid in colnodes])
+        for blks in design.blocks.values() for colnodes in blks)
+    return partition.interconnect_stats(design), active_rows
+
+
+def power_report(design, params):
+    """Power split into crossbar, detection and routing.
 
     The crossbar term counts the occupied input rows of every block
     (`partition.block_rows`), each driven at `drive_current`.
     """
+    return _power(design, params, *_design_figures(design))
+
+
+def _power(design, params, stats, active_rows):
+    """`power_report` from the design's `_design_figures`."""
     k = design.config.k
-    tln = design.tln
-    n_nodes = len(tln.nodes)
-    p_det = n_nodes * params.p_detect * (params.f_clk / 500e6)
-    active_rows = sum(
-        partition.block_rows([tln.nodes[nid].gate for nid in colnodes])
-        for blks in design.blocks.values() for colnodes in blks)
+    p_det = len(design.tln.nodes) * params.p_detect * (params.f_clk / 500e6)
     p_mca = (active_rows * drive_current(params, k) * params.delta_v
              * DEFAULT_ACTIVITY)
-    if stats is None:
-        stats = partition.interconnect_stats(design)
     route_length = stats["route_length"]
     p_int = (C_WIRE * route_length * params.delta_v ** 2 * params.f_clk
              * DEFAULT_ACTIVITY)
@@ -229,11 +237,12 @@ def delay_report(design, params):
     }
 
 
-def _costs(design, params):
+def _costs(design, params, figures):
     """Links, power, delay, energy and area: what a report and a sweep
-    row take from the design without simulating it."""
-    stats = partition.interconnect_stats(design)
-    power = power_report(design, params, stats)
+    row take from the design without simulating it, given the design's
+    `_design_figures`."""
+    stats, active_rows = figures
+    power = _power(design, params, stats, active_rows)
     delay = delay_report(design, params)
     energy = power["p_total"] * delay["latency"]
     return {
@@ -255,7 +264,7 @@ def full_report(design, params, sigma=0.0, vectors=10_000, seed=0):
         "sigma": sigma,
         "errors": sim["errors"],
         "vectors": sim["vectors"],
-        **_costs(design, params),
+        **_costs(design, params, _design_figures(design)),
         "nodes": len(design.tln.nodes),
         "buffers": design.buffer_count,
     }
@@ -299,6 +308,7 @@ def sweep(design, params, parameter, grid, source_tln=None):
     if not len(grid):
         raise ValueError("empty sweep grid")
     rows = []
+    last = None
     for value in grid:
         p, d = params, design
         if parameter == "dv":
@@ -311,11 +321,13 @@ def sweep(design, params, parameter, grid, source_tln=None):
             cfg = dataclasses.replace(design.config, k=value)
             d = map_design(source_tln, design.source, cfg)
         elif parameter == "subarray_dim":
-            if not float(value).is_integer():
-                raise ValueError(
-                    f"subarray_dim must be a whole number, got {value}")
+            if not float(value).is_integer() or value < 1:
+                raise ValueError(f"subarray_dim must be a whole number "
+                                 f">= 1, got {value}")
             d = partition.repartition(design, int(value), int(value))
-        c = _costs(d, p)
+        if d is not last:  # dv and i_threshold keep one design
+            last, figures = d, _design_figures(d)
+        c = _costs(d, p, figures)
         power, stats = c["power"], c["links"]
         rows.append({
             "parameter": parameter,

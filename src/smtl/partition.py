@@ -111,12 +111,27 @@ def classify_links(design):
 
 
 def interconnect_stats(design):
-    links = classify_links(design)
+    """The totals of `classify_links`: direct, routed and backward link
+    counts and the route length, in one pass over the edges."""
+    place = design.placements()
+    backward = set(map(tuple, design.backward_edges))
+    direct = routed = n_backward = route_length = 0
+    for u, v in design.edges():
+        if (u, v) in backward:
+            n_backward += 1
+            continue
+        su, bu, _ = place[u]
+        sv, bv, _ = place[v]
+        if bu == bv:
+            direct += 1
+        else:
+            routed += 1
+            route_length += abs(sv - su) + abs(bv - bu)
     return {
-        "direct": sum(1 for l in links if l.kind == "direct"),
-        "routed": sum(1 for l in links if l.kind == "routed"),
-        "backward": sum(1 for l in links if l.kind == "backward"),
-        "route_length": sum(l.length for l in links),
+        "direct": direct,
+        "routed": routed,
+        "backward": n_backward,
+        "route_length": route_length,
     }
 
 

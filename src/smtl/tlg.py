@@ -73,17 +73,33 @@ def threshold_step(const, weights, cols):
     return s, s >= 0
 
 
+# generator words `input_rows` reads at a time (256 KB)
+RAW_WORDS = 1 << 15
+
+
 def input_rows(n, count=None, seed=0):
     """Boolean input rows for n inputs.
 
     All 2^n rows (row r sets input i to bit i of r) when `count` is None or
     at least 2^n; otherwise `count` rows drawn by
     `default_rng(seed).integers(0, 2)`.
+
+    The drawn rows are read from the generator's raw 64-bit words, without
+    the int64 matrix `integers` builds: for a range of 2, numpy draws each
+    value by Lemire's method from the next 32-bit half of a word (low half
+    first), which never rejects and returns the half's top bit.
     """
     if count is None or 2 ** n <= count:
         return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=(count, n)).astype(bool)
+    size = count * n
+    bits = np.empty(size, dtype=bool)
+    gen = np.random.default_rng(seed).bit_generator
+    step = 2 * RAW_WORDS
+    for lo in range(0, size, step):
+        raw = gen.random_raw(min(RAW_WORDS, -(-(size - lo) // 2)))
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        np.greater_equal(halves[:size - lo], 1 << 31, out=bits[lo:lo + step])
+    return bits.reshape(count, n)
 
 
 def row_sums(gates):

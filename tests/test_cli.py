@@ -514,6 +514,18 @@ def test_sweep_rejects_fractional_subarray_dim(runner, artifacts, tmp_path):
     assert out.read_text().splitlines()[1].startswith("subarray_dim,16,")
 
 
+@pytest.mark.parametrize("grid", ["0", "-16", "16,0"])
+def test_sweep_rejects_subarray_dim_below_one(runner, artifacts, tmp_path,
+                                              grid):
+    # exited 3 with "node 11 needs 3 rows, block has 0"
+    out = tmp_path / "s.csv"
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--param", "subarray_dim", f"--grid={grid}",
+                             "-o", str(out)])
+    _assert_input_error(r, "subarray_dim")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("inputs,weights,message", [
     (["1"] * 11, [2] * 11, "fan-in 11"), (["1"], [7], "exceeds 6")])
 def test_evaluate_rejects_gates_it_cannot_simulate(runner, artifacts,

@@ -2,10 +2,14 @@
 changes to the code, not only between two runs of the same code.
 
 Each command below runs in-process through `smtl.cli.main`, and every file
-it writes is compared by sha256 against `golden_artifacts.json`. None of
-the artifacts depends on a random stream: a sigma=0 report holds 0 errors
-and power does not depend on the vectors. A change that alters one of
-these files on purpose must say so and record the new hashes.
+it writes is compared by sha256 against `golden_artifacts.json`. The two
+`report_mc.json` reports depend on the random streams: their error counts
+come from the vectors `tlg.input_rows` draws and the conductances
+`evaluate.programmed` draws. c17's counts 15 failing vectors of 30, so a
+change to either stream shows in its bytes. The other artifacts do not
+depend on a stream: a sigma=0 report holds 0 errors and power does not
+depend on the vectors. A change that alters one of these files on purpose
+must say so and record the new hashes.
 """
 
 import hashlib
@@ -21,7 +25,8 @@ HERE = Path(__file__).resolve().parent
 BENCH_DIR = HERE.parent / "benchmarks"
 GOLDEN = HERE / "golden_artifacts.json"
 
-SWEEPS = (("dv", "25,50,100"), ("subarray_dim", "16,32"), ("k", "1,2,3"))
+SWEEPS = (("dv", "25,50,100"), ("i_threshold", "1,2,4"),
+          ("subarray_dim", "16,32"), ("k", "1,2,3"))
 
 
 def commands(bench):
@@ -43,6 +48,12 @@ def commands(bench):
                             "-o", "mapped_f3.json"]),
         ("report.json", evaluate),
     ]
+    # c17 draws 30 of its 32 rows, and 15 of them fail at sigma 0.2
+    mc = (["--sigma", "0.2", "--vectors", "30", "--seed", "4"]
+          if name == "c17" else
+          ["--sigma", "0.05", "--vectors", "5000", "--seed", "3"])
+    steps.append(("report_mc.json", ["evaluate", "--mapped", "mapped.json",
+                                     *mc, "--report", "report_mc.json"]))
     for param, grid in SWEEPS:
         out = f"sweep_{param}.csv"
         argv = ["sweep", "--mapped", "mapped.json", "--param", param,

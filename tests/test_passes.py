@@ -16,6 +16,7 @@ compared exactly.
 
 import contextlib
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -25,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from smtl import devices, evaluate, graph, mapping, partition, synthesis, tlg
 from smtl.bench import (BenchError, BooleanNetwork, evaluate_many, load_bench,
@@ -655,6 +657,43 @@ def test_input_rows_match_reference():
     assert (input_rows(9, 50, seed=3) == want).all()
 
 
+def ref_pack(rows):
+    """`bench.pack` as it was: packbits on the strided transposed view."""
+    rows = np.asarray(rows, dtype=bool)
+    count, n = rows.shape
+    out = np.zeros((n, -(-count // 64) * 8), dtype=np.uint8)
+    out[:, :-(-count // 8)] = np.packbits(rows.T, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(n=st.integers(1, 70), count=st.integers(1, 3000),
+       seed=st.integers(0, 2 ** 63))
+@example(n=7, count=13, seed=0)         # odd count * n, one word half-read
+@example(n=9, count=50, seed=3)
+@example(n=64, count=1024, seed=5)      # exactly one read of RAW_WORDS
+@example(n=23, count=2851, seed=6)      # odd, just past one read
+@example(n=70, count=3000, seed=2 ** 63)
+def test_drawn_rows_are_the_integers_stream(n, count, seed):
+    assume(2 ** n > count)
+    want = np.random.default_rng(seed).integers(0, 2, size=(count, n))
+    got = input_rows(n, count, seed)
+    assert got.dtype == bool and got.shape == (count, n)
+    assert (got == want.astype(bool)).all()
+    words = pack(got)
+    assert words.dtype == np.dtype("<u8")
+    assert (words == ref_pack(got)).all()
+    # a column-major copy packs to the same words
+    assert (pack(np.asfortranarray(got)) == words).all()
+
+
+@pytest.mark.parametrize("raw_words", [1, 2, 3, 1000])
+def test_drawn_rows_do_not_depend_on_the_read_size(monkeypatch, raw_words):
+    want = input_rows(17, 4001, seed=8)
+    monkeypatch.setattr(tlg, "RAW_WORDS", raw_words)
+    assert (input_rows(17, 4001, seed=8) == want).all()
+
+
 def test_gate_margin_and_truth_table_match_reference():
     rng = random.Random(0)
     levels = [w for w in range(-W_MAX, W_MAX + 1) if w]
@@ -952,9 +991,11 @@ def test_collapse_scans_the_network_a_constant_number_of_times(
 def test_map_design_classifies_links_at_most_twice(netlists, monkeypatch):
     net = netlists["c432"]
     tln = synthesize_tln(net)
-    calls = _counting(monkeypatch, partition, "classify_links")
+    calls = _counting(monkeypatch, partition, "interconnect_stats")
+    objects = _counting(monkeypatch, partition, "classify_links")
     map_design(tln, net, MappingConfig(k=2, cols=8))
     assert calls[0] <= 2
+    assert objects[0] == 0
 
 
 def test_variation_tolerance_evaluates_the_oracle_once(compiled, monkeypatch):
@@ -974,14 +1015,87 @@ def test_variation_tolerance_evaluates_the_oracle_once(compiled, monkeypatch):
 
 
 def test_reports_classify_links_once_per_design(compiled, monkeypatch):
-    _, design = compiled("c432", 4)
+    tln, design = compiled("c432", 4)
     params = DeviceParams()
-    calls = _counting(monkeypatch, partition, "classify_links")
+    calls = _counting(monkeypatch, partition, "interconnect_stats")
+    objects = _counting(monkeypatch, partition, "classify_links")
     evaluate.full_report(design, params, vectors=100)
     assert calls[0] == 1
-    calls[0] = 0
-    evaluate.sweep(design, params, "subarray_dim", [16, 32, 64])
-    assert calls[0] == 3
+    # dv and i_threshold keep the design: its links are counted once
+    for parameter, grid in (("dv", [0.025, 0.05, 0.1, 0.2]),
+                            ("i_threshold", [1e-6, 2e-6, 4e-6]),
+                            ("subarray_dim", [16, 32, 64]),
+                            ("k", [1, 2])):
+        calls[0] = 0
+        evaluate.sweep(design, params, parameter, grid, source_tln=tln)
+        want = 1 if parameter in ("dv", "i_threshold") else len(grid)
+        assert calls[0] == want, parameter
+    assert objects[0] == 0
+
+
+def _link_totals(design):
+    """`interconnect_stats` as it was: totals over `classify_links`."""
+    links = partition.classify_links(design)
+    return {
+        "direct": sum(link.kind == "direct" for link in links),
+        "routed": sum(link.kind == "routed" for link in links),
+        "backward": sum(link.kind == "backward" for link in links),
+        "route_length": sum(link.length for link in links),
+    }
+
+
+def test_interconnect_stats_are_the_classified_link_totals(compiled):
+    designs = [compiled(name, 4)[1] for name in ("c17", "c432")]
+    for seed, fanin, k, cols in itertools.product(range(4), (3, 4),
+                                                  (1, 2, 3), (16, 64)):
+        net = generated_netlist(seed)
+        tln = synthesize_tln(net, fanin_limit=fanin)
+        designs.append(map_design(tln, net, MappingConfig(k=k, cols=cols),
+                                  fanin_limit=fanin))
+    designs += [partition.repartition(d, 16, 16) for d in designs]
+    # absorbed nodes read their sources over backward links
+    assert sum(bool(d.absorbed and d.backward_edges) for d in designs) >= 20
+    for d in designs:
+        assert partition.interconnect_stats(d) == _link_totals(d)
+
+
+def test_sweep_rows_are_the_costs_of_each_point(compiled):
+    tln, design = compiled("c432", 4)
+    params = DeviceParams()
+    for parameter, grid in (("dv", [0.025, 0.1, 0.2]),
+                            ("i_threshold", [1e-6, 2e-6, 4e-6]),
+                            ("subarray_dim", [16, 64]),
+                            ("k", [1, 2])):
+        rows = evaluate.sweep(design, params, parameter, grid,
+                              source_tln=tln)
+        assert len(rows) == len(grid)
+        for value, row in zip(grid, rows):
+            p, d = params, design
+            if parameter == "dv":
+                p = dataclasses.replace(params, delta_v=value)
+            elif parameter == "i_threshold":
+                p = dataclasses.replace(params, i_threshold=value)
+            elif parameter == "subarray_dim":
+                d = partition.repartition(design, value, value)
+            else:
+                d = map_design(tln, design.source,
+                               dataclasses.replace(design.config, k=value))
+            c = evaluate._costs(d, p, evaluate._design_figures(d))
+            assert row == {
+                "parameter": parameter,
+                "value": value,
+                **{key: c["power"][key] for key in (
+                    "p_mca", "p_det", "p_interconnect", "p_total")},
+                "latency": c["delay"]["latency"],
+                "energy": c["energy"],
+                "edp": c["energy_delay_product"],
+                "area_um2": c["area_um2"],
+                "routed_links": c["links"]["routed"],
+                "route_length": c["links"]["route_length"],
+                "cells": partition.cell_count(d),
+                "nodes": len(d.tln.nodes),
+                "buffers": d.buffer_count,
+            }, (parameter, value)
 
 
 # --- batched gate kernels ----------------------------------------------------
