@@ -210,31 +210,57 @@ def unpack(words, count):
 # 2^(fan-in-1) words per vector word, so tabulated evaluation bounds the
 # fan-in; synthesis emits at most 4.
 TABLE_FAN_IN_LIMIT = 10
-# words held by one mux-tree temporary; callers chunk their gates by it
-MUX_WORDS = 1 << 19
+# Bound on the elements of one chunk's largest temporary, 512 KB of
+# 64-bit words: a mux tree's first level (gates, 2^(k-1), W), and in the
+# kernel a chunk of (row, node, table row) net input sums. Callers chunk
+# their gates by it; a single gate above it is one chunk.
+MUX_WORDS = 1 << 16
 
 
 def mux(tables, x):
     """Shannon mux tree: the functions with truth tables `tables`
     (..., 2^k) bool, row r setting input j to bit j of r, at packed input
-    words x (..., k, W); returns (..., W) words."""
-    f = np.where(tables, ~np.uint64(0), np.uint64(0))[..., None]
-    for j in range(x.shape[-2]):
+    words x (..., k, W); returns (..., W) words.
+
+    The first level is built from the table bits as all-ones or zero
+    masks, (..., 2^(k-1), W); the later levels update it in place.
+    """
+    lo = -tables[..., 0::2, None].astype(np.uint64)
+    hi = -tables[..., 1::2, None].astype(np.uint64)
+    f = (lo ^ hi) & x[..., 0, None, :]
+    f ^= lo
+    for j in range(1, x.shape[-2]):
         lo, hi = f[..., 0::2, :], f[..., 1::2, :]
-        f = lo ^ ((lo ^ hi) & x[..., j, None, :])
+        hi ^= lo
+        hi &= x[..., j, None, :]
+        lo ^= hi
+        f = lo
     return f[..., 0, :]
 
 
 def evaluate_packed(net, words):
     """Evaluate packed input words, one row per input; returns one row of
-    words per output."""
+    words per output. A gate's words are dropped after its last reader;
+    outputs are kept to the end."""
     if len(words) != len(net.inputs):
         raise ValueError(f"expected {len(net.inputs)} rows of input words, "
                          f"one per input, got {len(words)}")
+    order = net.topological_order()
+    # the position of each gate's last reader (its own if none reads it)
+    last = dict(zip(order, range(len(order))))
+    last.update((i, at) for at, name in enumerate(order)
+                for i in net.gate(name).inputs)
+    last.update(dict.fromkeys(net.outputs, len(order)))
+    dies = [[] for _ in order]
+    for name, at in last.items():
+        if at < len(order):
+            dies[at].append(name)
     vals = dict(zip(net.inputs, words))
-    for name in net.topological_order():
+    for name, dead in zip(order, dies):
         g = net.gate(name)
         vals[name] = _GATE_FN[g.kind]([vals[i] for i in g.inputs])
+        for i in dead:
+            del vals[i]
     out = np.empty((len(net.outputs), words.shape[1]), dtype=np.uint64)
     for row, name in zip(out, net.outputs):
         row[:] = vals[name]

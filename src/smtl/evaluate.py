@@ -85,13 +85,16 @@ def simulate_batch(low, words, count, want, net):
     """Simulate `count` packed input vectors under every row of net
     conductances (`programmed`) at once.
 
-    Returns the output words (S, n_outputs, W) and, per row of `net`, the
-    number of vectors that differ from the packed oracle words `want`
-    (n_outputs, W).
+    Returns the output words of every row (`tlg.RowWords`) and, per row of
+    `net`, the number of vectors that differ from the packed oracle words
+    `want` (n_outputs, W), counted one row at a time.
     """
     out = evaluate_lowered(low, words, net)
-    bad = np.bitwise_or.reduce(out ^ want, axis=1)
-    return out, unpack(bad, count).sum(axis=-1)
+    errors = np.empty(len(out), dtype=np.int64)
+    for r in range(len(out)):
+        bad = np.bitwise_or.reduce(out.row(r) ^ want, axis=0)
+        errors[r] = np.count_nonzero(unpack(bad, count))
+    return out, errors
 
 
 def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
@@ -112,7 +115,7 @@ def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
                                  evaluate_packed(design.source, words),
                                  programmed(low, params, sigma, [seed]))
     return {
-        "outputs": unpack(out[0], count).T,
+        "outputs": unpack(out.row(0), count).T,
         "errors": int(errors[0]),
         "vectors": int(count),
     }

@@ -25,24 +25,34 @@ def pass_numbers(nodes, sources):
     `sources` (primary inputs) have pass 0. A node's pass is
     max(1, max over inputs i of pass(i) + [pos(i) > pos(node)]): the sweep,
     among repeated insertion-order sweeps that each emit every node whose
-    inputs are already emitted, in which the node is emitted. Computed along
-    a Kahn order in O(N + E). Raises CycleError, leftover in insertion order,
-    if some node can never be ordered (a cycle or an unknown input).
+    inputs are already emitted, in which the node is emitted. The first
+    sweep is run as it is defined; the nodes it leaves are computed along a
+    Kahn order, O(N + E) in all. Raises CycleError, leftover in insertion
+    order, if some node can never be ordered (a cycle or an unknown input).
     """
     nodes = list(nodes)
+    done = set(sources)
+    passes, rest = {}, []
+    for name, inputs in nodes:
+        if done.issuperset(inputs):
+            passes[name] = 1
+            done.add(name)
+        else:
+            rest.append((name, inputs))
+    if not rest:
+        return passes
     pos = {name: i for i, (name, _) in enumerate(nodes)}
     missing = {}
-    users = {name: [] for name in pos}
-    for name, inputs in nodes:
+    users = {name: [] for name, _ in rest}
+    for name, inputs in rest:
         n = 0
         for i in inputs:
-            if i not in sources:
+            if i not in done:
                 n += 1
                 if i in users:
                     users[i].append(name)
         missing[name] = n
-    passes = {}
-    inputs_of = dict(nodes)
+    inputs_of = dict(rest)
     ready = deque(name for name, n in missing.items() if n == 0)
     while ready:
         name = ready.popleft()

@@ -244,18 +244,94 @@ class Lowered:
     owns consecutive crossbar rows, in the same order: one per weight, then
     one per `bias_chunks` level of its bias. Row r has signed level
     `levels[r]` and its node's first row is `first[r]`.
+
+    The kernel holds a signal's words in a row-0 word slot, `slot[i]`,
+    from the group that makes it (an input: from the start) through the
+    last group that reads it (an output: to the end). Slots are assigned
+    by linear scan: a group's nodes take their slots before the slots of
+    the signals that die in that group are freed, so `n_slots` is the
+    most signals alive at once.
     """
 
     n_inputs: int
     n_signals: int
     levels: np.ndarray
     first: np.ndarray
-    # per (ASAP level, fan-in k), in level order: node signals (G,), input
-    # signals (G, k) and weight rows (G, k), each in topological order
+    # per fan-in k: (k, node signals (N,), weight rows (N, k)), the nodes
+    # in (ASAP level, topological) order
+    fan_ins: tuple
+    # per (ASAP level, fan-in k), in level order: (k, lo, hi, node slots,
+    # input slots (hi - lo, k), slots freed after it); the nodes are
+    # fan-in k's nodes lo .. hi - 1
     groups: tuple
     # (node signals (B,), bias rows (B, b)), one entry per bias-row count b
     bias: tuple
     outputs: np.ndarray
+    slot: np.ndarray
+    n_slots: int
+
+
+@dataclass(frozen=True)
+class RowWords:
+    """The output words of every row of a kernel call: under row r,
+    output j holds `words[index[r, j]]`."""
+
+    words: np.ndarray
+    index: np.ndarray
+
+    def __len__(self):
+        return len(self.index)
+
+    def row(self, r):
+        """Row r's output words, (n_outputs, W)."""
+        return self.words[self.index[r]]
+
+
+class _WordPool:
+    """Row 0's word slots, then room for an overlay word per (further row,
+    slot) pair. Overlay words go back to a free list when their signal
+    dies and are handed out again, last freed first, before any word not
+    yet written: only written pages become resident, so memory follows the
+    most overlay words alive at once."""
+
+    def __init__(self, n_slots, n_rows, n_words):
+        self.buf = np.empty((n_slots * n_rows, n_words), dtype=np.uint64)
+        self.n_slots = self.used = n_slots
+        self.free = []
+
+    def take(self, m):
+        """Indices of m overlay words, freed ones first."""
+        reuse = min(m, len(self.free))
+        ids = np.array(self.free[len(self.free) - reuse:], dtype=np.intp)
+        del self.free[len(self.free) - reuse:]
+        fresh = np.arange(self.used, self.used + m - reuse)
+        self.used += m - reuse
+        return np.concatenate((ids, fresh))
+
+    def give(self, ids):
+        """Return the overlay words among `ids` to the free list; row 0's
+        slots (ids < n_slots) are skipped."""
+        self.free += ids[ids >= self.n_slots].tolist()
+
+
+def _truth_tables(const, net, rows, k):
+    """The truth tables (S, N, 2^k) of N nodes of fan-in k under every row
+    of `net`, from their constants `const` (S, N) and weight rows `rows`
+    (N, k), and where each differs from row 0's, (S, N). Chunked so that
+    a chunk's net input sums stay within MUX_WORDS elements."""
+    n_rows, n = const.shape
+    fires = np.empty((n_rows, n, 2 ** k), dtype=bool)
+    differs = np.empty((n_rows, n), dtype=bool)
+    table = input_rows(k).T
+    step = max(1, MUX_WORDS // (n_rows * 2 ** k))
+    for at in range(0, n, step):
+        part = slice(at, at + step)
+        _, fires[:, part] = threshold_step(
+            const[:, part, None],
+            np.moveaxis(net[:, rows[part]], -1, 0)[..., None], table)
+        np.any(fires[:, part] != fires[0, part], axis=-1,
+               out=differs[:, part])
+    return fires, differs
 
 
 def evaluate_lowered(low, words, net):
@@ -264,16 +340,20 @@ def evaluate_lowered(low, words, net):
     levels for ideal evaluation, net conductances for the crossbar.
 
     A node fires iff its bias rows plus its weight rows on, summed by
-    `threshold_step` in that order, are >= 0. Per (level, fan-in) group
-    every node's 2^k-row truth table is built at once, for every row of
-    `net`, and a mux tree applies it to the words, chunked to MUX_WORDS
-    words. Returns the output words (S, n_outputs, W).
+    `threshold_step` in that order, are >= 0. Every node's 2^k-row truth
+    table is built for every row of `net`, per fan-in k, and per (level,
+    fan-in) group a mux tree applies the tables to the words, chunked to
+    MUX_WORDS words. Returns the output words of every row (`RowWords`).
 
-    Row 0 is evaluated in full. Every further row is an overlay on it: a
-    node is evaluated under that row only where its truth table or one of
-    its inputs differs from row 0's; words equal to row 0's are not kept.
-    Work and memory thus grow with the (row, node) pairs that differ,
-    which is few when the rows are perturbed copies of one crossbar.
+    Row 0 is evaluated in full, in the word slots of `low`'s plan. Every
+    further row is an overlay on it: a node is evaluated under that row
+    only where its truth table or one of its inputs differs from row 0's;
+    words equal to row 0's are not kept, and a signal's overlay words go
+    back to a free list when the signal dies. Memory thus follows the
+    live signals and the (row, node) pairs that differ among them, which
+    are few when the rows are perturbed copies of one crossbar, except
+    for the truth tables and their "differs" masks: (S, N, 2^k) and
+    (S, N) bools for every node, held for the whole call.
     """
     n_rows, n_words = len(net), words.shape[1]
     const = np.zeros((n_rows, low.n_signals), dtype=net.dtype)
@@ -283,43 +363,73 @@ def evaluate_lowered(low, words, net):
         terms = net[:, rows]
         const[:, nodes] = (terms.sum(axis=-1) if rows.shape[1] < 8 else
                            [[t.sum() for t in seed] for seed in terms])
-    # the words of row 0 per signal, then the overlay words; under row r
-    # signal i holds buf[slot[r, i]], an overlay iff that is >= n_signals.
-    # There is room for every (row, node) pair, but only the pages written
-    # become resident, so memory follows the pairs that differ.
-    n_nodes = low.n_signals - low.n_inputs
-    buf = np.empty((low.n_signals + (n_rows - 1) * n_nodes, n_words),
-                   dtype=np.uint64)
-    buf[:low.n_inputs] = words
-    used = low.n_signals
-    slot = np.tile(np.arange(low.n_signals), (n_rows, 1))
-    table_rows = {k: input_rows(k).T
-                  for k in {inputs.shape[1] for _, inputs, _ in low.groups}}
-    for nodes, inputs, rows in low.groups:
-        k = inputs.shape[1]
-        _, fires = threshold_step(const[:, nodes, None],
-                                  np.moveaxis(net[:, rows], -1, 0)[..., None],
-                                  table_rows[k])
+    tables = {k: _truth_tables(const[:, nodes], net, rows, k)
+              for k, nodes, rows in low.fan_ins}
+    del const
+    pool = _WordPool(low.n_slots, n_rows, n_words)
+    pool.buf[low.slot[:low.n_inputs]] = words
+    n_slots = low.n_slots
+    # under row r slot s holds the word buf[where[r, s]], an overlay iff
+    # that is >= n_slots
+    where = np.tile(np.arange(n_slots), (n_rows, 1))
+    for k, lo, hi, nodes, inputs, freed in low.groups:
+        fires, differs = tables[k]
         step = max(1, MUX_WORDS // (2 ** (k - 1) * n_words or 1))
-        for at in range(0, len(nodes), step):
+        for at in range(0, hi - lo, step):
             part = slice(at, at + step)
-            buf[nodes[part]] = mux(fires[0, part], buf[inputs[part]])
+            pool.buf[nodes[part]] = mux(fires[0, lo:hi][part],
+                                        pool.buf[inputs[part]])
         if n_rows == 1:
             continue
-        src = slot[:, inputs]
+        src = where[:, inputs]
         # false on row 0, whose tables and words are the reference
-        live = (fires != fires[0]).any(-1) | (src >= low.n_signals).any(-1)
+        live = differs[:, lo:hi] | (src >= n_slots).any(-1)
         r, g = np.nonzero(live)
         for at in range(0, len(r), step):
             pr, pg = r[at:at + step], g[at:at + step]
-            out = mux(fires[pr, pg], buf[src[pr, pg]])
+            out = mux(fires[pr, lo + pg], pool.buf[src[pr, pg]])
             sig = nodes[pg]
-            hit = np.flatnonzero((out != buf[sig]).any(-1))
-            end = used + len(hit)
-            np.take(out, hit, axis=0, out=buf[used:end])
-            slot[pr[hit], sig[hit]] = np.arange(used, end)
-            used = end
-    return buf[slot[:, low.outputs]]
+            hit = np.flatnonzero((out != pool.buf[sig]).any(-1))
+            ids = pool.take(len(hit))
+            pool.buf[ids] = out[hit]
+            where[pr[hit], sig[hit]] = ids
+        pool.give(where[:, freed])
+        where[:, freed] = freed
+    return RowWords(pool.buf, where[:, low.slot[low.outputs]])
+
+
+def _slot_plan(n_inputs, n_signals, fan_ins, spans, outputs):
+    """Row-0 word slot of every signal, per group the slots freed after
+    it, and the slot count, by linear scan over the groups (see
+    `Lowered`).
+
+    A signal dies in the last group that reads it, or in the group that
+    makes it if none does (an input: the first group); outputs never die.
+    """
+    n_groups = len(spans)
+    made = np.zeros(n_signals, dtype=np.intp)
+    dies = np.full(n_signals, -1, dtype=np.intp)
+    for g, (k, lo, hi) in enumerate(spans):
+        nodes, inputs, _ = fan_ins[k]
+        made[nodes[lo:hi]] = g
+        dies[inputs[lo:hi].ravel()] = g  # groups run in order: last wins
+    dies = np.maximum(dies, made)
+    dies[outputs] = n_groups
+    by_death = np.argsort(dies, kind="stable")
+    bounds = np.searchsorted(dies[by_death], np.arange(n_groups + 1))
+    slot = np.empty(n_signals, dtype=np.intp)
+    slot[:n_inputs] = np.arange(n_inputs)
+    n_slots, free, freed = n_inputs, [], []
+    for g, (k, lo, hi) in enumerate(spans):
+        reuse = min(hi - lo, len(free))
+        fresh = hi - lo - reuse
+        slot[fan_ins[k][0][lo:hi]] = free[len(free) - reuse:] + list(
+            range(n_slots, n_slots + fresh))
+        del free[len(free) - reuse:]
+        n_slots += fresh
+        freed.append(slot[by_death[bounds[g]:bounds[g + 1]]])
+        free += freed[-1].tolist()
+    return slot, freed, n_slots
 
 
 @dataclass
@@ -391,9 +501,9 @@ class ThresholdLogicNetwork:
 
     def lower(self):
         """Lower the network once for `evaluate_lowered`: signals, crossbar
-        rows (weights, then the `bias_chunks` of the bias) and
-        the (ASAP level, fan-in) groups. Raises ValueError for a gate above
-        TABLE_FAN_IN_LIMIT inputs."""
+        rows (weights, then the `bias_chunks` of the bias), the (ASAP
+        level, fan-in) groups and the word slot plan. Raises ValueError for
+        a gate above TABLE_FAN_IN_LIMIT inputs."""
         order = self.topological_order()
         index = {name: i for i, name in enumerate(list(self.inputs) + order)}
         level = dict.fromkeys(self.inputs, 0)
@@ -422,15 +532,32 @@ class ThresholdLogicNetwork:
                                   for col in zip(*entries))
             return (nodes, *srcs, rows[:, None] + np.arange(width))
 
+        # each (level, k) group is a range of fan-in k's nodes
+        by_fan_in, spans = {}, []
+        for key in sorted(groups):
+            entries = by_fan_in.setdefault(key[1], [])
+            spans.append((key[1], len(entries),
+                          len(entries) + len(groups[key])))
+            entries += groups[key]
+        fan_ins = {k: columns(entries, k) for k, entries in by_fan_in.items()}
+        outputs = np.array([index[o] for o in self.outputs], dtype=np.intp)
+        slot, freed, n_slots = _slot_plan(len(self.inputs), len(index),
+                                          fan_ins, spans, outputs)
         return Lowered(
             n_inputs=len(self.inputs),
             n_signals=len(index),
             levels=np.array(levels, dtype=np.int64),
             first=np.array(first, dtype=np.intp),
-            groups=tuple(columns(groups[key], key[1])
-                         for key in sorted(groups)),
+            fan_ins=tuple((k, nodes, rows) for k, (nodes, _, rows)
+                          in sorted(fan_ins.items())),
+            groups=tuple(
+                (k, lo, hi, slot[fan_ins[k][0][lo:hi]],
+                 slot[fan_ins[k][1][lo:hi]], dead)
+                for (k, lo, hi), dead in zip(spans, freed)),
             bias=tuple(columns(bias[b], b) for b in sorted(bias)),
-            outputs=np.array([index[o] for o in self.outputs], dtype=np.intp),
+            outputs=outputs,
+            slot=slot,
+            n_slots=n_slots,
         )
 
     def evaluate_many(self, vectors):
@@ -438,7 +565,7 @@ class ThresholdLogicNetwork:
         vectors = np.asarray(vectors, dtype=bool)
         low = self.lower()
         out = evaluate_lowered(low, pack(vectors), low.levels[None])
-        return unpack(out[0], vectors.shape[0]).T
+        return unpack(out.row(0), vectors.shape[0]).T
 
     def validate(self, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
         """Raise ValueError naming the first node, in insertion order, that

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -860,12 +861,12 @@ def test_batched_simulation_matches_reference_per_seed(compiled, name,
             # at sigma 0 one row stands for every seed
             assert len(out) == len(errors) == (len(BATCH_SEEDS) if sigma
                                                else 1)
-            for seed, words, e in zip(BATCH_SEEDS, out, errors):
+            for r, (seed, e) in enumerate(zip(BATCH_SEEDS, errors)):
                 want = ref_simulate_mapped(design, vectors, sigma, seed,
                                            params)
                 key = (count, sigma, seed)
                 assert e == want["errors"], key
-                assert (unpack(words, count).T ==
+                assert (unpack(out.row(r), count).T ==
                         want["outputs"]).all(), key
 
 
@@ -881,10 +882,10 @@ def test_batched_simulation_with_many_bias_rows_matches_reference():
     params = DeviceParams()
     vectors = input_rows(2)
     out, errors = _batch(design, vectors, 0.5, BATCH_SEEDS, params)
-    for seed, words, e in zip(BATCH_SEEDS, out, errors):
+    for r, (seed, e) in enumerate(zip(BATCH_SEEDS, errors)):
         want = ref_simulate_mapped(design, vectors, 0.5, seed, params)
         assert e == want["errors"] > 0
-        assert (unpack(words, 4).T == want["outputs"]).all()
+        assert (unpack(out.row(r), 4).T == want["outputs"]).all()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None,
@@ -903,10 +904,131 @@ def test_overlay_rows_match_each_row_evaluated_alone(net, fanin, count,
     words = pack(np.random.default_rng(seed).integers(
         0, 2, size=(count, len(net.inputs))).astype(bool))
     out = tlg.evaluate_lowered(low, words, stacked)
-    assert out.shape[0] == len(stacked)
+    assert len(out) == len(stacked)
     for i, row in enumerate(stacked):
         alone = tlg.evaluate_lowered(low, words, row[None])
-        assert (out[i] == alone[0]).all(), i
+        assert (out.row(i) == alone.row(0)).all(), i
+
+
+def ref_lowered_outputs(tln, row, vectors):
+    """Each output of `tln` under one row of crossbar levels of its
+    `lower()`, one node at a time: a node's rows are its weights, then its
+    bias chunks, in topological order."""
+    vectors = np.asarray(vectors, dtype=bool)
+    vals = {name: vectors[:, i] for i, name in enumerate(tln.inputs)}
+    at = 0
+    for nid in tln.topological_order():
+        gate = tln.nodes[nid].gate
+        k, b = gate.fan_in, len(bias_chunks(gate.bias))
+        s = np.full(len(vectors), row[at + k:at + k + b].sum())
+        for w, src in zip(row[at:at + k], gate.inputs):
+            s = s + w * vals[src]
+        vals[nid] = s >= 0
+        at += k + b
+    return np.column_stack([vals[o] for o in tln.outputs])
+
+
+def _kernel_case_tln():
+    """Output y is listed twice and read by the later z, the primary input
+    a is an output, and `dead` is read by nothing and is no output."""
+    tln = ThresholdLogicNetwork(inputs=["a", "b", "c"])
+    tln.add_node("y", ThresholdGate(("a", "b"), (2, 2), -3))
+    tln.add_node("dead", ThresholdGate(("b", "c"), (2, 2), -1))
+    tln.add_node("z", ThresholdGate(("y", "c"), (2, -2), -1))
+    tln.add_node("w", ThresholdGate(("z", "b", "c"), (2, 2, 2), -3))
+    tln.outputs = ["y", "a", "z", "y", "w"]
+    tln.validate()
+    return tln
+
+
+@pytest.mark.parametrize("count", VECTOR_COUNTS)
+def test_overlay_rows_keep_repeated_input_and_read_outputs(count):
+    tln = _kernel_case_tln()
+    low = tln.lower()
+    params = DeviceParams()
+    base = programmed(low, params, 0.0, BATCH_SEEDS)
+    stacked = np.concatenate([base, programmed(low, params, 0.5, range(8)),
+                              base])
+    vectors = np.random.default_rng(count).integers(
+        0, 2, size=(count, 3)).astype(bool)
+    words = pack(vectors)
+    out = tlg.evaluate_lowered(low, words, stacked)
+    assert len(out) == len(stacked)
+    # some row differs at an output, so overlays reach the outputs
+    assert any((out.index[r] != out.index[0]).any()
+               for r in range(len(out)))
+    for i, row in enumerate(stacked):
+        got = out.row(i)
+        assert (got == tlg.evaluate_lowered(low, words, row[None]).row(0)
+                ).all(), i
+        assert (unpack(got, count).T ==
+                ref_lowered_outputs(tln, row, vectors)).all(), i
+    assert (unpack(out.row(0), count).T ==
+            ref_tln_evaluate_many(tln, vectors)).all()
+
+
+def ref_live_signals(tln):
+    """Per (ASAP level, fan-in) group in order, the signals alive in it: a
+    signal lives from the group that makes it (an input: the first)
+    through the last group that reads it (an output: the last)."""
+    order = tln.topological_order()
+    level = dict.fromkeys(tln.inputs, 0)
+    for nid in order:
+        level[nid] = 1 + max(level[i] for i in tln.nodes[nid].gate.inputs)
+    key = {nid: (level[nid], tln.nodes[nid].gate.fan_in) for nid in order}
+    groups = sorted(set(key.values()))
+    made = dict.fromkeys(tln.inputs, 0)
+    made.update((nid, groups.index(key[nid])) for nid in order)
+    dies = dict(made)
+    for nid in order:
+        for i in tln.nodes[nid].gate.inputs:
+            dies[i] = max(dies[i], made[nid])
+    dies.update(dict.fromkeys(tln.outputs, len(groups)))
+    return [[name for name in made if made[name] <= g <= dies[name]]
+            for g in range(len(groups))]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=small_netlists(), fanin=st.integers(2, 4), k=st.integers(0, 2))
+def test_slot_plan_holds_the_most_signals_alive_at_once(net, fanin, k):
+    tln = synthesize_tln(net, fanin_limit=fanin)
+    if k:  # buffers and fan-out copies
+        tln = map_design(tln, net, MappingConfig(k=k),
+                         fanin_limit=fanin).tln
+    low = tln.lower()
+    index = {name: i for i, name in
+             enumerate(list(tln.inputs) + tln.topological_order())}
+    live = ref_live_signals(tln)
+    assert low.n_slots == max([len(tln.inputs)] + [len(s) for s in live])
+    for signals in live:  # no two live signals share a slot
+        slots = low.slot[[index[name] for name in signals]]
+        assert len(set(slots.tolist())) == len(signals)
+    assert (low.slot < low.n_slots).all()
+
+
+def test_variation_tolerance_memory_follows_live_signals():
+    # a deep network, whose live signals are few next to all of them;
+    # tracemalloc counts the bytes requested, whatever the machine
+    net = generated_netlist(1, n_inputs=24, layers=60, width=12)
+    design = map_design(synthesize_tln(net), net, MappingConfig())
+    low = design.tln.lower()
+    count = 32_000
+    row_bytes = -(-count // 64) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, curve = variation_tolerance(design, (0.04, 0.08), count,
+                                       seeds=(0, 1), early_stop=False,
+                                       params=DeviceParams())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert curve[-1][1] > 0  # overlays reach the outputs
+    # the kernel reserves a row of words per (probe row, slot) pair, 5 per
+    # slot here, and the whole call stays below one per signal
+    assert 5 * low.n_slots < low.n_signals / 2
+    assert peak < low.n_signals * row_bytes
 
 
 @pytest.mark.parametrize("name,fanin", [("c17", 4), ("c432", 4),
