@@ -22,7 +22,7 @@ from . import partition
 from .bench import evaluate_many, evaluate_packed, pack, unpack  # noqa: F401
 from .devices import (DeviceParams, bias_chunks, std_switch_time,
                       weight_to_conductance)
-from .tlg import evaluate_lowered, input_rows
+from .tlg import evaluate_lowered, input_words
 
 I_DTCS_BASE = 5e-6        # A per input row, quoted at the 2 uA device threshold
 I_THRESHOLD_REF = 2e-6    # A, device threshold the drive current is sized for
@@ -97,6 +97,15 @@ def simulate_batch(low, words, count, want, net):
     return out, errors
 
 
+def _simulate(design, words, count, sigma, seed, params):
+    """`simulate_batch` of the design's packed input words under the
+    conductances one seed programs, against the design's Boolean oracle."""
+    low = design.tln.lower()
+    return simulate_batch(low, words, count,
+                          evaluate_packed(design.source, words),
+                          programmed(low, params, sigma, [seed]))
+
+
 def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
     """Simulate the mapped design through the crossbar current model.
 
@@ -109,11 +118,8 @@ def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
     params = params or DeviceParams()
     vectors = np.asarray(vectors, dtype=bool)
     count = vectors.shape[0]
-    words = pack(vectors)
-    low = design.tln.lower()
-    out, errors = simulate_batch(low, words, count,
-                                 evaluate_packed(design.source, words),
-                                 programmed(low, params, sigma, [seed]))
+    out, errors = _simulate(design, pack(vectors), count, sigma, seed,
+                            params)
     return {
         "outputs": unpack(out.row(0), count).T,
         "errors": int(errors[0]),
@@ -140,18 +146,19 @@ def variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
                          f"and one seed, got {vectors_per_probe} vectors "
                          f"and {len(seeds)} seeds")
     params = params or DeviceParams()
-    vectors = input_rows(len(design.tln.inputs), vectors_per_probe,
-                         vector_seed)
-    words, count = pack(vectors), len(vectors)
-    del vectors  # only the packed words are live during the kernel
+    n = len(design.tln.inputs)
+    words = input_words(n, vectors_per_probe, vector_seed)
+    count = min(vectors_per_probe, 2 ** n)
     low = design.tln.lower()
-    # row 0, the unperturbed crossbar, is what every other row overlays
-    nets = [programmed(low, params, sig, seeds)
-            for sig in (0.0, *sigma_grid)]
+    # row 0, the unperturbed crossbar, is what every other row overlays;
+    # sigma 0 programs one row for all seeds
+    sigmas = (0.0, *sigma_grid)
+    ends = np.cumsum([len(seeds) if sig > 0.0 else 1 for sig in sigmas])
+    nets = np.empty((ends[-1], len(low.levels)))
+    for sig, lo, hi in zip(sigmas, (0, *ends), ends):
+        nets[lo:hi] = programmed(low, params, sig, seeds)
     _, errors = simulate_batch(low, words, count,
-                               evaluate_packed(design.source, words),
-                               np.concatenate(nets))
-    ends = np.cumsum([len(net) for net in nets])
+                               evaluate_packed(design.source, words), nets)
     curve = []
     sigma_star = 0.0
     failed = False
@@ -260,13 +267,15 @@ def _costs(design, params, figures):
 
 def full_report(design, params, sigma=0.0, vectors=10_000, seed=0):
     """EvaluationReport: functional errors, power, delay, energy, area."""
-    vecs = input_rows(len(design.tln.inputs), vectors, seed)
-    sim = simulate_mapped(design, vecs, sigma=sigma, seed=seed, params=params)
+    n = len(design.tln.inputs)
+    count = min(vectors, 2 ** n)
+    _, errors = _simulate(design, input_words(n, vectors, seed), count,
+                          sigma, seed, params)
     return {
         "seed": seed,
         "sigma": sigma,
-        "errors": sim["errors"],
-        "vectors": sim["vectors"],
+        "errors": int(errors[0]),
+        "vectors": int(count),
         **_costs(design, params, _design_figures(design)),
         "nodes": len(design.tln.nodes),
         "buffers": design.buffer_count,

@@ -10,7 +10,6 @@ distinct conductance levels the memristors are programmed to.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +63,8 @@ def threshold_step(const, weights, cols):
     const + sum_j weights[j] * cols[j], summed in input order, and whether
     it is >= 0 (the gate fires).
 
-    Ideal evaluation, merge tables and the weight lattice pass integer
-    weights; the crossbar model passes conductance differences.
+    Ideal evaluation, margins and merge tables pass integer weights; the
+    crossbar model passes conductance differences.
     """
     s = const
     for w, col in zip(weights, cols):
@@ -73,7 +72,7 @@ def threshold_step(const, weights, cols):
     return s, s >= 0
 
 
-# generator words `input_rows` reads at a time (256 KB)
+# generator words `input_words` reads at a time (256 KB)
 RAW_WORDS = 1 << 15
 
 
@@ -82,24 +81,37 @@ def input_rows(n, count=None, seed=0):
 
     All 2^n rows (row r sets input i to bit i of r) when `count` is None or
     at least 2^n; otherwise `count` rows drawn by
-    `default_rng(seed).integers(0, 2)`.
+    `default_rng(seed).integers(0, 2)`, unpacked from `input_words`.
+    """
+    if count is None or 2 ** n <= count:
+        return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    return unpack(input_words(n, count, seed), count).T
+
+
+def input_words(n, count=None, seed=0):
+    """`pack(input_rows(n, count, seed))`, drawn without the (count, n)
+    bool matrix.
 
     The drawn rows are read from the generator's raw 64-bit words, without
     the int64 matrix `integers` builds: for a range of 2, numpy draws each
     value by Lemire's method from the next 32-bit half of a word (low half
-    first), which never rejects and returns the half's top bit.
+    first), which never rejects and returns the half's top bit. The stream
+    is row-major, so a block of 64 m vectors is the next 32 m n raw words
+    (only the last block may end on a low half), packed into its m words.
     """
     if count is None or 2 ** n <= count:
-        return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    size = count * n
-    bits = np.empty(size, dtype=bool)
+        return pack(input_rows(n))
+    out = np.zeros((n, -(-count // 64) * 8), dtype=np.uint8)
     gen = np.random.default_rng(seed).bit_generator
-    step = 2 * RAW_WORDS
-    for lo in range(0, size, step):
-        raw = gen.random_raw(min(RAW_WORDS, -(-(size - lo) // 2)))
-        halves = raw.astype("<u8", copy=False).view("<u4")
-        np.greater_equal(halves[:size - lo], 1 << 31, out=bits[lo:lo + step])
-    return bits.reshape(count, n)
+    step = 64 * max(1, RAW_WORDS // max(1, 32 * n))  # vectors per block
+    for lo in range(0, count, step):
+        m = min(step, count - lo)
+        raw = gen.random_raw(-(-m * n // 2))
+        halves = raw.astype("<u8", copy=False).view("<u4")[:m * n]
+        bits = (halves >= 1 << 31).reshape(m, n)
+        out[:, lo // 8:-(-(lo + m) // 8)] = np.packbits(
+            np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    return out.view("<u8")
 
 
 def row_sums(gates):
@@ -138,10 +150,10 @@ def bias_bound(n, w_max=W_MAX):
     return n * w_max + 1
 
 
-# Weight lattice per (n, w_max): all weight vectors sorted by (sum|w|, vector),
-# their row-sum matrix, and for the solver that matrix transposed to
-# (2^n, vectors) in the narrowest signed type holding +-bias_bound: int8 up
-# to n * w_max = 126, so at fan-in 4 and W_MAX, where |s| <= 24.
+# Weight lattice per (n, w_max): all weight vectors W sorted by (sum|w|,
+# vector) and, for the solver, their sums on every input row, (2^n,
+# vectors), both in the narrowest signed type holding +-bias_bound: int8
+# up to n * w_max = 126, so at fan-in 4 and W_MAX, where |s| <= 24.
 # Cached because the greedy collapse in synthesis calls solve_weights many
 # times.
 _lattice_cache = {}
@@ -150,22 +162,19 @@ _lattice_cache = {}
 def _lattice_entry(n, w_max):
     key = (n, w_max)
     if key not in _lattice_cache:
-        vals = np.arange(-w_max, w_max + 1)
-        W = np.array(list(itertools.product(vals, repeat=n)), dtype=np.int64)
-        order = np.lexsort(tuple(W[:, i] for i in reversed(range(n)))
-                           + (np.abs(W).sum(axis=1),))
-        W = W[order]
-        S, _ = threshold_step(  # (num_vectors, 2^n) row sums
-            np.zeros((len(W), 2 ** n), dtype=np.int64), W.T[:, :, None],
-            input_rows(n).T)
         narrow = np.min_scalar_type(-bias_bound(n, w_max) - 1)
-        _lattice_cache[key] = (W, S, np.ascontiguousarray(S.T, dtype=narrow))
+        vals = np.arange(-w_max, w_max + 1, dtype=narrow)
+        W = np.zeros((1, 0), dtype=narrow)
+        for _ in range(n):
+            W = np.column_stack((np.repeat(W, len(vals), axis=0),
+                                 np.tile(vals, len(W))))
+        W = W[np.lexsort(tuple(W[:, i] for i in reversed(range(n)))
+                         + (np.abs(W).sum(axis=1),))]
+        rows = np.zeros((2 ** n, len(W)), dtype=narrow)
+        for i, w in enumerate(W.T):  # rows with bit i set add weight i
+            np.add(rows[:2 ** i], w, out=rows[2 ** i:2 ** (i + 1)])
+        _lattice_cache[key] = W, rows
     return _lattice_cache[key]
-
-
-def _lattice(n, w_max):
-    """The weight vectors W and their int64 row sums S = W @ rows.T."""
-    return _lattice_entry(n, w_max)[:2]
 
 
 def solve_weights(table, w_max=W_MAX, fanin_limit=FANIN_LIMIT):
@@ -181,7 +190,7 @@ def solve_weights(table, w_max=W_MAX, fanin_limit=FANIN_LIMIT):
     n = _table_arity(table)
     if n > fanin_limit:
         raise ValueError(f"arity {n} exceeds fan-in limit {fanin_limit}")
-    W, _, rows = _lattice_entry(n, w_max)
+    W, rows = _lattice_entry(n, w_max)
     t = np.array(table, dtype=bool)
     b_max = bias_bound(n, w_max)
 
@@ -245,12 +254,13 @@ class Lowered:
     one per `bias_chunks` level of its bias. Row r has signed level
     `levels[r]` and its node's first row is `first[r]`.
 
-    The kernel holds a signal's words in a row-0 word slot, `slot[i]`,
+    The kernel holds a signal's row-0 words in a word slot, `slot[i]`,
     from the group that makes it (an input: from the start) through the
     last group that reads it (an output: to the end). Slots are assigned
     by linear scan: a group's nodes take their slots before the slots of
     the signals that die in that group are freed, so `n_slots` is the
-    most signals alive at once.
+    most signals alive at once. The kernel's word pool starts at these
+    slots; overlay words of further rows are added as they are taken.
     """
 
     n_inputs: int
@@ -288,14 +298,14 @@ class RowWords:
 
 
 class _WordPool:
-    """Row 0's word slots, then room for an overlay word per (further row,
-    slot) pair. Overlay words go back to a free list when their signal
-    dies and are handed out again, last freed first, before any word not
-    yet written: only written pages become resident, so memory follows the
+    """Row 0's word slots, then overlay words for the further rows. Overlay
+    words go back to a free list when their signal dies and are handed
+    out again, last freed first, before the pool takes a new one; the
+    pool grows geometrically when it runs out, so its size follows the
     most overlay words alive at once."""
 
-    def __init__(self, n_slots, n_rows, n_words):
-        self.buf = np.empty((n_slots * n_rows, n_words), dtype=np.uint64)
+    def __init__(self, n_slots, n_words):
+        self.buf = np.empty((n_slots, n_words), dtype=np.uint64)
         self.n_slots = self.used = n_slots
         self.free = []
 
@@ -306,6 +316,11 @@ class _WordPool:
         del self.free[len(self.free) - reuse:]
         fresh = np.arange(self.used, self.used + m - reuse)
         self.used += m - reuse
+        if self.used > len(self.buf):
+            grown = np.empty((max(self.used, 2 * len(self.buf)),
+                              self.buf.shape[1]), dtype=np.uint64)
+            grown[:len(self.buf)] = self.buf
+            self.buf = grown
         return np.concatenate((ids, fresh))
 
     def give(self, ids):
@@ -348,12 +363,13 @@ def evaluate_lowered(low, words, net):
     Row 0 is evaluated in full, in the word slots of `low`'s plan. Every
     further row is an overlay on it: a node is evaluated under that row
     only where its truth table or one of its inputs differs from row 0's;
-    words equal to row 0's are not kept, and a signal's overlay words go
-    back to a free list when the signal dies. Memory thus follows the
-    live signals and the (row, node) pairs that differ among them, which
-    are few when the rows are perturbed copies of one crossbar, except
-    for the truth tables and their "differs" masks: (S, N, 2^k) and
-    (S, N) bools for every node, held for the whole call.
+    words equal to row 0's are not kept, a signal's overlay words go back
+    to a free list when the signal dies, and the word pool grows only
+    when that list is empty (`_WordPool`). Memory thus follows the live
+    signals and the (row, node) pairs that differ among them, which are
+    few when the rows are perturbed copies of one crossbar, except for
+    the truth tables and their "differs" masks: (S, N, 2^k) and (S, N)
+    bools for every node, held for the whole call.
     """
     n_rows, n_words = len(net), words.shape[1]
     const = np.zeros((n_rows, low.n_signals), dtype=net.dtype)
@@ -366,7 +382,7 @@ def evaluate_lowered(low, words, net):
     tables = {k: _truth_tables(const[:, nodes], net, rows, k)
               for k, nodes, rows in low.fan_ins}
     del const
-    pool = _WordPool(low.n_slots, n_rows, n_words)
+    pool = _WordPool(low.n_slots, n_words)
     pool.buf[low.slot[:low.n_inputs]] = words
     n_slots = low.n_slots
     # under row r slot s holds the word buf[where[r, s]], an overlay iff

@@ -20,7 +20,9 @@ def test_measure_reports_the_call_in_a_fresh_process():
     assert all(0 <= e <= mc_peak.VECTORS * len(mc_peak.SEEDS)
                for _, e in got["curve"])
     assert got["sigma_star"] in (0.0,) + mc_peak.SIGMA_GRID
-    assert 0 < got["rss_before_mb"] <= got["rss_after_mb"]
+    # peaks only rise: importing, synth, map (before the call), the call
+    assert 0 < got["rss_import_mb"] <= got["rss_synth_mb"] \
+        <= got["rss_before_mb"] <= got["rss_after_mb"]
 
 
 @pytest.mark.parametrize("argv", (["--gates", "0"],

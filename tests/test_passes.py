@@ -22,6 +22,7 @@ import json
 import math
 import random
 import tracemalloc
+import unittest.mock
 from collections import Counter
 from pathlib import Path
 
@@ -326,13 +327,24 @@ def ref_variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     return sigma_star, curve
 
 
+def ref_lattice(n, w_max):
+    """The weight vectors W sorted by (sum|w|, vector), and their int64
+    row sums S = W @ rows.T, from a tuple per vector."""
+    vals = np.arange(-w_max, w_max + 1)
+    W = np.array(list(itertools.product(vals, repeat=n)), dtype=np.int64)
+    order = np.lexsort(tuple(W[:, i] for i in reversed(range(n)))
+                       + (np.abs(W).sum(axis=1),))
+    W = W[order]
+    return W, W @ ref_input_rows(n).T
+
+
 def ref_solve_weights(table, w_max=W_MAX, fanin_limit=4):
     """The solver on the int64 row-sum matrix, one row per weight vector."""
     table = tuple(int(b) for b in table)
     n = tlg._table_arity(table)
     if n > fanin_limit:
         raise ValueError(f"arity {n} exceeds fan-in limit {fanin_limit}")
-    W, S = tlg._lattice(n, w_max)
+    W, S = ref_lattice(n, w_max)
     t = np.array(table, dtype=bool)
     b_max = tlg.bias_bound(n, w_max)
     lo = np.full(len(W), -b_max, dtype=np.int64)
@@ -695,6 +707,31 @@ def test_drawn_rows_do_not_depend_on_the_read_size(monkeypatch, raw_words):
     assert (input_rows(17, 4001, seed=8) == want).all()
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(n=st.integers(1, 70), count=st.integers(1, 5000),
+       seed=st.integers(0, 2 ** 63),
+       raw_words=st.sampled_from((1, 7, 100, 672, tlg.RAW_WORDS)))
+@example(n=7, count=13, seed=0, raw_words=tlg.RAW_WORDS)   # odd count * n
+@example(n=7, count=1001, seed=4, raw_words=672)  # 3 words a block: odd m n
+@example(n=64, count=1024, seed=5, raw_words=tlg.RAW_WORDS)  # one block
+@example(n=70, count=5000, seed=2 ** 63, raw_words=tlg.RAW_WORDS)
+def test_input_words_pack_the_integers_stream(n, count, seed, raw_words):
+    assume(2 ** n > count)
+    want = np.random.default_rng(seed).integers(0, 2, size=(count, n))
+    with unittest.mock.patch.object(tlg, "RAW_WORDS", raw_words):
+        got = tlg.input_words(n, count, seed)
+    assert got.dtype == np.dtype("<u8")
+    assert got.shape == (n, -(-count // 64))
+    assert (got == ref_pack(want.astype(bool))).all()
+
+
+def test_input_words_pack_every_row_when_count_covers_them():
+    for n in range(11):
+        want = ref_pack(ref_input_rows(n).astype(bool))
+        for count in (None, 2 ** n, 2 ** n + 1):
+            assert (tlg.input_words(n, count, seed=3) == want).all()
+
+
 def test_gate_margin_and_truth_table_match_reference():
     rng = random.Random(0)
     levels = [w for w in range(-W_MAX, W_MAX + 1) if w]
@@ -709,10 +746,33 @@ def test_gate_margin_and_truth_table_match_reference():
 
 
 def test_lattice_row_sums_match_reference():
-    for n, w_max in itertools.product(range(5), (2, 3, 6)):
-        W, S = tlg._lattice(n, w_max)
-        assert S.dtype == np.int64
-        assert (S == W @ ref_input_rows(n).T).all()
+    # past n * w_max = 126 the lattice needs int16; at fan-in 3 and above
+    # w_max 70 would take the int64 reference hundreds of MB
+    cases = [*itertools.product(range(5), (2, 3, 6)), (0, 70), (1, 70),
+             (2, 70)]
+    for n, w_max in cases:
+        W, rows = tlg._lattice_entry(n, w_max)
+        want_W, want_S = ref_lattice(n, w_max)
+        narrow = np.int8 if n * w_max <= 126 else np.int16
+        assert W.dtype == rows.dtype == narrow
+        assert rows.shape == (2 ** n, len(want_W))
+        assert rows.flags.c_contiguous
+        assert (W == want_W).all()
+        assert (rows == want_S.T).all()
+
+
+def test_first_lattice_build_stays_narrow(monkeypatch):
+    # the fan-in 4 lattice holds 28,561 weight vectors: its rows take
+    # 457 KB as int8, and its int64 row sums alone took 3.7 MB
+    monkeypatch.setattr(tlg, "_lattice_cache", {})
+    tracemalloc.start()
+    try:
+        W, rows = tlg._lattice_entry(4, W_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes + W.nbytes < 600_000
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -1025,10 +1085,11 @@ def test_variation_tolerance_memory_follows_live_signals():
     finally:
         tracemalloc.stop()
     assert curve[-1][1] > 0  # overlays reach the outputs
-    # the kernel reserves a row of words per (probe row, slot) pair, 5 per
-    # slot here, and the whole call stays below one per signal
+    # a row of words per (probe row, slot) pair, 5 per slot here, is less
+    # than one per signal; the kernel's word pool grows by use, and the
+    # whole call stays below even that reservation
     assert 5 * low.n_slots < low.n_signals / 2
-    assert peak < low.n_signals * row_bytes
+    assert peak < 5 * low.n_slots * row_bytes
 
 
 @pytest.mark.parametrize("name,fanin", [("c17", 4), ("c432", 4),
@@ -1043,6 +1104,25 @@ def test_variation_tolerance_matches_per_seed_loop(compiled, name, fanin):
         want = ref_variation_tolerance(design, grid, early_stop=early_stop,
                                        **kw)
         assert got == want, early_stop
+
+
+@pytest.mark.parametrize("name", ["c17", "c432"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_report_counts_the_errors_of_simulate_mapped(compiled, name,
+                                                          seed):
+    # the report simulates packed words and never unpacks its outputs
+    _, design = compiled(name, 4)
+    params = DeviceParams()
+    rep = evaluate.full_report(design, params, sigma=0.1, vectors=3000,
+                               seed=seed)
+    sim = simulate_mapped(design,
+                          input_rows(len(design.tln.inputs), 3000, seed),
+                          sigma=0.1, seed=seed, params=params)
+    assert (rep["errors"], rep["vectors"]) == (sim["errors"],
+                                               sim["vectors"])
+    assert rep == {**evaluate.full_report(design, params, vectors=3000,
+                                          seed=seed),
+                   "sigma": 0.1, "errors": sim["errors"]}
 
 
 def test_variation_tolerance_early_stop_counts_first_failing_seed(compiled):
@@ -1123,14 +1203,15 @@ def test_map_design_classifies_links_at_most_twice(netlists, monkeypatch):
 def test_variation_tolerance_evaluates_the_oracle_once(compiled, monkeypatch):
     _, design = compiled("c432", 4)
     oracle = _counting(monkeypatch, evaluate, "evaluate_packed")
-    packed = _counting(monkeypatch, evaluate, "pack")
+    packed = _counting(monkeypatch, evaluate, "input_words")
     lowered = _counting(monkeypatch, ThresholdLogicNetwork, "lower")
     kernel = _counting(monkeypatch, evaluate, "evaluate_lowered")
     _, curve = variation_tolerance(design, (0.0, 0.05, 0.1, 0.2),
                                    vectors_per_probe=500, early_stop=False,
                                    params=DeviceParams())
     assert len(curve) == 4
-    # the vectors are packed once and the oracle runs on those words
+    # the vectors are drawn once, as packed words, and the oracle runs on
+    # those words
     assert oracle[0] == packed[0] == lowered[0] == 1
     # every probe in one kernel call
     assert kernel[0] == 1

@@ -10,7 +10,8 @@ vectors, sigma 0.02, 0.04, 0.06 and 0.08 times 5 seeds, without early
 stop. All of that runs in a fresh Python process, so that its peak RSS
 belongs to this design alone. Prints one JSON line: the mapped nodes,
 the call's time, sigma* and curve, and the process's peak RSS after
-compiling and after the call.
+importing, after `synth`, after `map` (= before the call) and after the
+call.
 """
 
 from __future__ import annotations
@@ -44,8 +45,11 @@ def run(gates, layers):
     from smtl.mapping import MappingConfig, map_design
     from smtl.synthesis import synthesize_tln
 
+    imported = peak_rss_mb()
     net = parse_bench(generate(gates, layers, XOR_SHARE, SEED))
-    design = map_design(synthesize_tln(net), net, MappingConfig())
+    tln = synthesize_tln(net)
+    synthesized = peak_rss_mb()
+    design = map_design(tln, net, MappingConfig())
     before = peak_rss_mb()
     start = time.perf_counter()
     sigma_star, curve = variation_tolerance(
@@ -55,6 +59,8 @@ def run(gates, layers):
             "mapped_nodes": len(design.tln.nodes),
             "tolerance_s": round(time.perf_counter() - start, 3),
             "sigma_star": sigma_star, "curve": curve,
+            "rss_import_mb": round(imported, 1),
+            "rss_synth_mb": round(synthesized, 1),
             "rss_before_mb": round(before, 1),
             "rss_after_mb": round(peak_rss_mb(), 1)}
 
