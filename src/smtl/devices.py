@@ -173,49 +173,11 @@ def _stop_voltage(target_r, i_prog, comparator_bits, params,
     return v_target + rng.normal(0.0, comparator_offset_sigma)
 
 
-def write_with_feedback(target_r, i_prog, comparator_bits, params,
-                        comparator_offset_sigma=0.0, dt=1e-9, t_max=20e-6,
-                        seed=0, start_r=None, k_write=K_WRITE):
-    """Closed-loop memristor write with a DAC-quantized stop comparator.
-
-    The resistance ramps linearly (above the write threshold) while the
-    source voltage I*R is compared each step against the quantized target
-    voltage plus a Gaussian comparator offset; programming stops at the
-    crossing or at t_max.
-    """
-    if not params.r_memristor_min <= target_r <= params.r_memristor_max:
-        raise ValueError("target resistance outside programmable range")
-    _check_write(i_prog, params)
-    r = params.r_memristor_max if start_r is None else start_r
-    direction = 1.0 if target_r >= r else -1.0
-    v_target = _stop_voltage(target_r, i_prog, comparator_bits, params,
-                             comparator_offset_sigma, seed)
-
-    step = k_write * i_prog * dt
-    t = 0.0
-    timed_out = True
-    while t < t_max:
-        v = i_prog * r
-        if (direction < 0 and v <= v_target) or (direction > 0 and v >= v_target):
-            timed_out = False
-            break
-        r += direction * step
-        r = min(max(r, params.r_memristor_min), params.r_memristor_max)
-        t += dt
-    return {
-        "final_r": r,
-        "error_fraction": abs(r - target_r) / target_r,
-        "elapsed": t,
-        "timed_out": timed_out,
-    }
-
-
 def _downward_ramp(i_prog, params, dt, t_max):
-    """The resistances `write_with_feedback` steps through from
-    r_memristor_max towards a lower target, with the same float operations,
-    until the loop would time out or the resistance is clamped at
-    r_memristor_min. Its last entry is where a write that never meets its
-    stop level ends."""
+    """The resistances a write steps through from r_memristor_max towards
+    a lower target, one pulse of dt at a time, until it would time out or
+    the resistance is clamped at r_memristor_min. Its last entry is where
+    a write that never meets its stop level ends."""
     r_min, r_max = params.r_memristor_min, params.r_memristor_max
     step = K_WRITE * i_prog * dt
     r, t = r_max, 0.0
@@ -231,14 +193,15 @@ def _downward_ramp(i_prog, params, dt, t_max):
 def write_sim_trials(comparator_bits, i_prog, params, trials=200,
                      comparator_offset_sigma=1e-4, dt=1e-9, t_max=20e-6,
                      seed=0):
-    """Monte-Carlo over random targets; returns mean and p95 error.
+    """Monte-Carlo of the closed-loop write over random targets; returns
+    mean and p95 error.
 
-    Trial i writes a target drawn by `default_rng(seed)` with comparator
-    offset seed `seed * 100003 + i`, as `write_with_feedback` from
-    r_memristor_max. Every trial below r_memristor_max steps through the
-    same resistances, so the ramp is built once and each trial's stop step
-    is found by search: the first resistance whose voltage is at or below
-    its stop level, or the ramp's end.
+    Trial i ramps from r_memristor_max towards a target drawn by
+    `default_rng(seed)` and stops at the first pulse whose voltage I*R is
+    at or below its stop level (`_stop_voltage`, offset seed
+    `seed * 100003 + i`), or at t_max. Every trial below r_memristor_max
+    steps through the same resistances, so the ramp is built once and
+    each trial's stop step is found by search.
     """
     _check_write(i_prog, params)
     rng = np.random.default_rng(seed)

@@ -12,8 +12,13 @@ from __future__ import annotations
 import heapq
 import itertools
 
+import numpy as np
+
 from . import graph
-from .bench import evaluate_many
+# evaluate_many is not called here, but perfbench's tracer test patches it
+# on every smtl module that imports it, this one included
+from .bench import evaluate_many, evaluate_packed, unpack  # noqa: F401
+from .evaluate import simulate_batch
 from .tlg import (
     FANIN_LIMIT,
     W_MAX,
@@ -21,6 +26,7 @@ from .tlg import (
     ThresholdLogicNetwork,
     buffer_gate,
     input_rows,
+    input_words,
     solve_weights,
     threshold_step,
 )
@@ -256,25 +262,32 @@ exhaustive_vectors = sampled_vectors = input_rows
 
 
 def verify_equivalence(net, tln, count=None, seed=0):
-    """Compare a Boolean network against a threshold network on
-    `input_rows(n, count, seed)`: every row when `count` is None.
+    """Compare a Boolean network against a threshold network on the packed
+    words `input_words(n, count, seed)`, every row when `count` is None or
+    at least 2^n, as `evaluate` does: the oracle (`evaluate_packed`)
+    against the kernel under the integer levels (`simulate_batch`).
 
-    Returns (ok, counterexample) where the counterexample holds the failing
-    input vector and both output vectors.
+    Returns (ok, counterexample) where the counterexample holds the
+    lowest-index failing input vector and both output vectors.
     """
     if list(net.inputs) != list(tln.inputs):
         raise ValueError("primary input mismatch")
     if len(net.outputs) != len(tln.outputs):
         raise ValueError("primary output arity mismatch")
-    vectors = input_rows(len(net.inputs), count, seed)
-    want = evaluate_many(net, vectors)
-    got = tln.evaluate_many(vectors)
-    bad = (want != got).any(axis=1).nonzero()[0]
-    if bad.size == 0:
+    n = len(net.inputs)
+    words = input_words(n, count, seed)
+    rows = 2 ** n if count is None else min(count, 2 ** n)
+    want = evaluate_packed(net, words)
+    low = tln.lower()
+    out, errors = simulate_batch(low, words, rows, want, low.levels[None])
+    if not errors[0]:
         return True, None
-    i = int(bad[0])
-    return False, {
-        "vector": [int(v) for v in vectors[i]],
-        "expected": [int(v) for v in want[i]],
-        "got": [int(v) for v in got[i]],
-    }
+    got = out.row(0)
+    i = int(np.argmax(unpack(np.bitwise_or.reduce(got ^ want, axis=0),
+                             rows)))
+
+    def bits(w):  # vector i of each row of words
+        return [int(b) for b in w[:, i // 64] >> np.uint64(i % 64) & 1]
+
+    return False, {"vector": bits(words), "expected": bits(want),
+                   "got": bits(got)}

@@ -84,7 +84,9 @@ def input_rows(n, count=None, seed=0):
     `default_rng(seed).integers(0, 2)`, unpacked from `input_words`.
     """
     if count is None or 2 ** n <= count:
-        return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+        octets = np.arange(2 ** n, dtype="<u8").view(np.uint8)
+        return np.unpackbits(octets.reshape(-1, 8), axis=1, count=n,
+                             bitorder="little").view(bool)
     return unpack(input_words(n, count, seed), count).T
 
 

@@ -4,6 +4,7 @@ the closed-loop programming simulation."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from smtl.devices import (
@@ -16,7 +17,6 @@ from smtl.devices import (
     std_switch_time,
     weight_to_conductance,
     write_sim_trials,
-    write_with_feedback,
 )
 
 UA = 1e-6
@@ -136,42 +136,37 @@ def test_read_disturb_detected(params):
 
 # --- feedback write -------------------------------------------------------
 
+def _single_writes(bits, params, seeds, **kw):
+    """(target, |final r - target|) of one-trial `write_sim_trials` runs at
+    10 uA: seed s writes the first target `default_rng(s)` draws."""
+    for seed in seeds:
+        target = np.random.default_rng(seed).uniform(params.r_memristor_min,
+                                                     params.r_memristor_max)
+        res = write_sim_trials(bits, 10 * UA, params, trials=1, seed=seed,
+                               **kw)
+        yield target, res["mean_error"] * target
+
+
 def test_ideal_write_error_within_one_step(params):
-    i_prog = 10 * UA
-    res = write_with_feedback(400e3, i_prog, float("inf"), params,
-                              comparator_offset_sigma=0.0, dt=1e-9)
-    step = K_WRITE * i_prog * 1e-9
-    assert not res["timed_out"]
-    assert abs(res["final_r"] - 400e3) <= step * 1.001
+    step = K_WRITE * 10 * UA * 1e-9
+    for _, miss in _single_writes(float("inf"), params, range(20),
+                                  comparator_offset_sigma=0.0):
+        assert miss <= step * 1.001
 
 
 def test_write_quantization_floor(params):
     # 4-bit comparator cannot resolve better than one LSB of the range
-    res = write_with_feedback(423e3, 10 * UA, 4, params, seed=1)
     lsb_r = (1e6 - 50e3) / 16
-    assert abs(res["final_r"] - 423e3) <= lsb_r + K_WRITE * 10 * UA * 1e-9
-
-
-def test_write_direction_down(params):
-    res = write_with_feedback(100e3, 10 * UA, float("inf"), params,
-                              start_r=1e6)
-    assert res["final_r"] == pytest.approx(100e3, rel=0.01)
+    for _, miss in _single_writes(4, params, range(20),
+                                  comparator_offset_sigma=0.0):
+        assert miss <= lsb_r + K_WRITE * 10 * UA * 1e-9
 
 
 def test_write_timeout(params):
-    res = write_with_feedback(50e3, 10 * UA, float("inf"), params,
-                              start_r=1e6, t_max=50e-9)
-    assert res["timed_out"]
-    assert res["error_fraction"] > 0.1
-
-
-def test_write_rejects_bad_inputs(params):
-    with pytest.raises(ValueError, match="below"):
-        write_with_feedback(400e3, 1 * UA, 8, params)
-    with pytest.raises(ValueError, match="range"):
-        write_with_feedback(5e3, 10 * UA, 8, params)
-    # the quoted write threshold itself is a legal programming current
-    write_with_feedback(400e3, 5 * UA, 8, params)
+    # 50 pulses move the resistance by 5% of its range
+    res = write_sim_trials(float("inf"), 10 * UA, params, trials=20,
+                           comparator_offset_sigma=0.0, t_max=50e-9)
+    assert res["mean_error"] > 0.1
 
 
 def test_more_comparator_bits_less_error(params):

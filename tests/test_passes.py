@@ -7,11 +7,12 @@ implementations they replaced.
 
 The reference passes below are test-only copies of those implementations:
 rescanning passes, whose compiles are compared as JSON artifacts, and
-per-evaluator loops, the column-wise Boolean and threshold evaluators, the
-per-seed tolerance loop, row builders, the int64 weight solver, the
-per-node validation and the per-pulse write loop, whose outputs, error
-counts, curves, truth tables, gates, messages and error statistics are
-compared exactly.
+per-evaluator loops, the column-wise Boolean and threshold evaluators and
+the equivalence check on their bool matrices, the per-seed tolerance
+loop, row builders, the int64 weight solver, the per-node validation and
+the per-pulse write loop, whose outputs, error counts, counterexamples,
+curves, truth tables, gates, messages and error statistics are compared
+exactly.
 """
 
 import contextlib
@@ -264,6 +265,27 @@ def ref_tln_evaluate_many(tln, vectors):
             s += w * vals[src]
         vals[nid] = s >= 0
     return np.column_stack([vals[o] for o in tln.outputs])
+
+
+def ref_verify_equivalence(net, tln, count=None, seed=0):
+    """The equivalence check on bool matrices: both evaluators column by
+    column on `input_rows`, the first row where any output differs."""
+    if list(net.inputs) != list(tln.inputs):
+        raise ValueError("primary input mismatch")
+    if len(net.outputs) != len(tln.outputs):
+        raise ValueError("primary output arity mismatch")
+    vectors = input_rows(len(net.inputs), count, seed)
+    want = ref_evaluate_many(net, vectors)
+    got = ref_tln_evaluate_many(tln, vectors)
+    bad = (want != got).any(axis=1).nonzero()[0]
+    if bad.size == 0:
+        return True, None
+    i = int(bad[0])
+    return False, {
+        "vector": [int(v) for v in vectors[i]],
+        "expected": [int(v) for v in want[i]],
+        "got": [int(v) for v in got[i]],
+    }
 
 
 def ref_programmed(design, params):
@@ -660,10 +682,14 @@ def compiled(netlists):
 
 
 def test_input_rows_match_reference():
-    for n in range(7):
+    for n in range(17):
         rows = input_rows(n)
         assert rows.dtype == bool and rows.shape == (2 ** n, n)
-        assert (rows == ref_input_rows(n)).all()
+        # the int64 broadcast the rows were built from
+        want = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        assert (rows == want.astype(bool)).all()
+        if n < 7:
+            assert (rows == ref_input_rows(n)).all()
         assert (input_rows(n, 2 ** n, seed=3) == rows).all()
     # the seeded stream full_report and variation_tolerance always drew
     want = np.random.default_rng(3).integers(0, 2, size=(50, 9)).astype(bool)
@@ -786,6 +812,59 @@ def test_merged_table_matches_reference(seed):
             support += [i for i in producer.gate.inputs if i not in support]
             assert synthesis._merged_table(producer, consumer, support) == \
                 ref_merged_table(producer, consumer, support)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net_seed=st.integers(0, 99), n_inputs=st.integers(2, 12),
+       edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(-1, 3),
+                                st.sampled_from((-3, -2, -1, 1, 2, 3))),
+                      max_size=3),
+       count=st.one_of(st.none(), st.integers(1, 5000)),
+       seed=st.integers(0, 2 ** 32))
+@example(net_seed=0, n_inputs=12, edits=[(5, -1, 1)], count=None, seed=0)
+@example(net_seed=1, n_inputs=12, edits=[(7, 0, -1)], count=1001, seed=4)
+@example(net_seed=2, n_inputs=10, edits=[(3, -1, -1)], count=1024, seed=1)
+@example(net_seed=3, n_inputs=12, edits=[(9, -1, 2)], count=4097, seed=2)
+def test_verify_equivalence_matches_the_bool_matrix_check(
+        net_seed, n_inputs, edits, count, seed):
+    # +-bias and +-weight mutants: the counterexample is the first failing
+    # row of the bool-matrix check, every row when count >= 2^n
+    net = generated_netlist(net_seed, n_inputs=n_inputs)
+    tln = synthesize_tln(net).copy()
+    ids = list(tln.nodes)
+    for at, pos, delta in edits:
+        node = tln.nodes[ids[at % len(ids)]]
+        g = node.gate
+        if pos < 0:
+            node.gate = ThresholdGate(g.inputs, g.weights, g.bias + delta)
+        else:
+            w = list(g.weights)
+            w[pos % g.fan_in] += delta
+            node.gate = ThresholdGate(g.inputs, tuple(w), g.bias)
+    got = synthesis.verify_equivalence(net, tln, count, seed)
+    assert got == ref_verify_equivalence(net, tln, count, seed)
+    ok, ce = got
+    if not ok:
+        assert {type(v) for f in ce.values() for v in f} == {int}
+        assert (len(ce["vector"]), len(ce["got"])) == (n_inputs,
+                                                       len(net.outputs))
+
+
+def test_exhaustive_verify_stays_within_its_words():
+    # 2^20 rows: the int64 (rows, inputs) broadcast alone took 168 MB;
+    # tracemalloc counts the bytes requested, whatever the machine
+    net = generated_netlist(0, n_inputs=20)
+    tln = synthesize_tln(net)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ok, _ = synthesis.verify_equivalence(net, tln)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", NETLISTS)
