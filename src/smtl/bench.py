@@ -87,9 +87,11 @@ class BooleanNetwork:
 
     @classmethod
     def from_json(cls, obj):
-        gates = tuple(
-            Gate(g["name"], g["kind"], tuple(g["inputs"])) for g in obj["gates"]
-        )
+        defined = set()
+        for name in obj["inputs"]:
+            _define(name, defined)
+        gates = tuple(_gate(g["name"], g["kind"], tuple(g["inputs"]), defined)
+                      for g in obj["gates"])
         net = cls(tuple(obj["inputs"]), tuple(obj["outputs"]), gates)
         _validate(net)
         return net
@@ -111,6 +113,30 @@ _LINE_RE = re.compile(
 )
 
 
+def _define(name, defined, line=None):
+    """Add `name` to the `defined` names; BenchError if it is there."""
+    if name in defined:
+        raise BenchError(f"duplicate definition of {name!r}", line)
+    defined.add(name)
+
+
+def _gate(name, kind, args, defined, line=None):
+    """The Gate `name = kind(args)`, defining `name`; BenchError for a
+    sequential or unknown kind, a NOT or BUFF without exactly one input,
+    a gate without inputs or a name defined before."""
+    if kind in _SEQUENTIAL:
+        raise BenchError(f"sequential element {kind} not supported "
+                         f"(combinational only)", line)
+    if kind not in GATE_KINDS:
+        raise BenchError(f"unknown gate kind {kind!r}", line)
+    if kind in ("NOT", "BUFF") and len(args) != 1:
+        raise BenchError(f"{kind} takes exactly 1 input", line)
+    if not args:
+        raise BenchError(f"gate {name!r} has no inputs", line)
+    _define(name, defined, line)
+    return Gate(name, kind, args)
+
+
 def parse_bench(text):
     """Parse `.bench` text into a validated BooleanNetwork."""
     inputs, outputs, gates = [], [], []
@@ -125,31 +151,14 @@ def parse_bench(text):
         if m.group("io"):
             name = m.group("io_name")
             if m.group("io") == "INPUT":
-                if name in defined:
-                    raise BenchError(f"duplicate definition of {name!r}", lineno)
+                _define(name, defined, lineno)
                 inputs.append(name)
-                defined.add(name)
             else:
                 outputs.append(name)
             continue
-        name = m.group("lhs")
-        kind = m.group("kind").upper()
         args = tuple(a.strip() for a in m.group("args").split(",") if a.strip())
-        if kind in _SEQUENTIAL:
-            raise BenchError(
-                f"sequential element {kind} not supported (combinational only)",
-                lineno,
-            )
-        if kind not in GATE_KINDS:
-            raise BenchError(f"unknown gate kind {kind!r}", lineno)
-        if kind in ("NOT", "BUFF") and len(args) != 1:
-            raise BenchError(f"{kind} takes exactly 1 input", lineno)
-        if not args:
-            raise BenchError(f"gate {name!r} has no inputs", lineno)
-        if name in defined:
-            raise BenchError(f"duplicate definition of {name!r}", lineno)
-        gates.append(Gate(name, kind, args))
-        defined.add(name)
+        gates.append(_gate(m.group("lhs"), m.group("kind").upper(), args,
+                           defined, lineno))
 
     net = BooleanNetwork(tuple(inputs), tuple(outputs), tuple(gates))
     _validate(net)

@@ -7,6 +7,7 @@ the output; identical commands produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -219,6 +220,23 @@ def _fail(code, message):
     sys.exit(code)
 
 
+@contextlib.contextmanager
+def _exits(prefix=""):
+    """Exit with one `error:` line when the step inside fails: 3 on
+    MappingInfeasible, 5 on TimingViolation, 1 on an OverflowError
+    (OVERFLOW) or on a ValueError or TypeError (after `prefix`)."""
+    try:
+        yield
+    except MappingInfeasible as e:
+        _fail(EXIT_CAPACITY, str(e))
+    except evaluate.TimingViolation as e:
+        _fail(EXIT_TIMING, str(e))
+    except OverflowError:
+        _fail(EXIT_INPUT, OVERFLOW)
+    except (ValueError, TypeError) as e:
+        _fail(EXIT_INPUT, f"{prefix}{e}")
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -278,21 +296,11 @@ def _load_tln(path):
               help="blocks per stage (default: as many as needed)")
 @click.option("--rows", default=64, show_default=True, type=IntRange(min=1))
 @click.option("--cols", default=32, show_default=True, type=IntRange(min=1))
-@click.option("--subarray", default=None,
-              help="sub-array dims RxC for partitioning (default rows x cols)")
 @click.option("--fmax", default=8, show_default=True, type=IntRange(min=2),
               help="fan-out bound")
 @click.option("-o", "--output", default="mapped.json", show_default=True)
-def map_cmd(tln_path, k, blocks, rows, cols, subarray, fmax, output):
+def map_cmd(tln_path, k, blocks, rows, cols, fmax, output):
     """Map a threshold network onto pipelined crossbar blocks."""
-    if subarray:
-        try:
-            rows, cols = (int(v) for v in subarray.lower().split("x"))
-            if min(rows, cols) < 1:
-                raise ValueError
-        except ValueError:
-            _fail(EXIT_INPUT, f"bad --subarray {subarray!r}, expected RxC "
-                              f"with R and C at least 1")
     tln, net, doc = _load_tln(tln_path)
     limits = {}
     for name, top in (("fanin_limit", FANIN_LIMIT), ("w_max", W_MAX)):
@@ -302,12 +310,8 @@ def map_cmd(tln_path, k, blocks, rows, cols, subarray, fmax, output):
                               f"whole number in 2..{top}, got {value!r}")
     cfg = MappingConfig(k=k, rows=rows, cols=cols, blocks_per_stage=blocks,
                         f_max=fmax)
-    try:
+    with _exits(f"bad TLN file {tln_path}: "):  # a gate edited by hand
         design = map_design(tln, net, cfg, **limits)
-    except MappingInfeasible as e:
-        _fail(EXIT_CAPACITY, str(e))
-    except (ValueError, TypeError) as e:  # a gate or field edited by hand
-        _fail(EXIT_INPUT, f"bad TLN file {tln_path}: {e}")
     _atomic_write(output, _dump(design.to_json()))
     s = summary(design)
     click.echo(
@@ -356,27 +360,18 @@ def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
         _fail(EXIT_INPUT, "--baseline-energy and --baseline-delay go together")
     design = _load_design(mapped_path)
     params = _load_params(params_path)
-    try:
+    with _exits():  # e.g. a gate the crossbar model cannot program
         rep = evaluate.full_report(design, params, sigma=sigma,
                                    vectors=vectors, seed=seed)
-    except ValueError as e:  # a gate the crossbar model cannot program
-        _fail(EXIT_INPUT, str(e))
-    except OverflowError:
-        _fail(EXIT_INPUT, OVERFLOW)
-    except evaluate.TimingViolation as e:
-        _fail(EXIT_TIMING, str(e))
     if baseline_energy is not None:
-        try:
+        with _exits("--baseline-energy/--baseline-delay: "):
             rep["baseline"] = evaluate.baseline_ratios(
                 rep, baseline_energy, baseline_delay)
-        except ValueError as e:
-            _fail(EXIT_INPUT, f"--baseline-energy/--baseline-delay: {e}")
+    _atomic_write(report_path, _dump(rep))
     if sigma == 0.0 and rep["errors"]:
-        _atomic_write(report_path, _dump(rep))
         _fail(EXIT_MISMATCH,
               f"{rep['errors']} functional errors at sigma=0 "
               f"(report in {report_path})")
-    _atomic_write(report_path, _dump(rep))
     click.echo(
         f"errors={rep['errors']}/{rep['vectors']} "
         f"P_total={rep['power']['p_total'] * 1e6:.2f}uW "
@@ -416,17 +411,9 @@ def sweep_cmd(mapped_path, tln_path, params_path, parameter, grid, output):
         if tln_path is None:
             _fail(EXIT_INPUT, "--param k requires --tln")
         source_tln, _, _ = _load_tln(tln_path)
-    try:
+    with _exits():
         rows = evaluate.sweep(design, params, parameter, values,
                               source_tln=source_tln)
-    except ValueError as e:
-        _fail(EXIT_INPUT, str(e))
-    except OverflowError:
-        _fail(EXIT_INPUT, OVERFLOW)
-    except MappingInfeasible as e:
-        _fail(EXIT_CAPACITY, str(e))
-    except evaluate.TimingViolation as e:
-        _fail(EXIT_TIMING, str(e))
     _atomic_write(output, _csv(rows))
     click.echo(f"{len(rows)} rows -> {output}")
 
@@ -455,12 +442,10 @@ def write_sim_cmd(bits, iprog, trials, tmax, seed, params_path, output):
         _fail(EXIT_INPUT, "empty --bits grid")
     if not all(1 <= b <= MAX_BITS for b in bit_list):
         _fail(EXIT_INPUT, f"--bits must each be between 1 and {MAX_BITS}")
-    try:
+    with _exits("--iprog: "):  # a current below the write threshold
         results = [write_sim_trials(b, iprog * 1e-6, params, trials=trials,
                                     t_max=tmax * 1e-6, seed=seed)
                    for b in bit_list]
-    except ValueError as e:  # a current below the write threshold
-        _fail(EXIT_INPUT, f"--iprog: {e}")
     rows = []
     for b, r in zip(bit_list, results):
         rows.append({

@@ -3,9 +3,9 @@
 The crossbar computes each gate's net current as a dot product of input
 bits with signed conductance pairs; Monte-Carlo conductance perturbation
 models programming inaccuracy. The simulation feeds the programmed net
-conductances of several Monte-Carlo seeds at once to the evaluator ideal
-evaluation uses (`tlg.evaluate_lowered`, on bit-packed vectors), which
-simulates each seed only where it differs from the first row. Power
+conductances of several Monte-Carlo seeds at once to the one check
+against the Boolean oracle (`tlg.check`, on bit-packed vectors), whose
+kernel simulates each seed only where it differs from the first row. Power
 splits into crossbar, per-gate detection and routing components.
 """
 
@@ -19,10 +19,10 @@ import numpy as np
 from . import partition
 # evaluate_many is not called here, but perfbench's tracer test patches it
 # on every smtl module that imports it, this one included
-from .bench import evaluate_many, evaluate_packed, pack, unpack  # noqa: F401
+from .bench import evaluate_many, pack, unpack  # noqa: F401
 from .devices import (DeviceParams, bias_chunks, std_switch_time,
                       weight_to_conductance)
-from .tlg import evaluate_lowered, input_words
+from .tlg import check, input_words
 
 I_DTCS_BASE = 5e-6        # A per input row, quoted at the 2 uA device threshold
 I_THRESHOLD_REF = 2e-6    # A, device threshold the drive current is sized for
@@ -81,31 +81,6 @@ def programmed(low, params, sigma, seeds):
     return g[:, plus] - g[:, minus]
 
 
-def simulate_batch(low, words, count, want, net):
-    """Simulate `count` packed input vectors under every row of net
-    conductances (`programmed`) at once.
-
-    Returns the output words of every row (`tlg.RowWords`) and, per row of
-    `net`, the number of vectors that differ from the packed oracle words
-    `want` (n_outputs, W), counted one row at a time.
-    """
-    out = evaluate_lowered(low, words, net)
-    errors = np.empty(len(out), dtype=np.int64)
-    for r in range(len(out)):
-        bad = np.bitwise_or.reduce(out.row(r) ^ want, axis=0)
-        errors[r] = np.count_nonzero(unpack(bad, count))
-    return out, errors
-
-
-def _simulate(design, words, count, sigma, seed, params):
-    """`simulate_batch` of the design's packed input words under the
-    conductances one seed programs, against the design's Boolean oracle."""
-    low = design.tln.lower()
-    return simulate_batch(low, words, count,
-                          evaluate_packed(design.source, words),
-                          programmed(low, params, sigma, [seed]))
-
-
 def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
     """Simulate the mapped design through the crossbar current model.
 
@@ -118,8 +93,8 @@ def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
     params = params or DeviceParams()
     vectors = np.asarray(vectors, dtype=bool)
     count = vectors.shape[0]
-    out, errors = _simulate(design, pack(vectors), count, sigma, seed,
-                            params)
+    out, errors = check(design.tln, design.source, pack(vectors), count,
+                        lambda low: programmed(low, params, sigma, [seed]))
     return {
         "outputs": unpack(out.row(0), count).T,
         "errors": int(errors[0]),
@@ -149,16 +124,18 @@ def variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     n = len(design.tln.inputs)
     words = input_words(n, vectors_per_probe, vector_seed)
     count = min(vectors_per_probe, 2 ** n)
-    low = design.tln.lower()
     # row 0, the unperturbed crossbar, is what every other row overlays;
     # sigma 0 programs one row for all seeds
     sigmas = (0.0, *sigma_grid)
     ends = np.cumsum([len(seeds) if sig > 0.0 else 1 for sig in sigmas])
-    nets = np.empty((ends[-1], len(low.levels)))
-    for sig, lo, hi in zip(sigmas, (0, *ends), ends):
-        nets[lo:hi] = programmed(low, params, sig, seeds)
-    _, errors = simulate_batch(low, words, count,
-                               evaluate_packed(design.source, words), nets)
+
+    def program(low):  # every sigma's rows in one array, no concatenation
+        nets = np.empty((ends[-1], len(low.levels)))
+        for sig, lo, hi in zip(sigmas, (0, *ends), ends):
+            nets[lo:hi] = programmed(low, params, sig, seeds)
+        return nets
+
+    _, errors = check(design.tln, design.source, words, count, program)
     curve = []
     sigma_star = 0.0
     failed = False
@@ -269,8 +246,9 @@ def full_report(design, params, sigma=0.0, vectors=10_000, seed=0):
     """EvaluationReport: functional errors, power, delay, energy, area."""
     n = len(design.tln.inputs)
     count = min(vectors, 2 ** n)
-    _, errors = _simulate(design, input_words(n, vectors, seed), count,
-                          sigma, seed, params)
+    _, errors = check(design.tln, design.source,
+                      input_words(n, vectors, seed), count,
+                      lambda low: programmed(low, params, sigma, [seed]))
     return {
         "seed": seed,
         "sigma": sigma,

@@ -18,13 +18,13 @@ from . import graph
 # evaluate_many is not called here, but perfbench's tracer test patches it
 # on every smtl module that imports it, this one included
 from .bench import evaluate_many, evaluate_packed, unpack  # noqa: F401
-from .evaluate import simulate_batch
 from .tlg import (
     FANIN_LIMIT,
     W_MAX,
     ThresholdGate,
     ThresholdLogicNetwork,
     buffer_gate,
+    check,
     input_rows,
     input_words,
     solve_weights,
@@ -262,27 +262,21 @@ exhaustive_vectors = sampled_vectors = input_rows
 
 
 def verify_equivalence(net, tln, count=None, seed=0):
-    """Compare a Boolean network against a threshold network on the packed
-    words `input_words(n, count, seed)`, every row when `count` is None or
-    at least 2^n, as `evaluate` does: the oracle (`evaluate_packed`)
-    against the kernel under the integer levels (`simulate_batch`).
+    """Compare a Boolean network against a threshold network with
+    `tlg.check` at the integer levels, on the packed words
+    `input_words(n, count, seed)`: every row when `count` is None or at
+    least 2^n.
 
     Returns (ok, counterexample) where the counterexample holds the
     lowest-index failing input vector and both output vectors.
     """
-    if list(net.inputs) != list(tln.inputs):
-        raise ValueError("primary input mismatch")
-    if len(net.outputs) != len(tln.outputs):
-        raise ValueError("primary output arity mismatch")
     n = len(net.inputs)
     words = input_words(n, count, seed)
     rows = 2 ** n if count is None else min(count, 2 ** n)
-    want = evaluate_packed(net, words)
-    low = tln.lower()
-    out, errors = simulate_batch(low, words, rows, want, low.levels[None])
+    out, errors = check(tln, net, words, rows, lambda low: low.levels[None])
     if not errors[0]:
         return True, None
-    got = out.row(0)
+    got, want = out.row(0), evaluate_packed(net, words)
     i = int(np.argmax(unpack(np.bitwise_or.reduce(got ^ want, axis=0),
                              rows)))
 

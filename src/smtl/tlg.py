@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph
-from .bench import MUX_WORDS, TABLE_FAN_IN_LIMIT, mux, pack, unpack
+from .bench import (MUX_WORDS, TABLE_FAN_IN_LIMIT, evaluate_packed, mux, pack,
+                    unpack)
 from .devices import W_MAX, bias_chunks
 
 FANIN_LIMIT = 4
@@ -91,18 +92,26 @@ def input_rows(n, count=None, seed=0):
 
 
 def input_words(n, count=None, seed=0):
-    """`pack(input_rows(n, count, seed))`, drawn without the (count, n)
+    """`pack(input_rows(n, count, seed))`, built without the (count, n)
     bool matrix.
 
-    The drawn rows are read from the generator's raw 64-bit words, without
-    the int64 matrix `integers` builds: for a range of 2, numpy draws each
-    value by Lemire's method from the next 32-bit half of a word (low half
-    first), which never rejects and returns the half's top bit. The stream
-    is row-major, so a block of 64 m vectors is the next 32 m n raw words
-    (only the last block may end on a low half), packed into its m words.
+    Exhaustively, input i < 6 repeats one 64-bit pattern (cut to 2^n rows
+    below 6 inputs) and input i >= 6 alternates zero and all-ones words in
+    runs of 2^(i - 6). Drawn rows are read from the generator's raw 64-bit
+    words, without the int64 matrix `integers` builds: for a range of 2,
+    numpy draws each value by Lemire's method from the next 32-bit half of
+    a word (low half first), which never rejects and returns the half's
+    top bit. The stream is row-major, so a block of 64 m vectors is the
+    next 32 m n raw words (only the last block may end on a low half),
+    packed into its m words.
     """
     if count is None or 2 ** n <= count:
-        return pack(input_rows(n))
+        out = np.empty((n, -(-2 ** n // 64)), dtype=np.uint64)
+        out[:6] = pack(input_rows(min(n, 6)))  # every word's 64 rows
+        at = np.arange(out.shape[1], dtype=np.uint64)
+        for i in range(6, n):
+            out[i] = -(at >> np.uint64(i - 6) & np.uint64(1))
+        return out
     out = np.zeros((n, -(-count // 64) * 8), dtype=np.uint8)
     gen = np.random.default_rng(seed).bit_generator
     step = 64 * max(1, RAW_WORDS // max(1, 32 * n))  # vectors per block
@@ -416,6 +425,25 @@ def evaluate_lowered(low, words, net):
     return RowWords(pool.buf, where[:, low.slot[low.outputs]])
 
 
+def check(tln, source, words, count, program):
+    """Compare `tln` with its Boolean oracle `source` on `count` packed
+    input vectors `words`, under each row of levels `program(low)` gives
+    for the lowered `tln`; ValueError unless both have the same inputs, in
+    order, and as many outputs. Returns the output words of every row
+    (`RowWords`) and per row the number of vectors an output differs on."""
+    if list(tln.inputs) != list(source.inputs):
+        raise ValueError("primary input mismatch with the source netlist")
+    if len(tln.outputs) != len(source.outputs):
+        raise ValueError(f"primary output arity mismatch: {len(tln.outputs)} "
+                         f"against the source netlist's {len(source.outputs)}")
+    low = tln.lower()
+    want = evaluate_packed(source, words)
+    out = evaluate_lowered(low, words, program(low))
+    bad = (np.bitwise_or.reduce(out.row(r) ^ want, axis=0)
+           for r in range(len(out)))  # one row at a time
+    return out, np.array([np.count_nonzero(unpack(b, count)) for b in bad])
+
+
 def _slot_plan(n_inputs, n_signals, fan_ins, spans, outputs):
     """Row-0 word slot of every signal, per group the slots freed after
     it, and the slot count, by linear scan over the groups (see
@@ -521,9 +549,12 @@ class ThresholdLogicNetwork:
         """Lower the network once for `evaluate_lowered`: signals, crossbar
         rows (weights, then the `bias_chunks` of the bias), the (ASAP
         level, fan-in) groups and the word slot plan. Raises ValueError for
-        a gate above TABLE_FAN_IN_LIMIT inputs."""
+        a gate above TABLE_FAN_IN_LIMIT inputs or an unresolved output."""
         order = self.topological_order()
         index = {name: i for i, name in enumerate(list(self.inputs) + order)}
+        for o in self.outputs:
+            if o not in index:
+                raise ValueError(f"output {o!r} unresolved")
         level = dict.fromkeys(self.inputs, 0)
         levels, first, groups, bias = [], [], {}, {}
         for nid in order:
@@ -622,9 +653,13 @@ class ThresholdLogicNetwork:
     @classmethod
     def from_json(cls, obj):
         tln = cls(inputs=list(obj["inputs"]), outputs=list(obj["outputs"]))
+        known = set(tln.inputs)
         # Nodes are stored in insertion order, which after mapping passes is
         # not necessarily topological; resolve references after loading all.
         for n in obj["nodes"]:
+            if n["id"] in known:
+                raise ValueError(f"duplicate node id {n['id']!r}")
+            known.add(n["id"])
             gate = ThresholdGate(tuple(n["inputs"]), tuple(n["weights"]), n["bias"])
             if not all(type(w) is int for w in gate.weights + (gate.bias,)):
                 raise ValueError(f"node {n['id']!r}: weights and bias must "
@@ -638,7 +673,6 @@ class ThresholdLogicNetwork:
             node.level = n.get("level", 0)
             node.stage = n.get("stage", 0)
             tln.nodes[n["id"]] = node
-        known = set(tln.inputs) | set(tln.nodes)
         for node in tln.nodes.values():
             for i in node.gate.inputs:
                 if i not in known:

@@ -228,3 +228,22 @@ def test_random_networks_round_trip_and_agree():
             list(itertools.product((0, 1), repeat=n_in)), dtype=bool
         )
         assert (evaluate_many(net, vectors) == evaluate_many(again, vectors)).all()
+
+
+@pytest.mark.parametrize("gate,message", [
+    ({"name": "y", "kind": "FOO", "inputs": ["a"]}, "unknown gate kind"),
+    ({"name": "y", "kind": "DFF", "inputs": ["a"]}, "sequential"),
+    ({"name": "y", "kind": "NOT", "inputs": ["a", "b"]}, "exactly 1 input"),
+    ({"name": "y", "kind": "AND", "inputs": []}, "no inputs"),
+    ({"name": "a", "kind": "NOT", "inputs": ["b"]}, "duplicate definition"),
+])
+def test_from_json_rejects_what_parse_bench_rejects(gate, message):
+    # FOO ended in a KeyError when evaluated, a two-input NOT was NOT of
+    # its first input and a name given twice kept only one definition
+    doc = {"inputs": ["a", "b"], "outputs": ["y"], "gates": [gate]}
+    with pytest.raises(BenchError, match=message):
+        BooleanNetwork.from_json(doc)
+    text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n{} = {}({})\n".format(
+        gate["name"], gate["kind"], ", ".join(gate["inputs"]))
+    with pytest.raises(BenchError, match=f"line 4: .*{message}"):
+        parse_bench(text)

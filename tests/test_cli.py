@@ -159,13 +159,6 @@ def test_map_exit_3_counts_the_fan_out_copies_of_pass_through_values(
         "fan-out copies take 24 columns, budget 24 columns")
 
 
-def test_map_bad_subarray_spec(runner, artifacts, tmp_path):
-    r = runner.invoke(main, ["map", "--tln", artifacts["tln"],
-                             "--subarray", "64by32",
-                             "-o", str(tmp_path / "m.json")])
-    assert r.exit_code == 1
-
-
 def test_map_bad_tln_file(runner, tmp_path):
     bad = tmp_path / "tln.json"
     bad.write_text("{}")
@@ -402,16 +395,6 @@ def test_map_rejects_non_positive_dimensions(runner, artifacts, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec", ["0x32", "32x0", "-4x32"])
-def test_map_rejects_non_positive_subarray(runner, artifacts, tmp_path, spec):
-    # the message blamed --rows, an option the command line did not give
-    out = tmp_path / "m.json"
-    r = runner.invoke(main, ["map", "--tln", artifacts["tln"],
-                             "--subarray", spec, "-o", str(out)])
-    _assert_input_error(r, "--subarray")
-    assert not out.exists()
-
-
 def test_synth_rejects_fanin_above_four(runner, tmp_path):
     out = tmp_path / "t.json"
     r = runner.invoke(main, ["synth", "--bench", C17, "--fanin", "5",
@@ -541,6 +524,64 @@ def test_evaluate_rejects_gates_it_cannot_simulate(runner, artifacts,
                              "--report", str(rep)])
     _assert_input_error(r, message)
     assert not rep.exists()
+
+
+def _source_gate(**fields):
+    return lambda doc: doc["source"]["gates"][0].update(fields)
+
+
+# edits of a synthesized or mapped document that no loader or check
+# lets through, and what the one error line says
+BAD_DOCS = {
+    # ended in KeyError: 'FOO'
+    "unknown-kind": (_source_gate(kind="FOO"), "unknown gate kind 'FOO'"),
+    # was evaluated as NOT of its first input
+    "two-input-not": (_source_gate(kind="NOT"), "NOT takes exactly 1 input"),
+    # the repeat was dropped
+    "repeated-gate": (lambda doc: doc["source"]["gates"].append(
+        doc["source"]["gates"][0]), "duplicate definition"),
+    # the later node replaced the earlier one
+    "repeated-node": (lambda doc: doc["tln"]["nodes"].append(
+        doc["tln"]["nodes"][0]), "duplicate node id"),
+    # ended in a KeyError traceback
+    "unresolved-output": (lambda doc: doc["tln"]["outputs"].__setitem__(
+        0, "ghost"), "output 'ghost' unresolved"),
+    # exited 4 with 22 functional errors at sigma=0
+    "reversed-inputs": (lambda doc: doc["source"]["inputs"].reverse(),
+                        "primary input mismatch"),
+    # exited 4 with 10 functional errors: the words broadcast
+    "one-output-fewer": (lambda doc: doc["source"]["outputs"].pop(),
+                         "primary output arity mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCS))
+def test_evaluate_rejects_a_design_that_does_not_line_up(runner, artifacts,
+                                                         tmp_path, case):
+    edit, message = BAD_DOCS[case]
+    doc = json.loads(Path(artifacts["mapped"]).read_text())
+    edit(doc)
+    mapped, rep = tmp_path / "m.json", tmp_path / "report.json"
+    mapped.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["evaluate", "--mapped", str(mapped),
+                             "--vectors", "32", "--report", str(rep)])
+    _assert_input_error(r, message)
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("case", ["unknown-kind", "two-input-not",
+                                  "repeated-gate", "repeated-node"])
+def test_map_rejects_a_source_or_node_it_cannot_load(runner, artifacts,
+                                                      tmp_path, case):
+    # each was copied into mapped.json with exit 0
+    edit, message = BAD_DOCS[case]
+    doc = json.loads(Path(artifacts["tln"]).read_text())
+    edit(doc)
+    tln, out = tmp_path / "t.json", tmp_path / "m.json"
+    tln.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["map", "--tln", str(tln), "-o", str(out)])
+    _assert_input_error(r, message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["", "INPUT(a)\n",

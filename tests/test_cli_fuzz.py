@@ -61,6 +61,26 @@ def _first_node(**fields):
     return lambda doc: doc["tln"]["nodes"][0].update(fields)
 
 
+def _first_gate(**fields):
+    return lambda doc: doc["source"]["gates"][0].update(fields)
+
+
+# edits a loader or the oracle check rejects, made to the synthesized
+# and to the mapped document alike
+LINE_UP = {
+    "unknown-kind": _first_gate(kind="FOO"),
+    "two-input-not": _first_gate(kind="NOT"),
+    "repeated-gate": lambda doc: doc["source"]["gates"].append(
+        doc["source"]["gates"][0]),
+    "repeated-node": lambda doc: doc["tln"]["nodes"].append(
+        doc["tln"]["nodes"][0]),
+    "unresolved-output": lambda doc: doc["tln"]["outputs"].__setitem__(
+        0, "ghost"),
+    "reversed-inputs": lambda doc: doc["source"]["inputs"].reverse(),
+    "one-output-fewer": lambda doc: doc["source"]["outputs"].pop(),
+}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Good artifacts of c17 plus every malformed file, by name."""
@@ -96,6 +116,9 @@ def files(tmp_path_factory):
         "mapped-rows0.json": _corrupt(
             m, lambda doc: doc["config"].update(rows=0, cols=0)),
     }
+    for name, edit in LINE_UP.items():
+        texts[f"tln-{name}.json"] = _corrupt(t, edit)
+        texts[f"mapped-{name}.json"] = _corrupt(m, edit)
     for name, text in texts.items():
         (d / name).write_text(text)
         paths[name] = str(d / name)
@@ -120,10 +143,12 @@ BENCHES = _pick(("c17.bench",), ("missing", "directory") + tuple(BENCH_TEXTS)
 TLNS = _files("tln.json", "tln.json", "tln.json", "mapped.json", "c17.bench",
               "tln-cycle.json", "tln-string-weight.json",
               "tln-no-inputs.json", "tln-weight-7.json",
-              "tln-ghost-output.json", "tln-string-w-max.json")
+              "tln-ghost-output.json", "tln-string-w-max.json",
+              *(f"tln-{name}.json" for name in LINE_UP))
 MAPPED = _files("mapped.json", "mapped.json", "mapped.json", "tln.json",
                 "mapped-ghost.json", "mapped-absorbed-ghost.json",
-                "mapped-k0.json", "mapped-rows0.json")
+                "mapped-k0.json", "mapped-rows0.json",
+                *(f"mapped-{name}.json" for name in LINE_UP))
 PARAMS = _files("huge.json", "tiny.json")
 
 
@@ -134,8 +159,6 @@ OPTIONS = {
     "map": {"--tln": TLNS, "--levels-per-stage": _numbers("1", "2", "3"),
             "--blocks": _numbers("1", "2"), "--rows": _numbers("4", "64"),
             "--cols": _numbers("4", "32"),
-            "--subarray": st.sampled_from(("64x32", "8x8", "0x4", "-4x4",
-                                           "nanx4", "4x", "x", "")),
             "--fmax": _numbers("2", "8")},
     "evaluate": {"--mapped": MAPPED, "--params": PARAMS,
                  "--sigma": _numbers("0.05", "0.5", "1e-300"),

@@ -36,8 +36,7 @@ from smtl import devices, evaluate, graph, mapping, partition, synthesis, tlg
 from smtl.bench import (BenchError, BooleanNetwork, evaluate_many, load_bench,
                         pack, parse_bench, unpack)
 from smtl.devices import DeviceParams, bias_chunks, weight_to_conductance
-from smtl.evaluate import (programmed, simulate_batch, simulate_mapped,
-                           variation_tolerance)
+from smtl.evaluate import programmed, simulate_mapped, variation_tolerance
 from smtl.mapping import MappingConfig, map_design
 from smtl.synthesis import synthesize_tln
 from smtl.tlg import (
@@ -979,10 +978,8 @@ VECTOR_COUNTS = (1, 63, 64, 65, 2000)
 
 
 def _batch(design, vectors, sigma, seeds, params):
-    low = design.tln.lower()
-    want = pack(ref_evaluate_many(design.source, vectors))
-    return simulate_batch(low, pack(vectors), len(vectors), want,
-                          programmed(low, params, sigma, seeds))
+    return tlg.check(design.tln, design.source, pack(vectors), len(vectors),
+                     lambda low: programmed(low, params, sigma, seeds))
 
 
 @pytest.mark.parametrize("name", NETLISTS)
@@ -1281,10 +1278,10 @@ def test_map_design_classifies_links_at_most_twice(netlists, monkeypatch):
 
 def test_variation_tolerance_evaluates_the_oracle_once(compiled, monkeypatch):
     _, design = compiled("c432", 4)
-    oracle = _counting(monkeypatch, evaluate, "evaluate_packed")
+    oracle = _counting(monkeypatch, tlg, "evaluate_packed")
     packed = _counting(monkeypatch, evaluate, "input_words")
     lowered = _counting(monkeypatch, ThresholdLogicNetwork, "lower")
-    kernel = _counting(monkeypatch, evaluate, "evaluate_lowered")
+    kernel = _counting(monkeypatch, tlg, "evaluate_lowered")
     _, curve = variation_tolerance(design, (0.0, 0.05, 0.1, 0.2),
                                    vectors_per_probe=500, early_stop=False,
                                    params=DeviceParams())

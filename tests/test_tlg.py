@@ -9,14 +9,19 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from smtl.bench import BooleanNetwork, Gate, pack
 from smtl.tlg import (
     ThresholdGate,
     ThresholdLogicNetwork,
     bias_bound,
+    check,
     eval_tlg,
     gate_margin,
+    input_rows,
+    input_words,
     solve_weights,
     truth_table,
 )
@@ -283,3 +288,54 @@ def test_network_from_json_rejects_dangling_ref():
     }
     with pytest.raises(ValueError, match="unknown"):
         ThresholdLogicNetwork.from_json(doc)
+
+
+def _json_doc(*ids):
+    return {"inputs": ["a"], "outputs": [ids[-1]],
+            "nodes": [{"id": i, "inputs": ["a"], "weights": [2], "bias": -1}
+                      for i in ids]}
+
+
+@pytest.mark.parametrize("ids", [("y", "y"), ("a",)])
+def test_network_from_json_rejects_a_node_id_given_twice(ids):
+    # the later node silently replaced the earlier one
+    with pytest.raises(ValueError, match="duplicate node id"):
+        ThresholdLogicNetwork.from_json(_json_doc(*ids))
+
+
+def test_lower_rejects_an_unresolved_output():
+    tln = _tiny_tln()
+    tln.outputs = ["ghost"]
+    with pytest.raises(ValueError, match="output 'ghost' unresolved"):
+        tln.lower()
+
+
+def test_exhaustive_input_words_pack_the_input_rows():
+    for n in range(15):
+        want = pack(input_rows(n))
+        got = input_words(n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all(), n
+
+
+def _nand(inputs=("a", "b"), outputs=("y",)):
+    return BooleanNetwork(inputs, outputs, (Gate("y", "NAND", ("a", "b")),))
+
+
+@pytest.mark.parametrize("source,message", [
+    (_nand(inputs=("b", "a")), "primary input mismatch"),
+    (_nand(outputs=("y", "y")), "primary output arity mismatch")])
+def test_check_rejects_a_network_that_does_not_line_up(source, message):
+    with pytest.raises(ValueError, match=message):
+        check(_tiny_tln(), source, pack(input_rows(2)), 4,
+              lambda low: low.levels[None])
+
+
+def test_check_counts_the_vectors_that_differ_per_row():
+    tln = _tiny_tln()
+    words = pack(input_rows(2))
+    # row 1 zeroes every level, so every node fires: y = 1 also on a = b = 1
+    out, errors = check(tln, _nand(), words, 4,
+                        lambda low: low.levels * np.array([[1], [0]]))
+    assert errors.tolist() == [0, 1]
+    assert len(out) == 2
