@@ -26,6 +26,7 @@ from .tlg import (
     ThresholdGate,
     ThresholdLogicNetwork,
     buffer_gate,
+    check_interface,
 )
 
 
@@ -585,7 +586,8 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
 
 def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
                w_max=W_MAX):
-    """Run the full mapping pipeline on a synthesized network."""
+    """Run the full mapping pipeline on a synthesized network; ValueError
+    if it does not line up with its `source` (see `check_interface`)."""
     cfg = config or MappingConfig()
     tln = tln.copy()
     strip_buffers(tln)  # a mapped design's TLN carries its path buffers
@@ -608,7 +610,8 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
                                            cfg.cols)
     absorb_small_layers(design)
     reorder_stages(design)
-    validate(design, fanin_limit, w_max)
+    validate(design, fanin_limit, w_max)  # a malformed network fails first
+    check_interface(tln, source)
     return design
 
 

@@ -14,7 +14,6 @@ import itertools
 
 import numpy as np
 
-from . import graph
 # evaluate_many is not called here, but perfbench's tracer test patches it
 # on every smtl module that imports it, this one included
 from .bench import evaluate_many, evaluate_packed, unpack  # noqa: F401
@@ -152,27 +151,23 @@ def _merged_table(producer, consumer, support):
 def collapse_tln(tln, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
     """Greedy single-fan-out collapse; returns the number of merges.
 
-    Repeatedly merges the first node, in reverse topological order
-    (descending (pass, position), see `graph.pass_numbers`), whose only
+    Repeatedly merges the last node, in insertion order, whose only
     consumer can absorb it into one threshold gate within the fan-in and
-    weight budget, until no node can be merged; deterministic by insertion
-    order.
+    weight budget, until no node can be merged. Synthesis adds every node
+    after its inputs and a merge hands the consumer only earlier inputs,
+    so this reverse insertion order is reverse topological; a merge keeps
+    the network's function in any order.
 
-    A max-heap on that key holds the nodes whose outcome may have changed.
-    A failed node stays failed until its gate, its consumer set or its
-    consumer's gate changes; merging producer p into consumer c changes
-    those only for c, c's old inputs and p's inputs, so only they are
-    queued again. Pass numbers only fall, and only for c and its
-    descendants, so only those are re-keyed. The consumer map is updated
-    per merge and `solve_weights` is memoised by truth table. Each merge is
-    thus the one a full rescan from the top would pick. Cost:
-    O((N + E) log N) plus the descendants re-keyed per merge.
+    A max-heap on insertion position holds the nodes whose outcome may
+    have changed. A failed node stays failed until its gate, its consumer
+    set or its consumer's gate changes; merging producer p into consumer c
+    changes those only for c, c's old inputs and p's inputs, so only they
+    are queued again. The consumer map is updated per merge and
+    `solve_weights` is memoised by truth table. Each merge is thus the one
+    a full rescan from the end would pick. Cost: O((N + E) log N).
     """
     outputs = set(tln.outputs)
     pos = {nid: i for i, nid in enumerate(tln.nodes)}
-    passes = graph.pass_numbers(
-        ((nid, n.gate.inputs) for nid, n in tln.nodes.items()), set(tln.inputs)
-    )
     # node or primary input -> the nodes consuming it
     users = {name: set() for name in list(tln.inputs) + list(tln.nodes)}
     for node in tln.nodes.values():
@@ -181,31 +176,16 @@ def collapse_tln(tln, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
     heap, queued = [], set()
 
     def enqueue(nid):
-        if nid in tln.nodes and nid not in outputs:
+        if nid in tln.nodes and nid not in outputs and nid not in queued:
             queued.add(nid)
-            heapq.heappush(heap, (-passes[nid], -pos[nid], nid))
-
-    def rekey(nid):
-        # recompute passes from `nid` downstream while they fall
-        work = [nid]
-        while work:
-            name = work.pop()
-            p = graph.pass_of(tln.nodes[name].gate.inputs, pos[name], passes,
-                              pos)
-            if p != passes[name]:
-                passes[name] = p
-                if name in queued:
-                    enqueue(name)
-                work.extend(users[name])
+            heapq.heappush(heap, (-pos[nid], nid))
 
     for nid in tln.nodes:
         enqueue(nid)
     solved = {}
     merged = 0
     while heap:
-        neg_pass, _, nid = heapq.heappop(heap)
-        if nid not in queued or -neg_pass != passes[nid]:
-            continue  # stale entry
+        _, nid = heapq.heappop(heap)
         queued.discard(nid)
         if len(users[nid]) != 1:
             continue
@@ -237,8 +217,7 @@ def collapse_tln(tln, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
             users[i].discard(nid)
         for i in consumer.gate.inputs:
             users[i].add(cid)
-        del users[nid], passes[nid]
-        rekey(cid)
+        del users[nid]
         for i in (cid,) + old_inputs + producer.gate.inputs:
             enqueue(i)
     return merged

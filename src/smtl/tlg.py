@@ -425,17 +425,23 @@ def evaluate_lowered(low, words, net):
     return RowWords(pool.buf, where[:, low.slot[low.outputs]])
 
 
-def check(tln, source, words, count, program):
-    """Compare `tln` with its Boolean oracle `source` on `count` packed
-    input vectors `words`, under each row of levels `program(low)` gives
-    for the lowered `tln`; ValueError unless both have the same inputs, in
-    order, and as many outputs. Returns the output words of every row
-    (`RowWords`) and per row the number of vectors an output differs on."""
+def check_interface(tln, source):
+    """ValueError unless `tln` and its Boolean oracle `source` have the
+    same inputs, in order, and as many outputs."""
     if list(tln.inputs) != list(source.inputs):
         raise ValueError("primary input mismatch with the source netlist")
     if len(tln.outputs) != len(source.outputs):
         raise ValueError(f"primary output arity mismatch: {len(tln.outputs)} "
                          f"against the source netlist's {len(source.outputs)}")
+
+
+def check(tln, source, words, count, program):
+    """Compare `tln` with its Boolean oracle `source` on `count` packed
+    input vectors `words`, under each row of levels `program(low)` gives
+    for the lowered `tln`; ValueError as `check_interface` gives. Returns
+    the output words of every row (`RowWords`) and per row the number of
+    vectors an output differs on."""
+    check_interface(tln, source)
     low = tln.lower()
     want = evaluate_packed(source, words)
     out = evaluate_lowered(low, words, program(low))

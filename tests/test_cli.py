@@ -570,7 +570,8 @@ def test_evaluate_rejects_a_design_that_does_not_line_up(runner, artifacts,
 
 
 @pytest.mark.parametrize("case", ["unknown-kind", "two-input-not",
-                                  "repeated-gate", "repeated-node"])
+                                  "repeated-gate", "repeated-node",
+                                  "reversed-inputs", "one-output-fewer"])
 def test_map_rejects_a_source_or_node_it_cannot_load(runner, artifacts,
                                                       tmp_path, case):
     # each was copied into mapped.json with exit 0
@@ -581,6 +582,19 @@ def test_map_rejects_a_source_or_node_it_cannot_load(runner, artifacts,
     tln.write_text(json.dumps(doc))
     r = runner.invoke(main, ["map", "--tln", str(tln), "-o", str(out)])
     _assert_input_error(r, message)
+    assert not out.exists()
+
+
+def test_sweep_k_rejects_a_network_of_another_source(runner, artifacts,
+                                                     tmp_path):
+    # exited 0 and wrote c432_like's figures as c17's sweep
+    tln, out = tmp_path / "t.json", tmp_path / "s.csv"
+    r = runner.invoke(main, ["synth", "--bench", C432, "-o", str(tln)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["sweep", "--mapped", artifacts["mapped"],
+                             "--tln", str(tln), "--param", "k",
+                             "--grid", "1,2", "-o", str(out)])
+    _assert_input_error(r, "primary input mismatch")
     assert not out.exists()
 
 

@@ -40,3 +40,30 @@ def test_summary_of_one_pair_and_bad_input():
         pairs.summarize([{"run_s": 1.0}], [], {"run_s": "lower"})
     with pytest.raises(ValueError):
         pairs.summarize([], [], {"run_s": "lower"})
+
+
+
+# ten parent runs with quartiles 0.98/1.0/1.02: an IQR of 0.04
+PARENT = [0.95, 0.97, 0.98, 0.98, 0.99, 1.01, 1.02, 1.02, 1.03, 1.05]
+# a skewed parent, quartiles 1.0/1.005/1.1: an IQR of 0.1
+SKEWED = [1.0] * 5 + [1.01] + [1.1] * 4
+
+
+@pytest.mark.parametrize("before,after,direction,bound,want", [
+    # every pair won, the median 0.1 lower: more than the IQR
+    (PARENT, [v - 0.1 for v in PARENT], "lower", 0.05, "better"),
+    # the same runs of a "higher" metric: a median 10% worse, past 5%
+    (PARENT, [v - 0.1 for v in PARENT], "higher", 0.05, "worse"),
+    # 8/10 pairs won by 0.1 are too few for a gain, and lose nothing
+    (PARENT, [v - 0.1 for v in PARENT[:8]] + [v + 0.01 for v in PARENT[8:]],
+     "lower", 0.05, "within bound"),
+    # the IQR is wider than a bound of 2%: 9/10 pairs won and a median
+    # 0.01 lower are neither a gain nor a clean result
+    (PARENT, [v - 0.01 for v in PARENT[:9]] + [1.2], "lower", 0.02,
+     "unresolved"),
+    # ... unless every change run beats every parent run
+    (SKEWED, [0.99] * 10, "lower", 0.02, "within bound"),
+])
+def test_verdict_per_end_to_end_metric(before, after, direction, bound,
+                                       want):
+    assert pairs.verdict(before, after, direction, bound) == want

@@ -10,8 +10,9 @@ in the machine's speed falls on both sides alike. A run that is not
 `correct` or that has a failed operation stops the tool with exit 1.
 At the end it prints, for every metric both sides report, the
 q1/median/q3 of each side and the pairs in which the change was better
-(in the direction BENCHMARK.json gives). `--trace 1` compares the
-per-layer metrics instead of the end-to-end ones.
+(in the direction BENCHMARK.json gives), and for each end-to-end metric
+a verdict (see `verdict`). `--trace 1` compares the per-layer metrics
+instead of the end-to-end ones.
 """
 
 from __future__ import annotations
@@ -59,11 +60,39 @@ def summarize(parent, change, better):
     return rows
 
 
-def directions(checkout):
-    """Metric -> better, from the checkout's BENCHMARK.json."""
+def verdict(before, after, direction, bound):
+    """The change's verdict on one end-to-end metric, from its runs
+    `before` (the parent's) and `after` (the change's), pair by pair.
+
+    `bound` is a fraction of the parent's median. "better": the change
+    wins at least 9/10 of the pairs and its median is better by more than
+    the parent's interquartile range; "worse": its median is worse by
+    more than the bound; "unresolved": the parent's interquartile range is
+    wider than the bound and not every change run beats every parent run;
+    "within bound" otherwise.
+    """
+    sign = 1 if direction == "lower" else -1  # sign * (a - b) < 0: a beats b
+    q1, median, q3 = quartiles(before)
+    gain = sign * (median - quartiles(after)[1])
+    won = sum(sign * (a - b) < 0 for b, a in zip(before, after))
+    if 10 * won >= 9 * len(before) and gain > q3 - q1:
+        return "better"
+    limit = bound * abs(median)
+    if -gain > limit:
+        return "worse"
+    if q3 - q1 > limit and not all(sign * (a - b) < 0
+                                   for a in after for b in before):
+        return "unresolved"
+    return "within bound"
+
+
+def benchmark(checkout):
+    """(metric -> better, end-to-end metric -> bound), from the checkout's
+    BENCHMARK.json."""
     spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"]
-            for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"]
+              for m in spec["end_to_end"] + spec["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def run_once(checkout, args):
@@ -105,15 +134,20 @@ def main(argv=None):
         key = "run_s" if "run_s" in after else "trace.untraced_run_s"
         print(f"pair {i + 1}/{args.pairs}: {key} {before.get(key)} -> "
               f"{after.get(key)}", file=sys.stderr, flush=True)
-    rows = summarize(runs[args.parent], runs[args.change],
-                     directions(args.change))
+    better, bounds = benchmark(args.change)
+    rows = summarize(runs[args.parent], runs[args.change], better)
     print(f"{args.workload} --seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s, trace {args.trace}: q1/median/q3")
     for name, row in rows.items():
         fmt = "/".join(f"{v:.6g}" for v in row["parent"])
         new = "/".join(f"{v:.6g}" for v in row["change"])
-        print(f"{name}: {fmt} -> {new}, change better in "
-              f"{row['won']}/{args.pairs}")
+        line = (f"{name}: {fmt} -> {new}, change better in "
+                f"{row['won']}/{args.pairs}")
+        if name in bounds:
+            line += ": " + verdict([run[name] for run in runs[args.parent]],
+                                   [run[name] for run in runs[args.change]],
+                                   better[name], bounds[name])
+        print(line)
 
 
 if __name__ == "__main__":
