@@ -31,7 +31,7 @@ class BenchError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     name: str
     kind: str
@@ -76,14 +76,10 @@ class BooleanNetwork:
         return list(self._order)
 
     def to_json(self):
-        return {
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "gates": [
-                {"name": g.name, "kind": g.kind, "inputs": list(g.inputs)}
-                for g in self.gates
-            ],
-        }
+        """The JSON document; a gate's inputs are shared, not copied."""
+        return {"inputs": list(self.inputs), "outputs": list(self.outputs),
+                "gates": [{"name": g.name, "kind": g.kind, "inputs": g.inputs}
+                          for g in self.gates]}
 
     @classmethod
     def from_json(cls, obj):

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from json.encoder import encode_basestring_ascii as _json_str
 
 import click
@@ -36,6 +35,8 @@ OVERFLOW = "a figure to be written overflows a double"
 # comparator resolution cap: past 52 bits the DAC step is below the
 # resolution of a double at the target voltage
 MAX_BITS = 64
+# the synth artifact's bounds for `map`, with their ranges' tops
+_LIMITS = (("fanin_limit", FANIN_LIMIT), ("w_max", W_MAX))
 
 
 class InputError(click.ClickException):
@@ -78,19 +79,17 @@ class Choice(_OneLine, click.Choice):
     pass
 
 
-def _atomic_write(path, text):
-    """Write `text` to `path` through a temporary file in its directory,
-    with the mode a plain `open` gives: 0666 less the umask (`mkstemp`
-    makes the file 0600)."""
+def _atomic_write(path, chunks):
+    """Write the text `chunks` to `path` as they come, through a temporary
+    file in its directory made with mode 0666 less the umask, as by `open`.
+    A chunk that raises leaves `path` as it was and no temporary file."""
     d = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".smtl-")
+        tmp = os.path.join(d, f".smtl-{os.urandom(6).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
+            with open(fd, "w") as f:
+                f.writelines(chunks)  # drops each chunk once it is written
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -101,14 +100,24 @@ def _atomic_write(path, text):
 
 def _dump(obj):
     """`json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\\n"`,
-    byte for byte, without the stdlib's pure-Python indenting encoder.
-
-    A NaN or infinite float is an InputError (OVERFLOW); a type other
-    than dict, list, tuple, str, int, float, bool and None (or their
-    subclasses) is a TypeError.
+    byte for byte and in chunks, without the stdlib's pure-Python
+    indenting encoder. A dict goes one key (a section) at a time, in
+    sorted order; a zero-argument callable value (`MappedDesign.sections`)
+    is called when its key is reached, and its value and text are dropped
+    before the next. A NaN or infinite float is an InputError (OVERFLOW);
+    a type other than dict, list, tuple, str, int, float, bool and None
+    (or their subclasses) is a TypeError.
     """
     try:
-        return _column([obj], "\n")[0] + "\n"
+        if type(obj) is not dict or not obj:
+            yield _column([obj], "\n")[0] + "\n"
+            return
+        for i, k in enumerate(sorted(obj)):
+            yield ("{\n " if i == 0 else ",\n ") + _json_str(_key(k)) + ": "
+            section = obj[k]
+            yield _column([section() if callable(section) else section],
+                          "\n ")[0]
+        yield "\n}\n"
     except ValueError:
         raise InputError(OVERFLOW) from None
 
@@ -268,9 +277,8 @@ def synth(bench_path, fanin, wmax, output):
         net, tln, count=None if len(net.inputs) <= 20 else 10_000)
     if not ok:
         _fail(EXIT_EQUIV, f"synthesized network is not equivalent: {ce}")
-    doc = {"tln": tln.to_json(), "source": net.to_json(),
-           "fanin_limit": fanin, "w_max": wmax}
-    _atomic_write(output, _dump(doc))
+    _atomic_write(output, _dump({"tln": tln.to_json, "source": net.to_json,
+                                 "fanin_limit": fanin, "w_max": wmax}))
     levels = max((n.level for n in tln.nodes.values()), default=0)
     click.echo(
         f"nodes={len(tln.nodes)} levels={levels} "
@@ -279,11 +287,14 @@ def synth(bench_path, fanin, wmax, output):
 
 
 def _load_tln(path):
+    """The network, its source and its (unchecked) `fanin_limit` and
+    `w_max`; the document itself is not kept."""
     try:
         with open(path) as f:
             doc = json.load(f)
         return (ThresholdLogicNetwork.from_json(doc["tln"]),
-                BooleanNetwork.from_json(doc["source"]), doc)
+                BooleanNetwork.from_json(doc["source"]),
+                {name: doc.get(name, top) for name, top in _LIMITS})
     except (OSError, KeyError, ValueError, TypeError) as e:
         _fail(EXIT_INPUT, f"bad TLN file {path}: {e}")
 
@@ -301,10 +312,9 @@ def _load_tln(path):
 @click.option("-o", "--output", default="mapped.json", show_default=True)
 def map_cmd(tln_path, k, blocks, rows, cols, fmax, output):
     """Map a threshold network onto pipelined crossbar blocks."""
-    tln, net, doc = _load_tln(tln_path)
-    limits = {}
-    for name, top in (("fanin_limit", FANIN_LIMIT), ("w_max", W_MAX)):
-        value = limits[name] = doc.get(name, top)
+    tln, net, limits = _load_tln(tln_path)
+    for name, top in _LIMITS:
+        value = limits[name]
         if type(value) is not int or not 2 <= value <= top:  # synth's ranges
             _fail(EXIT_INPUT, f"bad TLN file {tln_path}: {name} must be a "
                               f"whole number in 2..{top}, got {value!r}")
@@ -312,7 +322,8 @@ def map_cmd(tln_path, k, blocks, rows, cols, fmax, output):
                         f_max=fmax)
     with _exits(f"bad TLN file {tln_path}: "):  # a gate edited by hand
         design = map_design(tln, net, cfg, **limits)
-    _atomic_write(output, _dump(design.to_json()))
+    del tln  # the design holds its own copy
+    _atomic_write(output, _dump(design.sections()))
     s = summary(design)
     click.echo(
         f"stages={s['stages']} nodes={s['nodes']} buffers={s['buffers']} "
@@ -414,7 +425,7 @@ def sweep_cmd(mapped_path, tln_path, params_path, parameter, grid, output):
     with _exits():
         rows = evaluate.sweep(design, params, parameter, values,
                               source_tln=source_tln)
-    _atomic_write(output, _csv(rows))
+    _atomic_write(output, [_csv(rows)])
     click.echo(f"{len(rows)} rows -> {output}")
 
 
@@ -459,7 +470,7 @@ def write_sim_cmd(bits, iprog, trials, tmax, seed, params_path, output):
         })
         click.echo(f"bits={b} mean_error={r['mean_error']:.4f} "
                    f"p95={r['p95_error']:.4f}")
-    _atomic_write(output, _csv(rows))
+    _atomic_write(output, [_csv(rows)])
 
 
 if __name__ == "__main__":

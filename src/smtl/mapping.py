@@ -96,17 +96,20 @@ class MappedDesign:
     def stage_nodes(self, s):
         return [nid for blk in self.blocks[s] for nid in blk]
 
+    def sections(self):
+        """The artifact's layout: top-level key -> a zero-argument callable
+        building its value, so that a writer can build and drop one
+        section at a time (`cli._dump`)."""
+        return {"config": self.config.to_json, "tln": self.tln.to_json,
+                "source": self.source.to_json,
+                "blocks": lambda: {str(s): b for s, b in self.blocks.items()},
+                "input_blocks": lambda: self.input_blocks,
+                "absorbed": lambda: sorted(self.absorbed),
+                "backward_edges": lambda: self.backward_edges,
+                "warnings": lambda: self.warnings}
+
     def to_json(self):
-        return {
-            "config": self.config.to_json(),
-            "tln": self.tln.to_json(),
-            "source": self.source.to_json(),
-            "blocks": {str(s): b for s, b in self.blocks.items()},
-            "input_blocks": self.input_blocks,
-            "absorbed": sorted(self.absorbed),
-            "backward_edges": self.backward_edges,
-            "warnings": self.warnings,
-        }
+        return {key: build() for key, build in self.sections().items()}
 
     @classmethod
     def from_json(cls, obj):

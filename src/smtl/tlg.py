@@ -22,7 +22,7 @@ from .devices import W_MAX, bias_chunks
 FANIN_LIMIT = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdGate:
     """Integer-weight threshold gate.
 
@@ -134,13 +134,9 @@ def row_sums(gates):
         input_rows(gates[0].fan_in).T)[0]
 
 
-def gate_margin(gate):
-    """Min over all input rows of |weighted sum + bias|."""
-    return gate_margins([gate])[0]
-
-
 def gate_margins(gates):
-    """`gate_margin` of each gate, with one `row_sums` per fan-in."""
+    """Each gate's margin, the min over all input rows of |weighted sum +
+    bias|, with one `row_sums` per fan-in."""
     by_fan_in = {}
     for i, gate in enumerate(gates):
         by_fan_in.setdefault(gate.fan_in, []).append(i)
@@ -150,11 +146,6 @@ def gate_margins(gates):
         for i, m in zip(idx, np.abs(s).min(axis=1)):
             margins[i] = int(m)
     return margins
-
-
-def truth_table(gate):
-    """Truth table as a tuple of 2^fan_in bits; input i is bit i (LSB first)."""
-    return tuple(int(v) for v in row_sums([gate])[0] >= 0)
 
 
 def bias_bound(n, w_max=W_MAX):
@@ -484,7 +475,7 @@ def _slot_plan(n_inputs, n_signals, fan_ins, spans, outputs):
     return slot, freed, n_slots
 
 
-@dataclass
+@dataclass(slots=True)
 class TLGNode:
     """A threshold gate instantiated in a network, with mapping metadata."""
 
@@ -497,17 +488,25 @@ class TLGNode:
 
 @dataclass
 class ThresholdLogicNetwork:
-    """DAG of threshold gates equivalent to a Boolean netlist."""
+    """DAG of threshold gates equivalent to a Boolean netlist. `inputs` is
+    replaced, never edited in place, so that its set `_input_names`, which
+    `add_node` checks ids against, follows it."""
 
     inputs: list[str] = field(default_factory=list)
     nodes: dict[str, TLGNode] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "inputs":
+            super().__setattr__("_input_names", set(value))
+
     def add_node(self, node_id, gate, is_buffer=False):
-        if node_id in self.nodes or node_id in self.inputs:
+        known = self._input_names
+        if node_id in self.nodes or node_id in known:
             raise ValueError(f"duplicate node id {node_id!r}")
         for i in gate.inputs:
-            if i not in self.nodes and i not in self.inputs:
+            if i not in self.nodes and i not in known:
                 raise ValueError(f"node {node_id!r} references unknown {i!r}")
         node = TLGNode(node_id, gate, is_buffer=is_buffer)
         self.nodes[node_id] = node
@@ -635,26 +634,17 @@ class ThresholdLogicNetwork:
                 raise ValueError(error)
         _check_margins(nodes)
         for o in self.outputs:
-            if o not in self.nodes and o not in self.inputs:
+            if o not in self.nodes and o not in self._input_names:
                 raise ValueError(f"output {o!r} unresolved")
 
     def to_json(self):
-        return {
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "nodes": [
-                {
-                    "id": n.id,
-                    "inputs": list(n.gate.inputs),
-                    "weights": list(n.gate.weights),
-                    "bias": n.gate.bias,
-                    "level": n.level,
-                    "stage": n.stage,
-                    "is_buffer": n.is_buffer,
-                }
-                for n in self.nodes.values()
-            ],
-        }
+        """The JSON document; a gate's tuples are shared, not copied."""
+        return {"inputs": list(self.inputs), "outputs": list(self.outputs),
+                "nodes": [{"id": n.id, "inputs": n.gate.inputs,
+                           "weights": n.gate.weights, "bias": n.gate.bias,
+                           "level": n.level, "stage": n.stage,
+                           "is_buffer": n.is_buffer}
+                          for n in self.nodes.values()]}
 
     @classmethod
     def from_json(cls, obj):
@@ -675,10 +665,8 @@ class ThresholdLogicNetwork:
                     is_buffer and gate != buffer_gate(gate.inputs[0])):
                 raise ValueError(f"node {n['id']!r}: is_buffer must be a "
                                  f"bool, true only on a buffer gate")
-            node = TLGNode(n["id"], gate, is_buffer=is_buffer)
-            node.level = n.get("level", 0)
-            node.stage = n.get("stage", 0)
-            tln.nodes[n["id"]] = node
+            tln.nodes[n["id"]] = TLGNode(n["id"], gate, n.get("level", 0),
+                                         n.get("stage", 0), is_buffer)
         for node in tln.nodes.values():
             for i in node.gate.inputs:
                 if i not in known:

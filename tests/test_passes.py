@@ -44,11 +44,11 @@ from smtl.tlg import (
     ThresholdGate,
     ThresholdLogicNetwork,
     TLGNode,
-    gate_margin,
     input_rows,
     solve_weights,
-    truth_table,
 )
+
+from gate_tables import gate_margin, truth_table
 
 
 # --- reference passes --------------------------------------------------------

@@ -18,7 +18,9 @@ from smtl.synthesis import (
     synthesize_tln,
     verify_equivalence,
 )
-from smtl.tlg import ThresholdGate, eval_tlg, gate_margin, truth_table
+from smtl.tlg import ThresholdGate, eval_tlg
+
+from gate_tables import gate_margin, truth_table
 
 
 # --- primitive gate encodings ---------------------------------------------

@@ -19,12 +19,12 @@ from smtl.tlg import (
     bias_bound,
     check,
     eval_tlg,
-    gate_margin,
     input_rows,
     input_words,
     solve_weights,
-    truth_table,
 )
+
+from gate_tables import gate_margin, truth_table
 
 
 def _naive_solve(table, w_max=6):
@@ -248,6 +248,21 @@ def test_network_duplicate_and_unknown_refs():
         tln.add_node("n", ThresholdGate(("a",), (2,), -1))
     with pytest.raises(ValueError, match="unknown"):
         tln.add_node("m", ThresholdGate(("ghost",), (2,), -1))
+
+
+@pytest.mark.parametrize("remake", [
+    ThresholdLogicNetwork.copy,
+    lambda tln: ThresholdLogicNetwork.from_json(tln.to_json())])
+def test_network_refuses_an_input_id_after_copy_and_from_json(remake):
+    # add_node checks ids against a set of the inputs; the copy and the
+    # loaded network must carry it
+    tln = remake(_tiny_tln())
+    with pytest.raises(ValueError, match="duplicate"):
+        tln.add_node("b", ThresholdGate(("a",), (2,), -1))
+    tln.add_node("c", ThresholdGate(("b",), (2,), -1))
+    tln.inputs = ["a"]  # replacing the inputs replaces the set
+    with pytest.raises(ValueError, match="unknown"):
+        tln.add_node("d", ThresholdGate(("b",), (2,), -1))
 
 
 def test_network_consumers_multiplicity():
