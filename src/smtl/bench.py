@@ -83,12 +83,17 @@ class BooleanNetwork:
 
     @classmethod
     def from_json(cls, obj):
+        """The netlist of the document `obj`; each entry of its gate list
+        is dropped (set to None) once its gate is built."""
         defined = set()
         for name in obj["inputs"]:
             _define(name, defined)
-        gates = tuple(_gate(g["name"], g["kind"], tuple(g["inputs"]), defined)
-                      for g in obj["gates"])
-        net = cls(tuple(obj["inputs"]), tuple(obj["outputs"]), gates)
+        entries, gates = obj["gates"], []
+        for at, g in enumerate(entries):
+            gates.append(_gate(g["name"], g["kind"], tuple(g["inputs"]),
+                               defined))
+            entries[at] = None
+        net = cls(tuple(obj["inputs"]), tuple(obj["outputs"]), tuple(gates))
         _validate(net)
         return net
 

@@ -32,6 +32,8 @@ EXIT_TIMING = 5
 
 PARAMS_ENV = "SMTL_PARAMS"
 OVERFLOW = "a figure to be written overflows a double"
+# `_dump` encodes a long list this many items at a time
+CHUNK = 256
 # comparator resolution cap: past 52 bits the DAC step is below the
 # resolution of a double at the target voltage
 MAX_BITS = 64
@@ -101,25 +103,45 @@ def _atomic_write(path, chunks):
 def _dump(obj):
     """`json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\\n"`,
     byte for byte and in chunks, without the stdlib's pure-Python
-    indenting encoder. A dict goes one key (a section) at a time, in
-    sorted order; a zero-argument callable value (`MappedDesign.sections`)
-    is called when its key is reached, and its value and text are dropped
-    before the next. A NaN or infinite float is an InputError (OVERFLOW);
-    a type other than dict, list, tuple, str, int, float, bool and None
-    (or their subclasses) is a TypeError.
+    indenting encoder (see `_pieces`). A zero-argument callable value of a
+    top-level dict (`MappedDesign.sections`) is called when its key is
+    reached, and its value and text are dropped before the next. A NaN or
+    infinite float is an InputError (OVERFLOW); a type other than dict,
+    list, tuple, str, int, float, bool and None (or their subclasses) is a
+    TypeError.
     """
     try:
-        if type(obj) is not dict or not obj:
-            yield _column([obj], "\n")[0] + "\n"
-            return
-        for i, k in enumerate(sorted(obj)):
-            yield ("{\n " if i == 0 else ",\n ") + _json_str(_key(k)) + ": "
-            section = obj[k]
-            yield _column([section() if callable(section) else section],
-                          "\n ")[0]
-        yield "\n}\n"
+        yield from _pieces(obj, "\n", top=True)
+        yield "\n"
     except ValueError:
         raise InputError(OVERFLOW) from None
+
+
+def _pieces(val, ind, top=False):
+    """The JSON text of `val` at indentation `ind`, in pieces: a non-empty
+    top-level dict, and a dict that holds a list or dict longer than
+    CHUNK, go one key (a section) at a time in sorted order; a list longer
+    than CHUNK goes CHUNK items per `_column` call; any other value goes
+    whole, as one `_column` call. A piece can be written and dropped
+    before the next is built."""
+    inner = ind + " "
+    if type(val) is dict and val and (top or any(
+            type(v) in (list, tuple, dict) and len(v) > CHUNK
+            for v in val.values())):
+        for i, k in enumerate(sorted(val)):
+            yield ("{" if i == 0 else ",") + inner + _json_str(_key(k)) + ": "
+            section = val[k]
+            yield from _pieces(
+                section() if top and callable(section) else section, inner)
+        yield ind + "}"
+    elif type(val) in (list, tuple) and len(val) > CHUNK:
+        sep = "," + inner
+        for at in range(0, len(val), CHUNK):
+            yield (("[" if at == 0 else ",") + inner
+                   + sep.join(_column(val[at:at + CHUNK], inner)))
+        yield ind + "]"
+    else:
+        yield _column([val], ind)[0]
 
 
 def _float(x):
@@ -286,14 +308,22 @@ def synth(bench_path, fanin, wmax, output):
     )
 
 
+def _pop(doc, key):
+    """`doc[key]` (raising as it does), deleted from `doc`."""
+    value = doc[key]
+    del doc[key]
+    return value
+
+
 def _load_tln(path):
     """The network, its source and its (unchecked) `fanin_limit` and
-    `w_max`; the document itself is not kept."""
+    `w_max`. Each section is taken off the document as it is built, so
+    that the document is freed as the objects grow."""
     try:
         with open(path) as f:
             doc = json.load(f)
-        return (ThresholdLogicNetwork.from_json(doc["tln"]),
-                BooleanNetwork.from_json(doc["source"]),
+        return (ThresholdLogicNetwork.from_json(_pop(doc, "tln")),
+                BooleanNetwork.from_json(_pop(doc, "source")),
                 {name: doc.get(name, top) for name, top in _LIMITS})
     except (OSError, KeyError, ValueError, TypeError) as e:
         _fail(EXIT_INPUT, f"bad TLN file {path}: {e}")
@@ -335,6 +365,8 @@ def map_cmd(tln_path, k, blocks, rows, cols, fmax, output):
 
 
 def _load_design(path):
+    """The mapped design; `MappedDesign.from_json` frees the document as
+    it builds the design."""
     from .mapping import MappedDesign
 
     try:

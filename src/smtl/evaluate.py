@@ -69,16 +69,22 @@ def programmed(low, params, sigma, seeds):
     minus = plus + np.bincount(low.first)[low.first]
     g = np.empty(2 * len(at))
     g[plus], g[minus] = pairs.T
-    g = g[None]
-    if sigma > 0.0:
-        e = np.array([np.random.default_rng(seed).normal(0.0, sigma, g.size)
-                      for seed in seeds]).reshape(len(seeds), g.size)
-        with np.errstate(over="ignore"):  # an overflow is raised below
-            g = g * (1.0 + e)
-    if not np.isfinite(g).all():
-        raise ValueError(f"programmed conductances overflow a double "
-                         f"(sigma {sigma})")
-    return g[:, plus] - g[:, minus]
+    # one seed's devices at a time: its draws become g * (1 + e) in place,
+    # the bits of g * (1 + normal(0, sigma)), and only its row is kept
+    net = np.empty((len(seeds) if sigma > 0.0 else 1, len(at)))
+    for i, row in enumerate(net):
+        dev = g
+        if sigma > 0.0:
+            dev = np.random.default_rng(seeds[i]).standard_normal(g.size)
+            with np.errstate(over="ignore"):  # an overflow is raised below
+                dev *= sigma
+                dev += 1.0
+                dev *= g
+        if not np.isfinite(dev).all():
+            raise ValueError(f"programmed conductances overflow a double "
+                             f"(sigma {sigma})")
+        np.subtract(dev[plus], dev[minus], out=row)
+    return net
 
 
 def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):

@@ -113,12 +113,15 @@ class MappedDesign:
 
     @classmethod
     def from_json(cls, obj):
+        """The design of the document `obj`, which it consumes: the `tln`
+        and `source` sections are taken off it and emptied as they are
+        built."""
         from .bench import BooleanNetwork
 
         design = cls(
             config=MappingConfig.from_json(obj["config"]),
-            tln=ThresholdLogicNetwork.from_json(obj["tln"]),
-            source=BooleanNetwork.from_json(obj["source"]),
+            tln=ThresholdLogicNetwork.from_json(obj.pop("tln")),
+            source=BooleanNetwork.from_json(obj.pop("source")),
             blocks={int(s): b for s, b in obj["blocks"].items()},
             input_blocks=obj["input_blocks"],
             absorbed=set(obj["absorbed"]),

@@ -648,11 +648,14 @@ class ThresholdLogicNetwork:
 
     @classmethod
     def from_json(cls, obj):
+        """The network of the document `obj`; each entry of its node list
+        is dropped (set to None) once its node is built."""
         tln = cls(inputs=list(obj["inputs"]), outputs=list(obj["outputs"]))
         known = set(tln.inputs)
         # Nodes are stored in insertion order, which after mapping passes is
         # not necessarily topological; resolve references after loading all.
-        for n in obj["nodes"]:
+        entries = obj["nodes"]
+        for at, n in enumerate(entries):
             if n["id"] in known:
                 raise ValueError(f"duplicate node id {n['id']!r}")
             known.add(n["id"])
@@ -667,6 +670,7 @@ class ThresholdLogicNetwork:
                                  f"bool, true only on a buffer gate")
             tln.nodes[n["id"]] = TLGNode(n["id"], gate, n.get("level", 0),
                                          n.get("stage", 0), is_buffer)
+            entries[at] = None
         for node in tln.nodes.values():
             for i in node.gate.inputs:
                 if i not in known:

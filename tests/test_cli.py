@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smtl import cli, evaluate, tlg
 from smtl.bench import load_bench
@@ -875,8 +875,27 @@ _JSON = st.recursive(
     max_leaves=30)
 
 
+def _chunk_boundaries(test):
+    """`test` with explicit examples where `_dump` starts and ends its
+    chunks: lists of 0, 1, CHUNK - 1, CHUNK, CHUNK + 1 and 3 CHUNK + 5
+    items, mixed and of lists, at the top level and in a dict section."""
+    kinds = (lambda i: i, lambda i: i / 7, lambda i: f"s{i}\u00e9",
+             lambda i: None, lambda i: [[i], [], (i, "x")],
+             lambda i: {"k": i, "v": (i, i % 2 == 0)})
+    for n in (0, 1, cli.CHUNK - 1, cli.CHUNK, cli.CHUNK + 1,
+              3 * cli.CHUNK + 5):
+        mixed = [kinds[i % len(kinds)](i) for i in range(n)]
+        lists = [[i, [i] * (i % 3)] for i in range(n)]
+        for obj in (mixed, lists, tuple(mixed), [lists, mixed],
+                    {"a": mixed, "b": n, "c": {"d": lists, "e": {}}},
+                    {0: [mixed, lists], 1: "one", 2.5: lists}):
+            test = example(obj=obj)(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(obj=_JSON)
+@_chunk_boundaries
 def test_dump_matches_the_stdlib_encoder(obj):
     want = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
     assert "".join(cli._dump(obj)) == want
@@ -935,33 +954,43 @@ netgen = importlib.util.module_from_spec(_NETGEN)
 _NETGEN.loader.exec_module(netgen)
 
 
-def _traced_peak_mb(runner, argv):
+def _traced_peak_mb(call):
     gc.collect()
     tracemalloc.start()
     try:
-        r = runner.invoke(main, argv)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert r.exit_code == 0, r.output
-    return peak / 2 ** 20
+
+
+def _ok(runner, argv):
+    def call():
+        r = runner.invoke(main, argv)
+        assert r.exit_code == 0, r.output
+    return call
 
 
 def test_synth_and_map_peak_memory_at_1200_gates(runner, tmp_path,
                                                  monkeypatch):
     # a command holds one copy of its network: synth and map build and
-    # encode their artifacts a section at a time, and map drops the loaded
-    # document and the unmapped network before it writes. The bounds lie
-    # between the peaks traced on Python 3.11 for this netlist (1,293
-    # synthesized and 1,895 mapped nodes) with whole-document writing
-    # (synth 4.52 MB, map 5.68 MB) and without it (3.67 and 3.46 MB)
+    # encode their artifacts a section, and a long list CHUNK items, at a
+    # time, map drops the loaded document and the unmapped network before
+    # it writes, and the loaders free the document as they build. The
+    # bounds lie between the peaks traced on Python 3.11 for this netlist
+    # (1,293 synthesized and 1,895 mapped nodes) with whole-document
+    # writing (synth 4.52 MB), with whole-section writing (map 3.46 MB)
+    # and whole-document loading (`_load_design` 2.94 MB), and without
+    # them (synth 3.63, map 2.73 and `_load_design` 2.44 MB)
     bench = tmp_path / "gen1200.bench"
     bench.write_text(netgen.generate(1200, 48, 0.1, 1))
     tln, mapped = str(tmp_path / "t.json"), str(tmp_path / "m.json")
     monkeypatch.setattr(tlg, "_lattice_cache", {})  # as in a new process
-    assert _traced_peak_mb(runner, ["synth", "--bench", str(bench),
-                                    "-o", tln]) < 4.1
-    assert _traced_peak_mb(runner, ["map", "--tln", tln, "-o", mapped]) < 4.5
+    assert _traced_peak_mb(_ok(runner, ["synth", "--bench", str(bench),
+                                        "-o", tln])) < 4.1
+    assert _traced_peak_mb(_ok(runner, ["map", "--tln", tln,
+                                        "-o", mapped])) < 3.1
+    assert _traced_peak_mb(lambda: cli._load_design(mapped)) < 2.7
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -980,5 +1009,32 @@ def test_non_finite_figures_exit_1_and_keep_the_old_artifact(
     r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
                              "--vectors", "32", "--report", str(report)])
     _assert_input_error(r, "overflows")
+    assert report.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_a_nan_in_the_last_chunk_of_a_long_list_exits_1(runner, artifacts,
+                                                        tmp_path,
+                                                        monkeypatch):
+    # the chunks before it are written to the temporary file first
+    report = tmp_path / "r.json"
+    report.write_text("old\n")
+    full_report = evaluate.full_report
+
+    def bad_report(*args, **kwargs):
+        rep = full_report(*args, **kwargs)
+        rep["long"] = [0.5] * (3 * cli.CHUNK + 4) + [math.nan]
+        return rep
+
+    monkeypatch.setattr(evaluate, "full_report", bad_report)
+    written = []
+    write = cli._atomic_write
+    monkeypatch.setattr(cli, "_atomic_write", lambda path, chunks: write(
+        path, (written.append(c) or c for c in chunks)))
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--vectors", "32", "--report", str(report)])
+    _assert_input_error(r, cli.OVERFLOW)
+    key = next(i for i, c in enumerate(written) if '"long": ' in c)
+    assert [c.count("0.5") for c in written[key + 1:]] == [cli.CHUNK] * 3
     assert report.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
