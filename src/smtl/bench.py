@@ -65,14 +65,15 @@ class BooleanNetwork:
         frozen, so the order is computed once.
         """
         if self._order is None:
+            v = graph.view(self.inputs, [g.name for g in self.gates],
+                           [g.inputs for g in self.gates])
             try:
-                order = graph.topological_order(
-                    ((g.name, g.inputs) for g in self.gates),
-                    set(self.inputs))
+                order = graph.topological_order(v)
             except graph.CycleError as e:
                 raise BenchError("cycle detected among gates: " +
                                  ", ".join(e.leftover[:5])) from None
-            object.__setattr__(self, "_order", order)
+            object.__setattr__(self, "_order",
+                               [v.names[i] for i in order.tolist()])
         return list(self._order)
 
     def to_json(self):
@@ -96,14 +97,6 @@ class BooleanNetwork:
         net = cls(tuple(obj["inputs"]), tuple(obj["outputs"]), tuple(gates))
         _validate(net)
         return net
-
-    def to_bench(self):
-        lines = [f"INPUT({n})" for n in self.inputs]
-        lines += [f"OUTPUT({n})" for n in self.outputs]
-        lines += [
-            f"{g.name} = {g.kind}({', '.join(g.inputs)})" for g in self.gates
-        ]
-        return "\n".join(lines) + "\n"
 
 
 _LINE_RE = re.compile(

@@ -324,14 +324,11 @@ def sweep(design, params, parameter, grid, source_tln=None):
         if d is not last:  # dv and i_threshold keep one design
             last, figures = d, _design_figures(d)
         c = _costs(d, p, figures)
-        power, stats = c["power"], c["links"]
+        stats = c["links"]
         rows.append({
             "parameter": parameter,
             "value": value,
-            "p_mca": power["p_mca"],
-            "p_det": power["p_det"],
-            "p_interconnect": power["p_interconnect"],
-            "p_total": power["p_total"],
+            **c["power"],  # p_mca, p_det, p_interconnect, p_total
             "latency": c["delay"]["latency"],
             "energy": c["energy"],
             "edp": c["energy_delay_product"],

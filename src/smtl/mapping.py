@@ -205,11 +205,11 @@ def insert_buffers(tln, k):
     for nid in list(tln.nodes):  # the buffers made here are not rewired
         node = tln.nodes[nid]
         g = node.gate
-        srcs = []
-        for src in g.inputs:
-            span = node.stage - _stage_of(tln, src)
-            srcs.append(carried(src, node.stage - 1) if span >= 2 else src)
-        node.gate = ThresholdGate(tuple(srcs), g.weights, g.bias)
+        srcs = tuple(carried(src, node.stage - 1)
+                     if node.stage - _stage_of(tln, src) >= 2 else src
+                     for src in g.inputs)
+        if srcs != g.inputs:  # only the gates it rewires are rebuilt
+            node.gate = ThresholdGate(srcs, g.weights, g.bias)
     return len(chains)
 
 
@@ -578,11 +578,7 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
             f"{sv - su} boundaries"
         )
     # backward connections per block within bound
-    per_block = {}
-    for u, v in backward:
-        key = place[v][:2]
-        per_block[key] = per_block.get(key, 0) + 1
-    for key, cnt in per_block.items():
+    for key, cnt in Counter(place[v][:2] for _, v in backward).items():
         if cnt > cfg.b_max:
             raise MappingInfeasible(
                 f"stage/block {key}: {cnt} backward connections > {cfg.b_max}"

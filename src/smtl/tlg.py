@@ -11,13 +11,14 @@ distinct conductance levels the memristors are programmed to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import graph
 from .bench import (MUX_WORDS, TABLE_FAN_IN_LIMIT, evaluate_packed, mux, pack,
                     unpack)
-from .devices import W_MAX, bias_chunks
+from .devices import W_MAX
 
 FANIN_LIMIT = 4
 
@@ -125,27 +126,12 @@ def input_words(n, count=None, seed=0):
     return out.view("<u8")
 
 
-def row_sums(gates):
-    """Weighted sum + bias of gates of one fan-in k on each of their 2^k
-    input rows, (len(gates), 2^k), from one `threshold_step`."""
-    return threshold_step(
-        np.array([g.bias for g in gates])[:, None],
-        np.array([g.weights for g in gates]).T[:, :, None],
-        input_rows(gates[0].fan_in).T)[0]
-
-
-def gate_margins(gates):
-    """Each gate's margin, the min over all input rows of |weighted sum +
-    bias|, with one `row_sums` per fan-in."""
-    by_fan_in = {}
-    for i, gate in enumerate(gates):
-        by_fan_in.setdefault(gate.fan_in, []).append(i)
-    margins = [0] * len(gates)
-    for idx in by_fan_in.values():
-        s = row_sums([gates[i] for i in idx])
-        for i, m in zip(idx, np.abs(s).min(axis=1)):
-            margins[i] = int(m)
-    return margins
+def row_sums(bias, weights):
+    """Weighted sum + bias of N gates of one fan-in k, with biases `bias`
+    (N,) and weights `weights` (N, k), on each of their 2^k input rows,
+    (N, 2^k), from one `threshold_step`."""
+    return threshold_step(bias[:, None], weights.T[:, :, None],
+                          input_rows(weights.shape[1]).T)[0]
 
 
 def bias_bound(n, w_max=W_MAX):
@@ -229,22 +215,37 @@ def _table_arity(table):
     return n
 
 
-def _gate_error(node, fanin_limit, w_max):
-    """What `validate` reports for the node's gate short of its margin."""
-    g = node.gate
-    if g.fan_in > fanin_limit:
-        return f"{node.id}: fan-in {g.fan_in} > {fanin_limit}"
-    if any(w == 0 for w in g.weights):
-        return f"{node.id}: zero weight stored"
-    if any(abs(w) > w_max for w in g.weights):
-        return f"{node.id}: weight magnitude > {w_max}"
-    return None
+def _ints(values):
+    """int64, or objects where an int is beyond it (`validate` names it)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _check_margins(nodes):
-    for node, margin in zip(nodes, gate_margins([n.gate for n in nodes])):
-        if margin < 1:
-            raise ValueError(f"{node.id}: margin < 1")
+def _sorted(tln):
+    """The network's `graph.View`, weights included, and its order."""
+    gates = [n.gate for n in tln.nodes.values()]
+    weights = list(chain.from_iterable([g.weights for g in gates]))
+    v = graph.view(tln.inputs, tln.nodes, [g.inputs for g in gates],
+                   _ints(weights), _ints([g.bias for g in gates]))
+    try:
+        return v, graph.topological_order(v)
+    except graph.CycleError:
+        raise ValueError("cycle in threshold network") from None
+
+
+def _levels(v, order):
+    """ASAP level of every id of `v`, sources at 0, set along `order`."""
+    n, ptr, ind = v.n_sources, v.indptr.tolist(), v.indices.tolist()
+    level = [0] * len(v.names)
+    for j in order.tolist():
+        top = 0
+        for i in ind[ptr[j - n]:ptr[j - n + 1]]:  # cheaper than max(map())
+            if level[i] > top:
+                top = level[i]
+        level[j] = top + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -531,21 +532,16 @@ class ThresholdLogicNetwork:
 
     def topological_order(self):
         """Node ids in dependency order; see `graph.topological_order`."""
-        try:
-            return graph.topological_order(
-                ((nid, n.gate.inputs) for nid, n in self.nodes.items()),
-                set(self.inputs),
-            )
-        except graph.CycleError:
-            raise ValueError("cycle in threshold network") from None
+        v, order = _sorted(self)
+        return [v.names[i] for i in order.tolist()]
 
     def assign_levels(self):
-        levels = {name: 0 for name in self.inputs}
-        for nid in self.topological_order():
-            node = self.nodes[nid]
-            node.level = 1 + max(levels[i] for i in node.gate.inputs)
-            levels[nid] = node.level
-        return levels
+        """Set each node's ASAP level; returns name -> level, inputs too."""
+        v, order = _sorted(self)
+        level = _levels(v, order)
+        for node, lvl in zip(self.nodes.values(), level[v.n_sources:]):
+            node.level = lvl
+        return dict(zip(v.names, level))
 
     def max_fan_in(self):
         return max((n.gate.fan_in for n in self.nodes.values()), default=0)
@@ -555,64 +551,59 @@ class ThresholdLogicNetwork:
         rows (weights, then the `bias_chunks` of the bias), the (ASAP
         level, fan-in) groups and the word slot plan. Raises ValueError for
         a gate above TABLE_FAN_IN_LIMIT inputs or an unresolved output."""
-        order = self.topological_order()
-        index = {name: i for i, name in enumerate(list(self.inputs) + order)}
+        v, order = _sorted(self)
         for o in self.outputs:
-            if o not in index:
+            if o not in v.index:
                 raise ValueError(f"output {o!r} unresolved")
-        level = dict.fromkeys(self.inputs, 0)
-        levels, first, groups, bias = [], [], {}, {}
-        for nid in order:
-            gate = self.nodes[nid].gate
-            k = gate.fan_in
-            if k > TABLE_FAN_IN_LIMIT:
-                raise ValueError(f"node {nid}: fan-in {k} above "
-                                 f"{TABLE_FAN_IN_LIMIT} cannot be tabulated")
-            row = len(levels)
-            chunks = bias_chunks(gate.bias)
-            levels += gate.weights
-            levels += chunks
-            first += [row] * (k + len(chunks))
-            level[nid] = 1 + max(level[i] for i in gate.inputs)
-            groups.setdefault((level[nid], k), []).append(
-                (index[nid], [index[i] for i in gate.inputs], row))
-            if chunks:
-                bias.setdefault(len(chunks), []).append((index[nid], row + k))
-
-        def columns(entries, width):
-            # entries are (node signal, [input signals,] first row); each
-            # first row becomes `width` consecutive rows
-            nodes, *srcs, rows = (np.array(col, dtype=np.intp)
-                                  for col in zip(*entries))
-            return (nodes, *srcs, rows[:, None] + np.arange(width))
-
-        # each (level, k) group is a range of fan-in k's nodes
-        by_fan_in, spans = {}, []
-        for key in sorted(groups):
-            entries = by_fan_in.setdefault(key[1], [])
-            spans.append((key[1], len(entries),
-                          len(entries) + len(groups[key])))
-            entries += groups[key]
-        fan_ins = {k: columns(entries, k) for k, entries in by_fan_in.items()}
-        outputs = np.array([index[o] for o in self.outputs], dtype=np.intp)
-        slot, freed, n_slots = _slot_plan(len(self.inputs), len(index),
-                                          fan_ins, spans, outputs)
+        n, node = v.n_sources, order - v.n_sources  # node at each position
+        k = np.diff(v.indptr)[node]
+        if (k > TABLE_FAN_IN_LIMIT).any():
+            at = int(np.argmax(k > TABLE_FAN_IN_LIMIT))
+            raise ValueError(f"node {v.names[order[at]]}: fan-in {k[at]} above"
+                             f" {TABLE_FAN_IN_LIMIT} cannot be tabulated")
+        sig = np.arange(len(v.names))  # the inputs, then `order`
+        sig[order] = sig[n:].copy()
+        # a node's rows: its weights, then its `bias_chunks`
+        n_bias = -(-np.abs(v.bias[node]) // W_MAX)
+        first = np.cumsum(k + n_bias) - k - n_bias
+        owner = np.repeat(np.arange(len(k)), k + n_bias)
+        at = np.arange(len(owner)) - first[owner] - k[owner]  # < 0: weight
+        b = v.bias[node[owner]]
+        levels = np.clip(b - np.sign(b) * W_MAX * at, -W_MAX, W_MAX)
+        levels[at < 0] = v.weights[(v.indptr[node[owner]] + k[owner]
+                                    + at)[at < 0]]
+        # fan-in k's nodes in (level, position) order; each (level, fan-in)
+        # group, in that order, is a range of them
+        level = np.array(_levels(v, order), dtype=np.intp)[order]
+        group = level * 16 + k  # fan-in <= TABLE_FAN_IN_LIMIT < 16
+        by_group = np.argsort(group, kind="stable")
+        fan_ins = {kk: (n + at, sig[v.indices[v.indptr[node[at], None]
+                                             + np.arange(kk)]],
+                        first[at, None] + np.arange(kk))
+                   for kk in np.flatnonzero(np.bincount(k)).tolist()
+                   for at in [by_group[k[by_group] == kk]]}
+        # not np.unique, which imports numpy.ma: 1.6 MB of resident memory
+        count = np.bincount(group, minlength=16 * level.max(initial=0) + 16)
+        count = count.reshape(-1, 16)
+        lv, kk = np.nonzero(count)
+        hi = count.cumsum(axis=0)[lv, kk]
+        spans = list(zip(kk.tolist(), (hi - count[lv, kk]).tolist(),
+                         hi.tolist()))
+        outputs = sig[[v.index[o] for o in self.outputs]]
+        slot, freed, n_slots = _slot_plan(n, len(sig), fan_ins, spans,
+                                          outputs)
         return Lowered(
-            n_inputs=len(self.inputs),
-            n_signals=len(index),
-            levels=np.array(levels, dtype=np.int64),
-            first=np.array(first, dtype=np.intp),
-            fan_ins=tuple((k, nodes, rows) for k, (nodes, _, rows)
-                          in sorted(fan_ins.items())),
-            groups=tuple(
-                (k, lo, hi, slot[fan_ins[k][0][lo:hi]],
-                 slot[fan_ins[k][1][lo:hi]], dead)
-                for (k, lo, hi), dead in zip(spans, freed)),
-            bias=tuple(columns(bias[b], b) for b in sorted(bias)),
-            outputs=outputs,
-            slot=slot,
-            n_slots=n_slots,
-        )
+            n_inputs=n, n_signals=len(sig), levels=levels.astype(np.int64),
+            first=first[owner],
+            fan_ins=tuple((kk, nodes, rows) for kk, (nodes, _, rows)
+                          in fan_ins.items()),
+            groups=tuple((kk, lo, hi, slot[fan_ins[kk][0][lo:hi]],
+                          slot[fan_ins[kk][1][lo:hi]], dead)
+                         for (kk, lo, hi), dead in zip(spans, freed)),
+            bias=tuple((n + at, first[at, None] + k[at, None] + np.arange(m))
+                       for m in sorted(set(n_bias[n_bias > 0].tolist()))
+                       for at in [np.flatnonzero(n_bias == m)]),
+            outputs=outputs, slot=slot, n_slots=n_slots)
 
     def evaluate_many(self, vectors):
         """Ideal (infinite precision) evaluation over a vector matrix."""
@@ -625,16 +616,26 @@ class ThresholdLogicNetwork:
         """Raise ValueError naming the first node, in insertion order, that
         breaks a gate check (fan-in, zero weight, weight magnitude, margin),
         or the first unresolved output."""
-        self.topological_order()
-        nodes = list(self.nodes.values())
-        for at, node in enumerate(nodes):
-            error = _gate_error(node, fanin_limit, w_max)
-            if error:
-                _check_margins(nodes[:at])  # an earlier node fails first
-                raise ValueError(error)
-        _check_margins(nodes)
+        v, _ = _sorted(self)
+        k, w, ptr = np.diff(v.indptr), v.weights, v.indptr[:-1]
+        # every node has an input, so no `reduceat` range is empty
+        checks = {f"fan-in {{}} > {fanin_limit}": k > fanin_limit,
+                  "zero weight stored": np.logical_or.reduceat(w == 0, ptr),
+                  f"weight magnitude > {w_max}":
+                      np.logical_or.reduceat(np.abs(w) > w_max, ptr)}
+        broken = np.logical_or.reduce(list(checks.values()))
+        at = int(np.argmax(broken)) if broken.any() else len(k)
+        for kk in np.flatnonzero(np.bincount(k[:at])).tolist():
+            sel = np.flatnonzero(k[:at] == kk)  # an earlier node fails first
+            s = row_sums(v.bias[sel], w[v.indptr[sel, None] + np.arange(kk)])
+            at = min([at] + sel[np.abs(s).min(axis=1) < 1][:1].tolist())
+        if at < len(k):
+            what = next((what for what, bad in checks.items() if bad[at]),
+                        "margin < 1")
+            raise ValueError(f"{v.names[v.n_sources + at]}: "
+                             + what.format(k[at]))
         for o in self.outputs:
-            if o not in self.nodes and o not in self._input_names:
+            if o not in v.index:
                 raise ValueError(f"output {o!r} unresolved")
 
     def to_json(self):

@@ -1,13 +1,19 @@
 """A single gate's margin and truth table, checked by several tests."""
 
-from smtl.tlg import gate_margins, row_sums
+import numpy as np
+
+from smtl.tlg import row_sums
+
+
+def _row_sums(gate):
+    return row_sums(np.array([gate.bias]), np.array([gate.weights]))[0]
 
 
 def gate_margin(gate):
     """Min over all input rows of |weighted sum + bias|."""
-    return gate_margins([gate])[0]
+    return int(np.abs(_row_sums(gate)).min())
 
 
 def truth_table(gate):
     """Truth table as a tuple of 2^fan_in bits; input i is bit i (LSB first)."""
-    return tuple(int(v) for v in row_sums([gate])[0] >= 0)
+    return tuple(int(v) for v in _row_sums(gate) >= 0)

@@ -200,8 +200,16 @@ def test_json_round_trip(c17):
     assert BooleanNetwork.from_json(c17.to_json()) == c17
 
 
+def to_bench(net):
+    """The `.bench` text of `net`: its inputs, outputs and gates."""
+    lines = [f"INPUT({n})" for n in net.inputs]
+    lines += [f"OUTPUT({n})" for n in net.outputs]
+    lines += [f"{g.name} = {g.kind}({', '.join(g.inputs)})" for g in net.gates]
+    return "\n".join(lines) + "\n"
+
+
 def test_bench_round_trip(c17):
-    assert parse_bench(c17.to_bench()) == c17
+    assert parse_bench(to_bench(c17)) == c17
 
 
 def test_random_networks_round_trip_and_agree():
@@ -223,7 +231,7 @@ def test_random_networks_round_trip_and_agree():
         text += "".join(f"OUTPUT({o})\n" for o in outs)
         text += "\n".join(gates) + "\n"
         net = parse_bench(text)
-        again = parse_bench(net.to_bench())
+        again = parse_bench(to_bench(net))
         vectors = np.array(
             list(itertools.product((0, 1), repeat=n_in)), dtype=bool
         )

@@ -1,8 +1,9 @@
 """The incremental synth and map passes, the evaluators built on the
 shared threshold step and input-row generator, the bit-packed,
 seed-batched crossbar simulation, the batched gate kernels (narrow weight
-lattice, margins per fan-in, bit-packed ideal evaluation) and the write
-loop's shared ramp give exactly the output of the straightforward
+lattice, margins per fan-in, bit-packed ideal evaluation), the sort,
+lowering and validation on a network's integer view and the write loop's
+shared ramp give exactly the output of the straightforward
 implementations they replaced.
 
 The reference passes below are test-only copies of those implementations:
@@ -10,9 +11,9 @@ rescanning passes, whose compiles are compared as JSON artifacts, and
 per-evaluator loops, the column-wise Boolean and threshold evaluators and
 the equivalence check on their bool matrices, the per-seed tolerance
 loop, row builders, the int64 weight solver, the per-node validation and
-the per-pulse write loop, whose outputs, error counts, counterexamples,
-curves, truth tables, gates, messages and error statistics are compared
-exactly.
+lowering, and the per-pulse write loop, whose outputs, error counts,
+counterexamples, curves, truth tables, gates, lowered fields, messages and
+error statistics are compared exactly.
 """
 
 import contextlib
@@ -33,8 +34,8 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from smtl import devices, evaluate, graph, mapping, partition, synthesis, tlg
-from smtl.bench import (BenchError, BooleanNetwork, evaluate_many, load_bench,
-                        pack, parse_bench, unpack)
+from smtl.bench import (BenchError, BooleanNetwork, Gate, evaluate_many,
+                        load_bench, pack, parse_bench, unpack)
 from smtl.devices import DeviceParams, bias_chunks, weight_to_conductance
 from smtl.evaluate import programmed, simulate_mapped, variation_tolerance
 from smtl.mapping import MappingConfig, map_design
@@ -402,6 +403,60 @@ def ref_validate(tln, fanin_limit=4, w_max=W_MAX):
             raise ValueError(f"output {o!r} unresolved")
 
 
+def ref_lower(tln):
+    """`ThresholdLogicNetwork.lower` one node at a time: an index dict over
+    the sorted signals, per-node `bias_chunks` and dicts of groups."""
+    order = tln.topological_order()
+    index = {name: i for i, name in enumerate(list(tln.inputs) + order)}
+    for o in tln.outputs:
+        if o not in index:
+            raise ValueError(f"output {o!r} unresolved")
+    level = dict.fromkeys(tln.inputs, 0)
+    levels, first, groups, bias = [], [], {}, {}
+    for nid in order:
+        gate = tln.nodes[nid].gate
+        k = gate.fan_in
+        if k > tlg.TABLE_FAN_IN_LIMIT:
+            raise ValueError(f"node {nid}: fan-in {k} above "
+                             f"{tlg.TABLE_FAN_IN_LIMIT} cannot be tabulated")
+        row = len(levels)
+        chunks = bias_chunks(gate.bias)
+        levels += gate.weights
+        levels += chunks
+        first += [row] * (k + len(chunks))
+        level[nid] = 1 + max(level[i] for i in gate.inputs)
+        groups.setdefault((level[nid], k), []).append(
+            (index[nid], [index[i] for i in gate.inputs], row))
+        if chunks:
+            bias.setdefault(len(chunks), []).append((index[nid], row + k))
+
+    def columns(entries, width):
+        nodes, *srcs, rows = (np.array(col, dtype=np.intp)
+                              for col in zip(*entries))
+        return (nodes, *srcs, rows[:, None] + np.arange(width))
+
+    by_fan_in, spans = {}, []
+    for key in sorted(groups):
+        entries = by_fan_in.setdefault(key[1], [])
+        spans.append((key[1], len(entries), len(entries) + len(groups[key])))
+        entries += groups[key]
+    fan_ins = {k: columns(entries, k) for k, entries in by_fan_in.items()}
+    outputs = np.array([index[o] for o in tln.outputs], dtype=np.intp)
+    slot, freed, n_slots = tlg._slot_plan(len(tln.inputs), len(index),
+                                          fan_ins, spans, outputs)
+    return tlg.Lowered(
+        n_inputs=len(tln.inputs), n_signals=len(index),
+        levels=np.array(levels, dtype=np.int64),
+        first=np.array(first, dtype=np.intp),
+        fan_ins=tuple((k, nodes, rows) for k, (nodes, _, rows)
+                      in sorted(fan_ins.items())),
+        groups=tuple((k, lo, hi, slot[fan_ins[k][0][lo:hi]],
+                      slot[fan_ins[k][1][lo:hi]], dead)
+                     for (k, lo, hi), dead in zip(spans, freed)),
+        bias=tuple(columns(bias[b], b) for b in sorted(bias)),
+        outputs=outputs, slot=slot, n_slots=n_slots)
+
+
 def ref_write_with_feedback(target_r, i_prog, comparator_bits, params,
                             comparator_offset_sigma=0.0, dt=1e-9,
                             t_max=20e-6, seed=0, k_write=devices.K_WRITE):
@@ -601,31 +656,104 @@ def test_compile_identical_to_reference(netlists, name, fanin):
         assert g == w, f"mapped JSON differs at {cfg}"
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_topological_order_matches_rescan(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 40)
+def graph_order(nodes, sources):
+    """`graph.topological_order` of the view of (name, inputs) pairs, as
+    names."""
+    v = graph.view(sources, [name for name, _ in nodes],
+                   [inputs for _, inputs in nodes])
+    return [v.names[i] for i in graph.topological_order(v).tolist()]
+
+
+def ref_passes(nodes, sources):
+    """The number of sweeps `ref_order` takes on an acyclic network."""
+    seen, pending, passes = set(sources), list(nodes), 0
+    while pending:
+        passes += 1
+        rest = []
+        for name, inputs in pending:
+            if all(i in seen for i in inputs):
+                seen.add(name)
+            else:
+                rest.append((name, inputs))
+        pending = rest
+    return passes
+
+
+def _hidden_order_nodes(rng, n, shape, window=None):
+    """n nodes reading the node just before them in a hidden topological
+    order, a shuffle of insertion order or its reverse, and up to two more
+    among the sources a, b and the `window` nodes before them. Every
+    descent of that order is one more sweep."""
     names = [f"n{i}" for i in range(n)]
-    sources = ["a", "b"]
-    ranked = list(names)
-    rng.shuffle(ranked)  # a hidden topological order, unlike insertion
+    ranked = names[::-1] if shape == "reversed" else rng.sample(names, n)
+    rank = {name: r for r, name in enumerate(ranked)}
+    window = window or rng.choice((1, 2, 4, n))
     nodes = []
     for name in names:
-        earlier = sources + ranked[:ranked.index(name)]
-        nodes.append((name, tuple(rng.choice(earlier)
-                                  for _ in range(rng.randint(1, 3)))))
-    assert graph.topological_order(nodes, set(sources)) == \
-        ref_order(nodes, sources)
+        earlier = ["a", "b"] + ranked[max(0, rank[name] - window):rank[name]]
+        nodes.append((name, earlier[-1:] + [rng.choice(earlier)
+                                            for _ in range(rng.randint(0, 2))]))
+    return nodes
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_topological_order_matches_rescan(seed):
+    rng = random.Random(seed)
+    n = rng.choice((rng.randint(1, 40), rng.randint(100, 300)))
+    nodes = _hidden_order_nodes(rng, n, ("shuffled", "reversed")[seed % 2])
+    assert graph_order(nodes, ["a", "b"]) == ref_order(nodes, ["a", "b"])
+
+
+def test_topological_order_takes_many_sweeps_on_the_rescan_cases():
+    rng = random.Random(0)
+    nodes = _hidden_order_nodes(rng, 300, "reversed", window=1)
+    assert ref_passes(nodes, ["a", "b"]) > 100
+    assert graph_order(nodes, ["a", "b"]) == ref_order(nodes, ["a", "b"])
 
 
 def test_topological_order_cycle_leftover_matches_rescan():
     nodes = [("x", ("a",)), ("y", ("z",)), ("z", ("y",)), ("w", ("z", "x")),
              ("v", ("x",))]
     with pytest.raises(graph.CycleError) as got:
-        graph.topological_order(nodes, {"a"})
+        graph_order(nodes, ["a"])
     with pytest.raises(graph.CycleError) as want:
         ref_order(nodes, ["a"])
     assert got.value.leftover == want.value.leftover == ["y", "z", "w"]
+
+
+UNORDERED = {  # (name, inputs) pairs over the source a
+    "unknown input": [("x", ("a",)), ("y", ("nowhere",)), ("z", ("y", "x")),
+                      ("v", ("x",))],
+    "self loop": [("x", ("a",)), ("y", ("y",)), ("v", ("x",))],
+    # seven nodes left, so the Boolean message shows only five
+    "cycle": [("x", ("a",))] + [(f"c{i}", (f"c{(i + 1) % 5}", "x"))
+                                for i in range(5)]
+             + [("d", ("c0",)), ("e", ("d", "a")), ("v", ("x",))],
+}
+
+
+@pytest.mark.parametrize("case", UNORDERED)
+def test_networks_refuse_an_unordered_network_as_the_rescan(case):
+    nodes = UNORDERED[case]
+    tln = ThresholdLogicNetwork(inputs=["a"], outputs=["v"])
+    for name, inputs in nodes:
+        tln.nodes[name] = TLGNode(name, ThresholdGate(
+            inputs, (2,) * len(inputs), -1))
+    net = BooleanNetwork(("a",), ("v",), tuple(
+        Gate(name, "AND", inputs) for name, inputs in nodes))
+    want = _message(ref_tln_order, tln)
+    assert want == "cycle in threshold network"
+    for check in (ThresholdLogicNetwork.topological_order,
+                  ThresholdLogicNetwork.assign_levels,
+                  ThresholdLogicNetwork.lower, ThresholdLogicNetwork.validate,
+                  ref_validate):
+        assert _message(check, tln) == want
+    with pytest.raises(BenchError) as want:
+        ref_bench_order(net)
+    with pytest.raises(BenchError) as got:
+        net.topological_order()
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("cycle detected among gates: ")
 
 
 def test_collapse_merge_count_matches_reference(netlists):
@@ -1439,10 +1567,14 @@ def test_solve_weights_on_a_wide_lattice_matches_reference():
 
 
 def _defective_tln(seed):
-    """A random threshold network with up to three gates broken: margin
-    0, a zero weight, a weight above the limit or a fan-in above it."""
-    rng = random.Random(seed)
-    tln = random_tln(seed)
+    """A random threshold network with up to three gates broken."""
+    return _break_gates(random_tln(seed), random.Random(seed))
+
+
+def _break_gates(tln, rng):
+    """`tln` with up to three gates broken: margin 0, a zero weight, a
+    weight above the limit or a fan-in above it; sometimes an unresolved
+    output too."""
     ids = list(tln.nodes)
     for nid in rng.sample(ids, min(len(ids), rng.randint(0, 3))):
         g = tln.nodes[nid].gate
@@ -1469,12 +1601,28 @@ def _message(check, tln, **kw):
     return None
 
 
+VALIDATE_LIMITS = ({}, {"fanin_limit": 5}, {"w_max": W_MAX + 1})
+
+
 @pytest.mark.parametrize("seed", range(150))
 def test_validate_matches_per_node_reference(seed):
     tln = _defective_tln(seed)
-    for kw in ({}, {"fanin_limit": 5}, {"w_max": W_MAX + 1}):
+    for kw in VALIDATE_LIMITS:
         assert _message(ThresholdLogicNetwork.validate, tln, **kw) == \
             _message(ref_validate, tln, **kw)
+
+
+@pytest.mark.parametrize("name", NETLISTS)
+@pytest.mark.parametrize("fanin", (2, 3, 4))
+def test_validate_matches_per_node_reference_on_mapped_networks(
+        compiled, name, fanin):
+    # buffers and fan-out copies follow their readers in insertion order
+    mapped = compiled(name, fanin)[1].tln
+    for seed in range(8):
+        tln = _break_gates(mapped.copy(), random.Random(seed))
+        for kw in VALIDATE_LIMITS:
+            assert _message(ThresholdLogicNetwork.validate, tln, **kw) == \
+                _message(ref_validate, tln, **kw)
 
 
 def test_validate_reports_the_first_of_several_failures():
@@ -1496,6 +1644,78 @@ def test_validate_computes_margins_once_per_fan_in(compiled, monkeypatch):
     calls = _counting(monkeypatch, tlg, "threshold_step")
     tln.validate()
     assert calls[0] == len({n.gate.fan_in for n in tln.nodes.values()})
+
+
+def assert_same_lowered(got, want):
+    """Every field of two `Lowered`, arrays by value, shape and dtype."""
+    def same(a, b, at):
+        if isinstance(b, tuple):
+            assert type(a) is tuple and len(a) == len(b), at
+            for i, (x, y) in enumerate(zip(a, b)):
+                same(x, y, f"{at}[{i}]")
+        elif isinstance(b, np.ndarray):
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), at
+            assert (a == b).all(), at
+        else:
+            assert type(a) is type(b) and a == b, at
+
+    for f in dataclasses.fields(tlg.Lowered):
+        same(getattr(got, f.name), getattr(want, f.name), f.name)
+
+
+@pytest.mark.parametrize("name", NETLISTS)
+@pytest.mark.parametrize("fanin", (2, 3, 4))
+def test_lower_matches_per_node_reference(compiled, name, fanin):
+    tln, design = compiled(name, fanin)
+    for net in (tln, design.tln):  # mapped: not in topological order
+        assert_same_lowered(net.lower(), ref_lower(net))
+
+
+def _wide_bias_tln(seed):
+    """`random_tln` with biases beyond W_MAX of both signs, and within."""
+    rng = random.Random(seed)
+    tln = random_tln(seed)
+    for node in tln.nodes.values():
+        g = node.gate
+        node.gate = ThresholdGate(g.inputs, g.weights, rng.choice(
+            (-3 * W_MAX - 1, -2 * W_MAX, -W_MAX - 1, -W_MAX, -1, 0, 1,
+             W_MAX, W_MAX + 1, 2 * W_MAX + 5, 4 * W_MAX)))
+    return tln
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_lower_matches_per_node_reference_on_random_networks(seed):
+    for tln in (random_tln(seed), random_raw_tln(seed), _wide_bias_tln(seed)):
+        assert_same_lowered(tln.lower(), ref_lower(tln))
+
+
+def _untabulated_tln(unresolved, cycle):
+    """Two gates above TABLE_FAN_IN_LIMIT inputs, the later-inserted one
+    first in topological order; optionally an unresolved output and a
+    cycle."""
+    tln = ThresholdLogicNetwork(inputs=["a", "b"])
+    wide = tlg.TABLE_FAN_IN_LIMIT + 1
+    tln.nodes["late"] = TLGNode("late", ThresholdGate(
+        ("early",) * wide, (2,) * wide, -1))
+    tln.nodes["early"] = TLGNode("early", ThresholdGate(
+        ("a",) * (wide + 1), (2,) * (wide + 1), -1))
+    tln.outputs = ["late"] + ["nowhere"] * unresolved
+    if cycle:
+        tln.nodes["x"] = TLGNode("x", ThresholdGate(("y",), (2,), -1))
+        tln.nodes["y"] = TLGNode("y", ThresholdGate(("x",), (2,), -1))
+    return tln
+
+
+@pytest.mark.parametrize("unresolved", (False, True))
+@pytest.mark.parametrize("cycle", (False, True))
+def test_lower_errors_keep_their_precedence_and_words(unresolved, cycle):
+    tln = _untabulated_tln(unresolved, cycle)
+    want = ("cycle in threshold network" if cycle else
+            "output 'nowhere' unresolved" if unresolved else
+            f"node early: fan-in {tlg.TABLE_FAN_IN_LIMIT + 2} above "
+            f"{tlg.TABLE_FAN_IN_LIMIT} cannot be tabulated")
+    assert _message(ThresholdLogicNetwork.lower, tln) == want
+    assert _message(ref_lower, tln) == want
 
 
 def random_raw_tln(seed):
