@@ -404,8 +404,12 @@ def evaluate_cmd(mapped_path, params_path, sigma, vectors, seed, report_path,
     design = _load_design(mapped_path)
     params = _load_params(params_path)
     with _exits():  # e.g. a gate the crossbar model cannot program
-        rep = evaluate.full_report(design, params, sigma=sigma,
-                                   vectors=vectors, seed=seed)
+        try:
+            rep = evaluate.full_report(design, params, sigma=sigma,
+                                       vectors=vectors, seed=seed)
+        except MemoryError:  # the vectors' words are the part that grows
+            _fail(EXIT_INPUT, f"--vectors: out of memory simulating "
+                              f"{vectors} vectors")
     if baseline_energy is not None:
         with _exits("--baseline-energy/--baseline-delay: "):
             rep["baseline"] = evaluate.baseline_ratios(

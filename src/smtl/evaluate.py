@@ -22,7 +22,7 @@ from . import partition
 from .bench import evaluate_many, pack, unpack  # noqa: F401
 from .devices import (DeviceParams, bias_chunks, std_switch_time,
                       weight_to_conductance)
-from .tlg import check, input_words
+from .tlg import check, check_interface, ideal_tables, input_words, prove
 
 I_DTCS_BASE = 5e-6        # A per input row, quoted at the 2 uA device threshold
 I_THRESHOLD_REF = 2e-6    # A, device threshold the drive current is sized for
@@ -249,12 +249,28 @@ def _costs(design, params, figures):
 
 
 def full_report(design, params, sigma=0.0, vectors=10_000, seed=0):
-    """EvaluationReport: functional errors, power, delay, energy, area."""
-    n = len(design.tln.inputs)
+    """EvaluationReport: functional errors, power, delay, energy, area.
+
+    At sigma 0, after the interface check, `lower` and `programmed` (so
+    their errors come first, as in `tlg.check`), a crossbar whose truth
+    tables are those of its integer levels (`tlg.ideal_tables`) and whose
+    integer network is proved equivalent to the source (`tlg.prove`) has
+    0 errors on any vectors, so none are drawn. Otherwise `vectors`
+    vectors of `seed` are simulated."""
+    tln, source = design.tln, design.source
+    n = len(tln.inputs)
     count = min(vectors, 2 ** n)
-    _, errors = check(design.tln, design.source,
-                      input_words(n, vectors, seed), count,
-                      lambda low: programmed(low, params, sigma, [seed]))
+
+    def program(low):
+        return programmed(low, params, sigma, [seed])
+
+    proved = False
+    if sigma == 0.0:
+        check_interface(tln, source)
+        low = tln.lower()
+        proved = ideal_tables(low, program(low)) and prove(tln, source)
+    errors = [0] if proved else check(
+        tln, source, input_words(n, vectors, seed), count, program)[1]
     return {
         "seed": seed,
         "sigma": sigma,

@@ -10,6 +10,8 @@ distinct conductance levels the memristors are programmed to.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -352,6 +354,28 @@ def _truth_tables(const, net, rows, k):
     return fires, differs
 
 
+def _node_tables(low, net):
+    """Per fan-in k, `_truth_tables` of fan-in k's nodes of `low` under
+    every row of `net`, their constants summed from their bias rows."""
+    const = np.zeros((len(net), low.n_signals), dtype=net.dtype)
+    for nodes, rows in low.bias:
+        # numpy adds fewer than 8 terms in order along any axis, as a
+        # scalar 1-D sum does; longer 1-D sums are pairwise
+        terms = net[:, rows]
+        const[:, nodes] = (terms.sum(axis=-1) if rows.shape[1] < 8 else
+                           [[t.sum() for t in seed] for seed in terms])
+    return {k: _truth_tables(const[:, nodes], net, rows, k)
+            for k, nodes, rows in low.fan_ins}
+
+
+def ideal_tables(low, net):
+    """Whether row 0 of `net` gives every node of `low` the truth table
+    its integer levels give it, both built as the kernel builds them: the
+    kernel then computes the integer network's function under that row."""
+    got, want = _node_tables(low, net[:1]), _node_tables(low, low.levels[None])
+    return all(np.array_equal(got[k][0], want[k][0]) for k in want)
+
+
 def evaluate_lowered(low, words, net):
     """Evaluate packed input words (`bench.pack`, one row per input) with
     the row levels of each row of `net` (S, len(low.levels)): integer
@@ -375,16 +399,7 @@ def evaluate_lowered(low, words, net):
     bools for every node, held for the whole call.
     """
     n_rows, n_words = len(net), words.shape[1]
-    const = np.zeros((n_rows, low.n_signals), dtype=net.dtype)
-    for nodes, rows in low.bias:
-        # numpy adds fewer than 8 terms in order along any axis, as a
-        # scalar 1-D sum does; longer 1-D sums are pairwise
-        terms = net[:, rows]
-        const[:, nodes] = (terms.sum(axis=-1) if rows.shape[1] < 8 else
-                           [[t.sum() for t in seed] for seed in terms])
-    tables = {k: _truth_tables(const[:, nodes], net, rows, k)
-              for k, nodes, rows in low.fan_ins}
-    del const
+    tables = _node_tables(low, net)
     pool = _WordPool(low.n_slots, n_words)
     pool.buf[low.slot[:low.n_inputs]] = words
     n_slots = low.n_slots
@@ -440,6 +455,197 @@ def check(tln, source, words, count, program):
     bad = (np.bitwise_or.reduce(out.row(r) ^ want, axis=0)
            for r in range(len(out)))  # one row at a time
     return out, np.array([np.count_nonzero(unpack(b, count)) for b in bad])
+
+
+# the most leaves a window may have, and the rounds in which `prove` grows
+# a mismatched window's one-sided leaves before it gives up
+WINDOW_LEAVES = 16
+WINDOW_ROUNDS = 3
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _gate_table(weights, bias):
+    """A threshold gate's truth table as an int: bit r is its output on
+    row r, which sets input j to bit j of r; None above
+    TABLE_FAN_IN_LIMIT inputs."""
+    if len(weights) > TABLE_FAN_IN_LIMIT:
+        return None
+    return sum(1 << r for r in range(1 << len(weights))
+               if bias + sum(w for j, w in enumerate(weights) if r >> j & 1)
+               >= 0)
+
+
+@functools.cache
+def _var(i, m):
+    """The column of input i in a truth table over m inputs, as an int."""
+    half = 1 << i
+    return ((1 << half) - 1 << half) * (
+        ((1 << (1 << m)) - 1) // ((1 << 2 * half) - 1))
+
+
+def _apply(table, xs, full):
+    """The function of truth table `table` at the columns `xs` (ints,
+    `full` all ones), by Shannon expansion on the last input."""
+    if not table or table == (1 << (1 << len(xs))) - 1:
+        return table and full
+    half = 1 << (len(xs) - 1)
+    lo = _apply(table & (1 << half) - 1, xs[:-1], full)
+    hi = _apply(table >> half, xs[:-1], full)
+    return lo ^ (lo ^ hi) & xs[-1]
+
+
+_REDUCE = {"AND": operator.and_, "NAND": operator.and_, "OR": operator.or_,
+           "NOR": operator.or_, "XOR": operator.xor}
+
+
+def _source_apply(kind, xs, full):
+    """The Boolean gate `kind` (`bench.GATE_KINDS`) at the columns `xs`."""
+    v = functools.reduce(_REDUCE[kind], xs) if kind in _REDUCE else xs[0]
+    return full ^ v if kind in ("NAND", "NOR", "NOT") else v
+
+
+@functools.cache
+def _kind_table(kind, k):
+    """The truth table of the Boolean gate `kind` of k inputs."""
+    return _source_apply(kind, [_var(j, k) for j in range(k)],
+                         (1 << (1 << k)) - 1)
+
+
+class _Wide(Exception):
+    """A window has more variables than its columns have inputs."""
+
+
+def prove(tln, source):
+    """Whether `tln` provably computes its Boolean oracle `source`'s
+    function on every input vector. False when it does not, and when the
+    proof does not reach; a caller then samples vectors.
+
+    **Classes.** Signals are taken in `tln`'s topological order
+    (`graph.topological_order`, which also rejects a cycle). An input has
+    a class of its own; a one-input node whose truth table is the
+    identity has its input's class; any other node has the class first
+    given to its (truth table, input classes) pair, or a new one. By
+    induction in that order, the signals of one class compute one
+    function, T(c); names play no part. The anchors are the inputs and
+    the nodes named after a source gate.
+
+    **Windows.** Each anchor a is compared with source gate a when the
+    order reaches it, over variables that are classes. The network side
+    is a's gate, expanded through the classes that no earlier anchor has
+    (by the gate that made the class). The source side is gate a,
+    expanded through the gates that are not earlier anchors; an input or
+    an earlier anchor s is the variable of its class. Both sides become
+    Python-int truth tables over the union of their variables, at most
+    WINDOW_LEAVES, and must be equal. On a mismatch the variables only
+    one side has are expanded too, for at most WINDOW_ROUNDS rounds: the
+    OR fragment of an XOR can share the class of another anchor, which
+    the source side does not read. An anchor whose gate reads the
+    classes its source gate's inputs have, in order, is compared by its
+    2^k table alone. Last, output j must share the class of the source's
+    output j, an anchor. A window wider than WINDOW_LEAVES, or deeper
+    than the interpreter's recursion limit, is not proved.
+
+    **Soundness,** by induction in the same order: when a is compared,
+    every earlier anchor s computes source gate s's function S(s). Set
+    each variable c to T(c). The network side then computes a's value,
+    T(a), by construction; the source side computes S(a), since each of
+    its leaves s gives S(s) = T(s) = T(class of s). Equal tables give
+    T(a) = S(a). Output j computes T of its class, which is T(s) = S(s)
+    for the source's output s.
+    """
+    gates = [n.gate for n in tln.nodes.values()]
+    v = graph.view(tln.inputs, tln.nodes, [g.inputs for g in gates])
+    try:
+        check_interface(tln, source)
+        order = graph.topological_order(v)
+    except ValueError:  # graph.CycleError is one
+        return False
+    n, names = v.n_sources, v.names
+    sgate = {g.name: g for g in source.gates}
+    cls = dict(zip(names[:n], range(n)))  # signal -> class, so far
+    made = [None] * n  # class -> (table, input classes) that made it
+    anchored = [True] * n  # class -> whether an anchor so far has it
+    keys = {}
+
+    def window(sg, t, ins):
+        """Whether gate (t, ins) and source gate `sg` agree (see `prove`).
+        Columns are 2^m bits, m from 6 up to WINDOW_LEAVES."""
+        grow_t, grow_s, m, rounds = set(), set(), 6, 0
+        while True:
+            full, cols, val_t, val_s = (1 << (1 << m)) - 1, {}, {}, {}
+            leaf_t, leaf_s = set(), set()
+
+            def var(c):
+                if c not in cols:
+                    if len(cols) == m:
+                        raise _Wide
+                    cols[c] = _var(len(cols), m)
+                return cols[c]
+
+            def net(c):  # T(c), expanded if no earlier anchor has c
+                if c not in val_t:
+                    if made[c] and (not anchored[c] or c in grow_t):
+                        tt, below = made[c]
+                        val_t[c] = _apply(tt, [net(i) for i in below], full)
+                    else:
+                        leaf_t.add(c)
+                        val_t[c] = var(c)
+                return val_t[c]
+
+            def src(x):  # S(x), expanded if x is no earlier anchor
+                if x not in val_s:
+                    g = sgate.get(x)
+                    if g and (x not in cls or x in grow_s):
+                        val_s[x] = _source_apply(
+                            g.kind, [src(i) for i in g.inputs], full)
+                    else:
+                        leaf_s.add(x)
+                        val_s[x] = var(cls[x])
+                return val_s[x]
+
+            try:
+                if (_apply(t, [net(c) for c in ins], full) == _source_apply(
+                        sg.kind, [src(x) for x in sg.inputs], full)):
+                    return True
+            except _Wide:
+                if m == WINDOW_LEAVES:
+                    return False
+                m = min(2 * m, WINDOW_LEAVES)
+                continue
+            except RecursionError:  # a cone deeper than the stack
+                return False
+            read_s = {cls[x] for x in leaf_s}
+            more_t = {c for c in leaf_t - read_s if made[c]} - grow_t
+            more_s = {x for x in leaf_s
+                      if cls[x] not in leaf_t and x in sgate} - grow_s
+            rounds += 1
+            if rounds > WINDOW_ROUNDS or not (more_t or more_s):
+                return False
+            grow_t |= more_t
+            grow_s |= more_s
+
+    for j in order.tolist():
+        g, name = gates[j - n], names[j]
+        t = _gate_table(g.weights, g.bias)
+        if t is None:
+            return False
+        ins = tuple(map(cls.__getitem__, g.inputs))
+        sg = sgate.get(name)
+        if sg and not (ins == tuple(map(cls.get, sg.inputs))
+                       and t == _kind_table(sg.kind, len(ins))
+                       or window(sg, t, ins)):
+            return False
+        if t == 2 and len(ins) == 1:  # the identity
+            c = ins[0]
+        else:
+            c = keys.setdefault((t, ins), len(made))
+            if c == len(made):
+                made.append((t, ins))
+                anchored.append(False)
+        cls[name] = c
+        anchored[c] |= sg is not None
+    return all(cls.get(o, -1) == cls.get(s, -2)
+               for o, s in zip(tln.outputs, source.outputs))
 
 
 def _slot_plan(n_inputs, n_signals, fan_ins, spans, outputs):

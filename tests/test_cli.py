@@ -379,6 +379,27 @@ def test_evaluate_rejects_zero_vectors(runner, artifacts, tmp_path):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("sigma", ["0.1", "0"])
+def test_evaluate_rejects_vectors_beyond_memory(runner, artifacts, tmp_path,
+                                                monkeypatch, sigma):
+    # 10^14 vectors of 36 inputs (c432_like's) take 288 GiB of words; a
+    # stand-in refuses the allocation instead of trying it, since an
+    # overcommitting host may grant it. At sigma 0 the design is made to
+    # fail the proof, which would otherwise draw no vectors.
+    def refuse(n, count=None, seed=0):
+        raise MemoryError(f"Unable to allocate words for {count} vectors")
+
+    monkeypatch.setattr(evaluate, "input_words", refuse)
+    monkeypatch.setattr(evaluate, "prove", lambda tln, source: False)
+    rep = tmp_path / "report.json"
+    r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],
+                             "--sigma", sigma, "--vectors", "100000000000000",
+                             "--report", str(rep)])
+    _assert_input_error(r, "--vectors")
+    assert "100000000000000 vectors" in r.output
+    assert not rep.exists()
+
+
 def test_write_sim_rejects_zero_trials(runner, tmp_path):
     out = tmp_path / "ws.csv"
     r = runner.invoke(main, ["write-sim", "--trials", "0", "-o", str(out)])

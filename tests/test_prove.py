@@ -1,0 +1,233 @@
+"""The equivalence proof (`tlg.prove`): it holds without sampling on the
+shipped and generated netlists and their mapped designs, it is sound
+against mutants, and the reports and checks that use it keep their
+bytes and verdicts."""
+
+import dataclasses
+import importlib.util
+import itertools
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smtl import evaluate, synthesis, tlg
+from smtl.bench import load_bench, parse_bench
+from smtl.mapping import MappingConfig, map_design
+from smtl.synthesis import synthesize_tln, verify_equivalence
+from smtl.tlg import ThresholdGate, check, input_words, prove
+
+ROOT = Path(__file__).resolve().parent.parent
+_NETGEN = importlib.util.spec_from_file_location(
+    "netgen", ROOT / "perfbench" / "netgen.py")
+netgen = importlib.util.module_from_spec(_NETGEN)
+_NETGEN.loader.exec_module(netgen)
+
+SYNTH = {"fanin 4": {"fanin_limit": 4},
+         "fanin 3 wmax 4": {"fanin_limit": 3, "w_max": 4}}
+MAPS = {"defaults": {}, "blocks 1 cols 32": {"blocks_per_stage": 1},
+        "levels 3 rows 16": {"k": 3, "rows": 16}, "levels 1": {"k": 1},
+        "fmax 2": {"f_max": 2}}
+
+
+@pytest.mark.parametrize("synth", SYNTH)
+@pytest.mark.parametrize("name", ["c17", "c432_like"])
+def test_shipped_netlists_are_proved_synthesized_and_mapped(name, synth):
+    net = load_bench(ROOT / "benchmarks" / f"{name}.bench")
+    tln = synthesize_tln(net, **SYNTH[synth])
+    assert prove(tln, net)
+    for label, cfg in MAPS.items():
+        design = map_design(tln, net, MappingConfig(**cfg),
+                            **SYNTH[synth])
+        assert prove(design.tln, net), label
+
+
+@pytest.mark.parametrize("gates", [300, 600, 1200])
+def test_generated_netlists_are_proved_synthesized_and_mapped(gates):
+    net = parse_bench(netgen.generate(gates, gates // 25, 0.1, 1))
+    tln = synthesize_tln(net)
+    assert prove(tln, net)
+    assert prove(map_design(tln, net).tln, net)
+
+
+def _no_vectors(*args, **kwargs):
+    raise AssertionError("vectors drawn for a proved network")
+
+
+def test_proved_checks_draw_no_vectors(c432, c432_tln, c432_mapped, params,
+                                       monkeypatch):
+    monkeypatch.setattr(synthesis, "input_words", _no_vectors)
+    monkeypatch.setattr(evaluate, "input_words", _no_vectors)
+    assert verify_equivalence(c432, c432_tln, count=10_000) == (True, None)
+    rep = evaluate.full_report(c432_mapped, params, vectors=10_000, seed=3)
+    assert (rep["errors"], rep["vectors"], rep["seed"]) == (0, 10_000, 3)
+
+
+def _report_text(design, params):
+    return json.dumps(evaluate.full_report(design, params), indent=1,
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("design", ["c17_mapped", "c432_mapped"])
+def test_sigma0_report_bytes_do_not_depend_on_the_proof(design, params,
+                                                        request, monkeypatch):
+    design = request.getfixturevalue(design)
+    proved = _report_text(design, params)
+    monkeypatch.setattr(evaluate, "prove", lambda tln, source: False)
+    assert _report_text(design, params) == proved
+
+
+def test_a_crossbar_row_unlike_the_levels_is_simulated(c17_mapped, params):
+    # an off-state conductance as large as one level's: a row's unused
+    # polarity carries as much current as a weight of 1, so the sigma = 0
+    # crossbar is not the integer network, and the report counts what it
+    # gets wrong
+    leaky = dataclasses.replace(params, r_off=params.r_memristor_min * 6)
+    low = c17_mapped.tln.lower()
+    net = evaluate.programmed(low, leaky, 0.0, [0])
+    assert tlg.ideal_tables(low, low.levels[None].astype(float))
+    assert not tlg.ideal_tables(low, net)
+    _, errors = check(c17_mapped.tln, c17_mapped.source, input_words(5),
+                      32, lambda low: net)
+    rep = evaluate.full_report(c17_mapped, leaky, vectors=32)
+    assert rep["errors"] == errors[0] > 0
+
+
+def test_a_window_above_16_leaves_falls_back_to_sampling():
+    names = [f"i{j}" for j in range(17)]
+    net = parse_bench("".join(f"INPUT({x})\n" for x in names)
+                      + f"OUTPUT(p)\np = XOR({', '.join(names)})\n")
+    tln = synthesize_tln(net)
+    assert not prove(tln, net)
+    assert verify_equivalence(net, tln, count=2_000) == (True, None)
+
+
+def test_an_interface_mismatch_is_not_proved(c17, c17_tln):
+    other = c17_tln.copy()
+    other.inputs = other.inputs[::-1]
+    assert not prove(other, c17)
+    other = c17_tln.copy()
+    other.outputs = other.outputs[:-1]
+    assert not prove(other, c17)
+
+
+# --- soundness against mutants --------------------------------------------
+
+KINDS = ("AND", "OR", "NAND", "NOR", "XOR", "NOT", "BUFF")
+
+
+def _random_netlist(rng):
+    """A netlist of at most 14 inputs (netgen keeps 24 or more): gates of
+    every kind, repeated inputs, and outputs that repeat or are inputs."""
+    n = rng.randint(1, 14)
+    signals = [f"i{j}" for j in range(n)]
+    lines = [f"INPUT({x})" for x in signals]
+    for g in range(rng.randint(1, 30)):
+        kind = rng.choice(KINDS)
+        k = 1 if kind in ("NOT", "BUFF") else rng.randint(1, 6)
+        near = signals[-8:] if rng.random() < 0.7 else signals
+        ins = [rng.choice(near) for _ in range(k)]
+        lines.append(f"g{g} = {kind}({', '.join(ins)})")
+        signals.append(f"g{g}")
+    outs = [rng.choice(signals[n:] if rng.random() < 0.8 else signals)
+            for _ in range(rng.randint(1, 4))]
+    return parse_bench("\n".join(lines + [f"OUTPUT({o})" for o in outs]))
+
+
+def _slots(tln, x):
+    """Where `x` is read: (node id, input position), or (None, output)."""
+    return ([(nid, p) for nid, node in tln.nodes.items()
+             for p, i in enumerate(node.gate.inputs) if i == x]
+            + [(None, p) for p, o in enumerate(tln.outputs) if o == x])
+
+
+def _redirect(tln, slot, new):
+    nid, p = slot
+    if nid is None:
+        tln.outputs[p] = new
+        return
+    g = tln.nodes[nid].gate
+    ins = list(g.inputs)
+    ins[p] = new
+    tln.nodes[nid].gate = ThresholdGate(tuple(ins), g.weights, g.bias)
+
+
+def _bias(g, rng):
+    """`g` with its bias moved by one."""
+    return ThresholdGate(g.inputs, g.weights, g.bias + rng.choice((-1, 1)))
+
+
+def _sign(g, rng):
+    """`g` with one weight's sign flipped."""
+    w = list(g.weights)
+    j = rng.randrange(len(w))
+    w[j] = -w[j]
+    return ThresholdGate(g.inputs, tuple(w), g.bias)
+
+
+MUTANTS = ("bias", "sign", "rewire", "copy", "buffer", "outputs")
+
+
+def _mutate(tln, kind, rng):
+    """A mutant of `tln` of the given kind, or None if it has no place."""
+    tln = tln.copy()
+    order = tln.topological_order()
+    if not order:
+        return None
+    nid = rng.choice(order)
+    node = tln.nodes[nid]
+    g = node.gate
+    if kind in ("bias", "sign"):
+        node.gate = (_bias if kind == "bias" else _sign)(g, rng)
+    elif kind == "rewire":  # an input from earlier in the order: no cycle
+        earlier = list(tln.inputs) + order[:order.index(nid)]
+        p = rng.randrange(g.fan_in)
+        choices = [x for x in earlier if x != g.inputs[p]]
+        if not choices:
+            return None
+        _redirect(tln, (nid, p), rng.choice(choices))
+    elif kind in ("copy", "buffer"):
+        x = rng.choice(list(tln.inputs) + order) if kind == "buffer" else nid
+        slots = _slots(tln, x)
+        if not slots:
+            return None
+        # named as split_fanout names its copies and insert_buffers its
+        # path buffers, past the ones there are
+        stem = f"{x}$c" if kind == "copy" else f"{x}$s"
+        new = next(f"{stem}{j}" for j in itertools.count(1)
+                   if f"{stem}{j}" not in tln.nodes)
+        if kind == "copy":  # unlike its original
+            tln.add_node(new, rng.choice((_bias, _sign))(g, rng))
+        else:  # a path buffer whose bias lost its -1: always 1
+            tln.add_node(new, ThresholdGate((x,), (2,), 0))
+        _redirect(tln, rng.choice(slots), new)
+    else:
+        if len(set(tln.outputs)) < 2:
+            return None
+        a, b = rng.sample(range(len(tln.outputs)), 2)
+        tln.outputs[a], tln.outputs[b] = tln.outputs[b], tln.outputs[a]
+    return tln
+
+
+def _errors(tln, net):
+    n = len(net.inputs)
+    _, errors = check(tln, net, input_words(n), 2 ** n,
+                      lambda low: low.levels[None])
+    return int(errors[0])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(MUTANTS))
+def test_a_proved_mutant_is_equivalent(seed, kind):
+    rng = random.Random(seed)
+    net = _random_netlist(rng)
+    tln = synthesize_tln(net, fanin_limit=rng.choice((2, 3, 4)),
+                         w_max=rng.choice((2, 4, 6)))
+    cfg = MappingConfig(k=rng.choice((1, 2, 3)), f_max=rng.choice((2, 3, 8)))
+    for base in (tln, map_design(tln, net, cfg).tln):
+        assert prove(base, net)
+        mutant = _mutate(base, kind, rng)
+        if mutant is not None and prove(mutant, net):
+            assert _errors(mutant, net) == 0
