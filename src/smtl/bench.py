@@ -7,6 +7,8 @@ simulation) is checked against.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -171,16 +173,18 @@ def _validate(net):
     net.topological_order()  # raises on cycles
 
 
-# Gate functions on bit-packed words (see `pack`): one bit per vector.
-_GATE_FN = {
-    "AND": lambda vals: np.bitwise_and.reduce(vals),
-    "OR": lambda vals: np.bitwise_or.reduce(vals),
-    "NAND": lambda vals: ~np.bitwise_and.reduce(vals),
-    "NOR": lambda vals: ~np.bitwise_or.reduce(vals),
-    "XOR": lambda vals: np.bitwise_xor.reduce(vals),
-    "NOT": lambda vals: ~vals[0],
-    "BUFF": lambda vals: vals[0],
-}
+# the operator each gate kind reduces its inputs with (NOT and BUFF: none)
+_REDUCE = {"AND": operator.and_, "NAND": operator.and_, "OR": operator.or_,
+           "NOR": operator.or_, "XOR": operator.xor}
+
+
+def gate_value(kind, vals, ones):
+    """The Boolean gate `kind` (one of GATE_KINDS) on bit-parallel values
+    `vals`, one per input: Python-int truth tables or rows of packed words
+    (see `pack`). `ones` is their all-ones value, which an inverting gate's
+    result is XORed with."""
+    v = functools.reduce(_REDUCE[kind], vals) if kind in _REDUCE else vals[0]
+    return v ^ ones if kind in ("NAND", "NOR", "NOT") else v
 
 
 def pack(rows):
@@ -258,10 +262,10 @@ def evaluate_packed(net, words):
     for name, at in last.items():
         if at < len(order):
             dies[at].append(name)
-    vals = dict(zip(net.inputs, words))
+    vals, ones = dict(zip(net.inputs, words)), ~np.uint64(0)
     for name, dead in zip(order, dies):
         g = net.gate(name)
-        vals[name] = _GATE_FN[g.kind]([vals[i] for i in g.inputs])
+        vals[name] = gate_value(g.kind, [vals[i] for i in g.inputs], ones)
         for i in dead:
             del vals[i]
     out = np.empty((len(net.outputs), words.shape[1]), dtype=np.uint64)

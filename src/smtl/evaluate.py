@@ -22,7 +22,7 @@ from . import partition
 from .bench import evaluate_many, pack, unpack  # noqa: F401
 from .devices import (DeviceParams, bias_chunks, std_switch_time,
                       weight_to_conductance)
-from .tlg import check, check_interface, ideal_tables, input_words, prove
+from .tlg import check, ideal_tables, input_words, lowered, prove
 
 I_DTCS_BASE = 5e-6        # A per input row, quoted at the 2 uA device threshold
 I_THRESHOLD_REF = 2e-6    # A, device threshold the drive current is sized for
@@ -99,8 +99,9 @@ def simulate_mapped(design, vectors, sigma=0.0, seed=0, params=None):
     params = params or DeviceParams()
     vectors = np.asarray(vectors, dtype=bool)
     count = vectors.shape[0]
-    out, errors = check(design.tln, design.source, pack(vectors), count,
-                        lambda low: programmed(low, params, sigma, [seed]))
+    low = lowered(design.tln, design.source)
+    out, errors = check(low, design.source, pack(vectors), count,
+                        programmed(low, params, sigma, [seed]))
     return {
         "outputs": unpack(out.row(0), count).T,
         "errors": int(errors[0]),
@@ -134,14 +135,12 @@ def variation_tolerance(design, sigma_grid, vectors_per_probe=10_000,
     # sigma 0 programs one row for all seeds
     sigmas = (0.0, *sigma_grid)
     ends = np.cumsum([len(seeds) if sig > 0.0 else 1 for sig in sigmas])
-
-    def program(low):  # every sigma's rows in one array, no concatenation
-        nets = np.empty((ends[-1], len(low.levels)))
-        for sig, lo, hi in zip(sigmas, (0, *ends), ends):
-            nets[lo:hi] = programmed(low, params, sig, seeds)
-        return nets
-
-    _, errors = check(design.tln, design.source, words, count, program)
+    low = lowered(design.tln, design.source)
+    # every sigma's rows in one array, no concatenation
+    nets = np.empty((ends[-1], len(low.levels)))
+    for sig, lo, hi in zip(sigmas, (0, *ends), ends):
+        nets[lo:hi] = programmed(low, params, sig, seeds)
+    _, errors = check(low, design.source, words, count, nets)
     curve = []
     sigma_star = 0.0
     failed = False
@@ -251,26 +250,19 @@ def _costs(design, params, figures):
 def full_report(design, params, sigma=0.0, vectors=10_000, seed=0):
     """EvaluationReport: functional errors, power, delay, energy, area.
 
-    At sigma 0, after the interface check, `lower` and `programmed` (so
-    their errors come first, as in `tlg.check`), a crossbar whose truth
-    tables are those of its integer levels (`tlg.ideal_tables`) and whose
-    integer network is proved equivalent to the source (`tlg.prove`) has
-    0 errors on any vectors, so none are drawn. Otherwise `vectors`
-    vectors of `seed` are simulated."""
+    The design is lowered (`tlg.lowered`) and programmed once. At sigma
+    0, a crossbar whose truth tables are those of its integer levels
+    (`tlg.ideal_tables`) and whose integer network is proved equivalent
+    to the source (`tlg.prove`) has 0 errors on any vectors, so none are
+    drawn. Otherwise `vectors` vectors of `seed` are simulated."""
     tln, source = design.tln, design.source
     n = len(tln.inputs)
     count = min(vectors, 2 ** n)
-
-    def program(low):
-        return programmed(low, params, sigma, [seed])
-
-    proved = False
-    if sigma == 0.0:
-        check_interface(tln, source)
-        low = tln.lower()
-        proved = ideal_tables(low, program(low)) and prove(tln, source)
+    low = lowered(tln, source)
+    net = programmed(low, params, sigma, [seed])
+    proved = sigma == 0.0 and ideal_tables(low, net) and prove(tln, source)
     errors = [0] if proved else check(
-        tln, source, input_words(n, vectors, seed), count, program)[1]
+        low, source, input_words(n, vectors, seed), count, net)[1]
     return {
         "seed": seed,
         "sigma": sigma,

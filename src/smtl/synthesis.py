@@ -17,19 +17,9 @@ import numpy as np
 # evaluate_many is not called here, but perfbench's tracer test patches it
 # on every smtl module that imports it, this one included
 from .bench import evaluate_many, evaluate_packed, unpack  # noqa: F401
-from .tlg import (
-    FANIN_LIMIT,
-    W_MAX,
-    ThresholdGate,
-    ThresholdLogicNetwork,
-    buffer_gate,
-    check,
-    input_rows,
-    input_words,
-    prove,
-    solve_weights,
-    threshold_step,
-)
+from .tlg import (FANIN_LIMIT, W_MAX, ThresholdGate, ThresholdLogicNetwork,
+                  _apply, _gate_table, _var, buffer_gate, check, input_rows,
+                  input_words, lowered, prove, solve_weights)
 
 
 def gate_to_tlg(kind, sources):
@@ -141,12 +131,16 @@ def synthesize_tln(net, fanin_limit=FANIN_LIMIT, w_max=W_MAX, collapse=True):
 
 
 def _merged_table(producer, consumer, support):
-    env = dict(zip(support, input_rows(len(support)).T))
-    p, c = producer.gate, consumer.gate
-    _, env[producer.id] = threshold_step(p.bias, p.weights,
-                                         [env[i] for i in p.inputs])
-    _, fires = threshold_step(c.bias, c.weights, [env[i] for i in c.inputs])
-    return tuple(int(v) for v in fires)
+    """The truth table of `consumer` with `producer` folded in, as bits
+    on the rows of `input_rows(len(support))`, from `tlg.prove`'s ints."""
+    m = len(support)
+    full = (1 << (1 << m)) - 1
+    env = {s: _var(j, m) for j, s in enumerate(support)}
+    for node in (producer, consumer):
+        g = node.gate
+        env[node.id] = _apply(_gate_table(g.weights, g.bias),
+                              [env[i] for i in g.inputs], full)
+    return tuple(env[consumer.id] >> r & 1 for r in range(1 << m))
 
 
 def collapse_tln(tln, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
@@ -256,7 +250,8 @@ def verify_equivalence(net, tln, count=None, seed=0):
     n = len(net.inputs)
     words = input_words(n, count, seed)
     rows = 2 ** n if count is None else min(count, 2 ** n)
-    out, errors = check(tln, net, words, rows, lambda low: low.levels[None])
+    low = lowered(tln, net)
+    out, errors = check(low, net, words, rows, low.levels[None])
     if not errors[0]:
         return True, None
     got, want = out.row(0), evaluate_packed(net, words)

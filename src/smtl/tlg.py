@@ -11,15 +11,14 @@ distinct conductance levels the memristors are programmed to.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from . import graph
-from .bench import (MUX_WORDS, TABLE_FAN_IN_LIMIT, evaluate_packed, mux, pack,
-                    unpack)
+from .bench import (MUX_WORDS, TABLE_FAN_IN_LIMIT, evaluate_packed, gate_value,
+                    mux, pack, unpack)
 from .devices import W_MAX
 
 FANIN_LIMIT = 4
@@ -442,16 +441,21 @@ def check_interface(tln, source):
                          f"against the source netlist's {len(source.outputs)}")
 
 
-def check(tln, source, words, count, program):
-    """Compare `tln` with its Boolean oracle `source` on `count` packed
-    input vectors `words`, under each row of levels `program(low)` gives
-    for the lowered `tln`; ValueError as `check_interface` gives. Returns
-    the output words of every row (`RowWords`) and per row the number of
-    vectors an output differs on."""
+def lowered(tln, source):
+    """`tln` lowered (`ThresholdLogicNetwork.lower`) for `check` against its
+    Boolean oracle `source`, after `check_interface`."""
     check_interface(tln, source)
-    low = tln.lower()
+    return tln.lower()
+
+
+def check(low, source, words, count, net):
+    """Compare the lowered network `low` (see `lowered`) with its Boolean
+    oracle `source` on `count` packed input vectors `words`, under each
+    row of levels of `net` (see `evaluate_lowered`). Returns the output
+    words of every row (`RowWords`) and per row the number of vectors an
+    output differs on."""
     want = evaluate_packed(source, words)
-    out = evaluate_lowered(low, words, program(low))
+    out = evaluate_lowered(low, words, net)
     bad = (np.bitwise_or.reduce(out.row(r) ^ want, axis=0)
            for r in range(len(out)))  # one row at a time
     return out, np.array([np.count_nonzero(unpack(b, count)) for b in bad])
@@ -494,21 +498,33 @@ def _apply(table, xs, full):
     return lo ^ (lo ^ hi) & xs[-1]
 
 
-_REDUCE = {"AND": operator.and_, "NAND": operator.and_, "OR": operator.or_,
-           "NOR": operator.or_, "XOR": operator.xor}
-
-
-def _source_apply(kind, xs, full):
-    """The Boolean gate `kind` (`bench.GATE_KINDS`) at the columns `xs`."""
-    v = functools.reduce(_REDUCE[kind], xs) if kind in _REDUCE else xs[0]
-    return full ^ v if kind in ("NAND", "NOR", "NOT") else v
-
-
 @functools.cache
 def _kind_table(kind, k):
     """The truth table of the Boolean gate `kind` of k inputs."""
-    return _source_apply(kind, [_var(j, k) for j in range(k)],
-                         (1 << (1 << k)) - 1)
+    return gate_value(kind, [_var(j, k) for j in range(k)],
+                      (1 << (1 << k)) - 1)
+
+
+def _post_order(roots, node, memo, full):
+    """The values of `roots`, each evaluated after the signals it reads,
+    with an explicit stack, and kept in `memo`. `node(x)` gives (reads, f,
+    a): x's value is f(a, the values of `reads`, full), `_apply` of a
+    truth table or `bench.gate_value` of a gate kind, or a if x is a leaf
+    (reads nothing)."""
+    stack = [(x, None) for x in reversed(roots)]
+    while stack:
+        x, step = stack.pop()
+        if step is None:
+            if x in memo:
+                continue
+            step = node(x)
+            todo = [i for i in step[0] if i not in memo]
+            if todo:  # x again once they are evaluated
+                stack += [(x, step)] + [(i, None) for i in reversed(todo)]
+                continue
+        reads, f, a = step
+        memo[x] = f(a, [memo[i] for i in reads], full) if reads else a
+    return [memo[x] for x in roots]
 
 
 class _Wide(Exception):
@@ -542,8 +558,8 @@ def prove(tln, source):
     the source side does not read. An anchor whose gate reads the
     classes its source gate's inputs have, in order, is compared by its
     2^k table alone. Last, output j must share the class of the source's
-    output j, an anchor. A window wider than WINDOW_LEAVES, or deeper
-    than the interpreter's recursion limit, is not proved.
+    output j, an anchor. A window wider than WINDOW_LEAVES is not proved;
+    however deep, a window is evaluated without recursion.
 
     **Soundness,** by induction in the same order: when a is compared,
     every earlier anchor s computes source gate s's function S(s). Set
@@ -583,37 +599,28 @@ def prove(tln, source):
                 return cols[c]
 
             def net(c):  # T(c), expanded if no earlier anchor has c
-                if c not in val_t:
-                    if made[c] and (not anchored[c] or c in grow_t):
-                        tt, below = made[c]
-                        val_t[c] = _apply(tt, [net(i) for i in below], full)
-                    else:
-                        leaf_t.add(c)
-                        val_t[c] = var(c)
-                return val_t[c]
+                if made[c] and (not anchored[c] or c in grow_t):
+                    return made[c][1], _apply, made[c][0]
+                leaf_t.add(c)
+                return (), None, var(c)
 
             def src(x):  # S(x), expanded if x is no earlier anchor
-                if x not in val_s:
-                    g = sgate.get(x)
-                    if g and (x not in cls or x in grow_s):
-                        val_s[x] = _source_apply(
-                            g.kind, [src(i) for i in g.inputs], full)
-                    else:
-                        leaf_s.add(x)
-                        val_s[x] = var(cls[x])
-                return val_s[x]
+                g = sgate.get(x)
+                if g and (x not in cls or x in grow_s):
+                    return g.inputs, gate_value, g.kind
+                leaf_s.add(x)
+                return (), None, var(cls[x])
 
             try:
-                if (_apply(t, [net(c) for c in ins], full) == _source_apply(
-                        sg.kind, [src(x) for x in sg.inputs], full)):
+                got = _apply(t, _post_order(ins, net, val_t, full), full)
+                want = _post_order(sg.inputs, src, val_s, full)
+                if got == gate_value(sg.kind, want, full):
                     return True
             except _Wide:
                 if m == WINDOW_LEAVES:
                     return False
                 m = min(2 * m, WINDOW_LEAVES)
                 continue
-            except RecursionError:  # a cone deeper than the stack
-                return False
             read_s = {cls[x] for x in leaf_s}
             more_t = {c for c in leaf_t - read_s if made[c]} - grow_t
             more_s = {x for x in leaf_s

@@ -1126,8 +1126,9 @@ VECTOR_COUNTS = (1, 63, 64, 65, 2000)
 
 
 def _batch(design, vectors, sigma, seeds, params):
-    return tlg.check(design.tln, design.source, pack(vectors), len(vectors),
-                     lambda low: programmed(low, params, sigma, seeds))
+    low = tlg.lowered(design.tln, design.source)
+    return tlg.check(low, design.source, pack(vectors), len(vectors),
+                     programmed(low, params, sigma, seeds))
 
 
 @pytest.mark.parametrize("name", NETLISTS)

@@ -17,7 +17,7 @@ from smtl import evaluate, synthesis, tlg
 from smtl.bench import load_bench, parse_bench
 from smtl.mapping import MappingConfig, map_design
 from smtl.synthesis import synthesize_tln, verify_equivalence
-from smtl.tlg import ThresholdGate, check, input_words, prove
+from smtl.tlg import ThresholdGate, check, input_words, lowered, prove
 
 ROOT = Path(__file__).resolve().parent.parent
 _NETGEN = importlib.util.spec_from_file_location(
@@ -70,13 +70,31 @@ def _report_text(design, params):
                       sort_keys=True)
 
 
+def _counted(monkeypatch, owner, name, calls):
+    """Replace `owner.name` by a wrapper that appends `name` to `calls`."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.mark.parametrize("design", ["c17_mapped", "c432_mapped"])
 def test_sigma0_report_bytes_do_not_depend_on_the_proof(design, params,
                                                         request, monkeypatch):
+    # and, either way, the design is lowered and programmed once
     design = request.getfixturevalue(design)
+    calls = []
+    _counted(monkeypatch, tlg.ThresholdLogicNetwork, "lower", calls)
+    _counted(monkeypatch, evaluate, "programmed", calls)
     proved = _report_text(design, params)
+    assert sorted(calls) == ["lower", "programmed"]
+    calls.clear()
     monkeypatch.setattr(evaluate, "prove", lambda tln, source: False)
     assert _report_text(design, params) == proved
+    assert sorted(calls) == ["lower", "programmed"]
 
 
 def test_a_crossbar_row_unlike_the_levels_is_simulated(c17_mapped, params):
@@ -89,10 +107,24 @@ def test_a_crossbar_row_unlike_the_levels_is_simulated(c17_mapped, params):
     net = evaluate.programmed(low, leaky, 0.0, [0])
     assert tlg.ideal_tables(low, low.levels[None].astype(float))
     assert not tlg.ideal_tables(low, net)
-    _, errors = check(c17_mapped.tln, c17_mapped.source, input_words(5),
-                      32, lambda low: net)
+    _, errors = check(low, c17_mapped.source, input_words(5), 32, net)
     rep = evaluate.full_report(c17_mapped, leaky, vectors=32)
     assert rep["errors"] == errors[0] > 0
+
+
+@pytest.mark.parametrize("k", [100, 2000])
+def test_a_deep_window_is_proved_without_sampling(k, monkeypatch):
+    # a NAND and k chained NOTs, which collapse folds into one node: its
+    # one window reads the whole source chain
+    net = parse_bench("INPUT(a)\nINPUT(b)\n" + f"OUTPUT(g{k})\n"
+                      + "g0 = NAND(a, b)\n"
+                      + "".join(f"g{i} = NOT(g{i - 1})\n"
+                                for i in range(1, k + 1)))
+    tln = synthesize_tln(net)
+    assert len(tln.nodes) == 1
+    assert prove(tln, net)
+    monkeypatch.setattr(synthesis, "input_words", _no_vectors)
+    assert verify_equivalence(net, tln) == (True, None)
 
 
 def test_a_window_above_16_leaves_falls_back_to_sampling():
@@ -213,8 +245,8 @@ def _mutate(tln, kind, rng):
 
 def _errors(tln, net):
     n = len(net.inputs)
-    _, errors = check(tln, net, input_words(n), 2 ** n,
-                      lambda low: low.levels[None])
+    low = lowered(tln, net)
+    _, errors = check(low, net, input_words(n), 2 ** n, low.levels[None])
     return int(errors[0])
 
 

@@ -21,6 +21,7 @@ from smtl.tlg import (
     eval_tlg,
     input_rows,
     input_words,
+    lowered,
     solve_weights,
 )
 
@@ -342,15 +343,16 @@ def _nand(inputs=("a", "b"), outputs=("y",)):
     (_nand(outputs=("y", "y")), "primary output arity mismatch")])
 def test_check_rejects_a_network_that_does_not_line_up(source, message):
     with pytest.raises(ValueError, match=message):
-        check(_tiny_tln(), source, pack(input_rows(2)), 4,
-              lambda low: low.levels[None])
+        low = lowered(_tiny_tln(), source)
+        check(low, source, pack(input_rows(2)), 4, low.levels[None])
 
 
 def test_check_counts_the_vectors_that_differ_per_row():
     tln = _tiny_tln()
     words = pack(input_rows(2))
     # row 1 zeroes every level, so every node fires: y = 1 also on a = b = 1
-    out, errors = check(tln, _nand(), words, 4,
-                        lambda low: low.levels * np.array([[1], [0]]))
+    low = lowered(tln, _nand())
+    out, errors = check(low, _nand(), words, 4,
+                        low.levels * np.array([[1], [0]]))
     assert errors.tolist() == [0, 1]
     assert len(out) == 2
