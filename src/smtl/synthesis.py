@@ -251,12 +251,12 @@ def verify_equivalence(net, tln, count=None, seed=0):
     words = input_words(n, count, seed)
     rows = 2 ** n if count is None else min(count, 2 ** n)
     low = lowered(tln, net)
-    out, errors = check(low, net, words, rows, low.levels[None])
+    want = evaluate_packed(net, words)  # the oracle's words, run once
+    out, errors = check(low, net, words, rows, low.levels[None], want)
     if not errors[0]:
         return True, None
-    got, want = out.row(0), evaluate_packed(net, words)
-    i = int(np.argmax(unpack(np.bitwise_or.reduce(got ^ want, axis=0),
-                             rows)))
+    got = out.row(0)
+    i = int(np.argmax(unpack(np.bitwise_or.reduce(got ^ want, 0), rows)))
 
     def bits(w):  # vector i of each row of words
         return [int(b) for b in w[:, i // 64] >> np.uint64(i % 64) & 1]

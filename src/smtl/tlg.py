@@ -448,13 +448,14 @@ def lowered(tln, source):
     return tln.lower()
 
 
-def check(low, source, words, count, net):
+def check(low, source, words, count, net, want=None):
     """Compare the lowered network `low` (see `lowered`) with its Boolean
     oracle `source` on `count` packed input vectors `words`, under each
-    row of levels of `net` (see `evaluate_lowered`). Returns the output
-    words of every row (`RowWords`) and per row the number of vectors an
-    output differs on."""
-    want = evaluate_packed(source, words)
+    row of levels of `net` (see `evaluate_lowered`), or with `want`, the
+    oracle's words if a caller has them. Returns the output words of
+    every row (`RowWords`) and per row the number of vectors an output
+    differs on."""
+    want = evaluate_packed(source, words) if want is None else want
     out = evaluate_lowered(low, words, net)
     bad = (np.bitwise_or.reduce(out.row(r) ^ want, axis=0)
            for r in range(len(out)))  # one row at a time
@@ -462,7 +463,7 @@ def check(low, source, words, count, net):
 
 
 # the most leaves a window may have, and the rounds in which `prove` grows
-# a mismatched window's one-sided leaves before it gives up
+# the network side of a mismatched window before it gives up
 WINDOW_LEAVES = 16
 WINDOW_ROUNDS = 3
 
@@ -552,22 +553,24 @@ def prove(tln, source):
     expanded through the gates that are not earlier anchors; an input or
     an earlier anchor s is the variable of its class. Both sides become
     Python-int truth tables over the union of their variables, at most
-    WINDOW_LEAVES, and must be equal. On a mismatch the variables only
-    one side has are expanded too, for at most WINDOW_ROUNDS rounds: the
-    OR fragment of an XOR can share the class of another anchor, which
-    the source side does not read. An anchor whose gate reads the
-    classes its source gate's inputs have, in order, is compared by its
-    2^k table alone. Last, output j must share the class of the source's
-    output j, an anchor. A window wider than WINDOW_LEAVES is not proved;
-    however deep, a window is evaluated without recursion.
+    WINDOW_LEAVES, and must be equal. On a mismatch the network side
+    alone grows, for at most WINDOW_ROUNDS rounds, through its anchored
+    leaf classes that the source side does not read: a node, such as an
+    XOR's OR fragment or a fan-in-2 AND, can share an earlier anchor's
+    class. An anchor whose gate reads the classes its source gate's
+    inputs have, in order, is compared by its 2^k table alone. Last,
+    output j must share the class of the source's output j, an anchor. A
+    window wider than WINDOW_LEAVES is not proved; however deep, a
+    window is evaluated without recursion.
 
     **Soundness,** by induction in the same order: when a is compared,
     every earlier anchor s computes source gate s's function S(s). Set
     each variable c to T(c). The network side then computes a's value,
-    T(a), by construction; the source side computes S(a), since each of
-    its leaves s gives S(s) = T(s) = T(class of s). Equal tables give
-    T(a) = S(a). Output j computes T of its class, which is T(s) = S(s)
-    for the source's output s.
+    T(a), by construction, however far it grows; the source side
+    computes S(a), since each of its leaves s gives S(s) = T(s) = T(class
+    of s). Equal tables give T(a) = S(a). Output j computes T of its
+    class, which is T(s) = S(s) for the source's output s. The growth
+    rule decides only how far the proof reaches.
     """
     gates = [n.gate for n in tln.nodes.values()]
     v = graph.view(tln.inputs, tln.nodes, [g.inputs for g in gates])
@@ -586,7 +589,7 @@ def prove(tln, source):
     def window(sg, t, ins):
         """Whether gate (t, ins) and source gate `sg` agree (see `prove`).
         Columns are 2^m bits, m from 6 up to WINDOW_LEAVES."""
-        grow_t, grow_s, m, rounds = set(), set(), 6, 0
+        grow, m, rounds = set(), 6, 0
         while True:
             full, cols, val_t, val_s = (1 << (1 << m)) - 1, {}, {}, {}
             leaf_t, leaf_s = set(), set()
@@ -599,14 +602,14 @@ def prove(tln, source):
                 return cols[c]
 
             def net(c):  # T(c), expanded if no earlier anchor has c
-                if made[c] and (not anchored[c] or c in grow_t):
+                if made[c] and (not anchored[c] or c in grow):
                     return made[c][1], _apply, made[c][0]
                 leaf_t.add(c)
                 return (), None, var(c)
 
             def src(x):  # S(x), expanded if x is no earlier anchor
                 g = sgate.get(x)
-                if g and (x not in cls or x in grow_s):
+                if g and x not in cls:
                     return g.inputs, gate_value, g.kind
                 leaf_s.add(x)
                 return (), None, var(cls[x])
@@ -621,15 +624,11 @@ def prove(tln, source):
                     return False
                 m = min(2 * m, WINDOW_LEAVES)
                 continue
-            read_s = {cls[x] for x in leaf_s}
-            more_t = {c for c in leaf_t - read_s if made[c]} - grow_t
-            more_s = {x for x in leaf_s
-                      if cls[x] not in leaf_t and x in sgate} - grow_s
+            more = {c for c in leaf_t - {cls[x] for x in leaf_s} if made[c]}
             rounds += 1
-            if rounds > WINDOW_ROUNDS or not (more_t or more_s):
+            if rounds > WINDOW_ROUNDS or more <= grow:
                 return False
-            grow_t |= more_t
-            grow_s |= more_s
+            grow |= more
 
     for j in order.tolist():
         g, name = gates[j - n], names[j]

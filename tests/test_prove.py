@@ -10,14 +10,16 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smtl import evaluate, synthesis, tlg
-from smtl.bench import load_bench, parse_bench
+from smtl.bench import evaluate_many, load_bench, parse_bench
 from smtl.mapping import MappingConfig, map_design
 from smtl.synthesis import synthesize_tln, verify_equivalence
-from smtl.tlg import ThresholdGate, check, input_words, lowered, prove
+from smtl.tlg import (ThresholdGate, check, input_rows, input_words, lowered,
+                      prove)
 
 ROOT = Path(__file__).resolve().parent.parent
 _NETGEN = importlib.util.spec_from_file_location(
@@ -46,10 +48,41 @@ def test_shipped_netlists_are_proved_synthesized_and_mapped(name, synth):
 
 @pytest.mark.parametrize("gates", [300, 600, 1200])
 def test_generated_netlists_are_proved_synthesized_and_mapped(gates):
+    # at fan-in 2, gen1200's anchor g4_23 = AND(g3_14, g3_2, ...) becomes
+    # a tree whose node AND(g3_14, g3_2) has the class of the earlier
+    # anchor g4_8: only the network side may grow past it
     net = parse_bench(netgen.generate(gates, gates // 25, 0.1, 1))
-    tln = synthesize_tln(net)
+    for fanin in (2, 3, 4):
+        tln = synthesize_tln(net, fanin_limit=fanin)
+        assert prove(tln, net), fanin
+        assert prove(map_design(tln, net, fanin_limit=fanin).tln, net), fanin
+
+
+@pytest.mark.parametrize("gates, layers, xor, seed, w_max, cfg", [
+    (204, 15, 0.3, 118, 4, {"k": 1, "f_max": 2}),
+    (2000, 40, 0.1, 1, 6, {"k": 3, "rows": 16})])
+def test_a_fan_in_2_map_is_proved(gates, layers, xor, seed, w_max, cfg):
+    net = parse_bench(netgen.generate(gates, layers, xor, seed))
+    tln = synthesize_tln(net, fanin_limit=2, w_max=w_max)
     assert prove(tln, net)
-    assert prove(map_design(tln, net).tln, net)
+    design = map_design(tln, net, MappingConfig(**cfg), 2, w_max)
+    assert prove(design.tln, net)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(gates=st.integers(20, 300), layers=st.integers(2, 20),
+       xor=st.sampled_from((0, 0.1, 0.5, 1)), seed=st.integers(0, 2 ** 32),
+       fanin=st.integers(2, 4), w_max=st.integers(2, 6),
+       k=st.integers(1, 3), f_max=st.sampled_from((2, 8)))
+def test_generated_networks_are_proved(gates, layers, xor, seed, fanin,
+                                       w_max, k, f_max):
+    # netgen's gates read at most 5 inputs: no window passes 16 leaves
+    net = parse_bench(netgen.generate(gates, layers, xor, seed))
+    tln = synthesize_tln(net, fanin_limit=fanin, w_max=w_max)
+    assert prove(tln, net)
+    design = map_design(tln, net, MappingConfig(k=k, f_max=f_max),
+                        fanin, w_max)
+    assert prove(design.tln, net)
 
 
 def _no_vectors(*args, **kwargs):
@@ -95,6 +128,28 @@ def test_sigma0_report_bytes_do_not_depend_on_the_proof(design, params,
     monkeypatch.setattr(evaluate, "prove", lambda tln, source: False)
     assert _report_text(design, params) == proved
     assert sorted(calls) == ["lower", "programmed"]
+
+
+def test_a_failing_check_evaluates_the_oracle_once(c432, c432_tln,
+                                                   monkeypatch):
+    tln = c432_tln.copy()
+    node = tln.nodes[tln.outputs[0]]
+    g = node.gate  # inverted: not(w.x + b >= 0) is -w.x - b - 1 >= 0
+    node.gate = ThresholdGate(g.inputs, tuple(-w for w in g.weights),
+                              -g.bias - 1)
+    calls = []
+    _counted(monkeypatch, synthesis, "evaluate_packed", calls)
+    _counted(monkeypatch, tlg, "evaluate_packed", calls)
+    ok, ce = verify_equivalence(c432, tln, count=10_000, seed=0)
+    assert not ok and len(calls) == 1
+    # the lowest-index row the two disagree on, with both output vectors
+    monkeypatch.undo()
+    rows = input_rows(len(c432.inputs), 10_000, 0)
+    want, got = evaluate_many(c432, rows), tln.evaluate_many(rows)
+    i = int(np.argmax((want != got).any(axis=1)))
+    assert ce == {"vector": rows[i].astype(int).tolist(),
+                  "expected": want[i].astype(int).tolist(),
+                  "got": got[i].astype(int).tolist()}
 
 
 def test_a_crossbar_row_unlike_the_levels_is_simulated(c17_mapped, params):
