@@ -468,6 +468,12 @@ def reorder_stages(design):
     backward = set(map(tuple, design.backward_edges))
     forward = np.array([p not in backward for p in pairs], dtype=bool)
 
+    # the edge ids into, and out of, stage s: slices s of the edge ids
+    # sorted once by the stage of their consumer, and of their source
+    bounds = np.arange(max(design.blocks, default=0) + 2)
+    by_v, by_u = (np.argsort(stage[e], kind="stable") for e in (v, u))
+    at_v, at_u = (np.searchsorted(stage[e][by], bounds)
+                  for e, by in ((v, by_v), (u, by_u)))
     # per unpinned stage: its nodes, their ids, each neighbour (owner's
     # position, neighbour id), the neighbour counts, the non-backward edges
     # touching it, and its chunk binning if any order fits the rows
@@ -476,9 +482,10 @@ def reorder_stages(design):
         if s in pinned:
             continue
         nodes = design.stage_nodes(s)
-        into, out_of = stage[v] == s, stage[u] == s
+        into, out_of = by_v[at_v[s]:at_v[s + 1]], by_u[at_u[s]:at_u[s + 1]]
         owner = np.concatenate([local[v[into]], local[u[out_of]]])
-        touch = (into | out_of) & forward
+        touch = np.concatenate([into, out_of[stage[v[out_of]] != s]])
+        touch = touch[forward[touch]]
         fits = partition.block_rows(
             [tln.nodes[n].gate for n in nodes]) <= cfg.rows
         arrays[s] = (nodes, np.array([index[n] for n in nodes], dtype=np.intp),

@@ -45,7 +45,7 @@ def rebin(node_ids, tln, rows, cols):
             raise MappingInfeasible(f"node {nid} needs {len(mine) + need} "
                                     f"rows, block has {rows}")
         if cur and (len(cur) >= cols
-                    or len(used | mine) + max(bias, need) > rows):
+                    or len(used) + len(mine - used) + max(bias, need) > rows):
             blocks.append(cur)
             cur, used, bias = [], set(), 0
         cur.append(nid)

@@ -11,6 +11,7 @@ distinct conductance levels the memristors are programmed to.
 from __future__ import annotations
 
 import functools
+from collections import ChainMap
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -506,30 +507,23 @@ def _kind_table(kind, k):
                       (1 << (1 << k)) - 1)
 
 
-def _post_order(roots, node, memo, full):
-    """The values of `roots`, each evaluated after the signals it reads,
-    with an explicit stack, and kept in `memo`. `node(x)` gives (reads, f,
-    a): x's value is f(a, the values of `reads`, full), `_apply` of a
-    truth table or `bench.gate_value` of a gate kind, or a if x is a leaf
-    (reads nothing)."""
-    stack = [(x, None) for x in reversed(roots)]
+def _walk(roots, reads):
+    """The signals `roots` reach through `reads` (signal -> the signals it
+    reads): those `reads` holds, each after the ones it reads, and the
+    leaves, the others. An explicit stack, so a walk of any depth."""
+    order, leaves, seen, stack = [], [], set(), [(x, None) for x in roots]
     while stack:
-        x, step = stack.pop()
-        if step is None:
-            if x in memo:
-                continue
-            step = node(x)
-            todo = [i for i in step[0] if i not in memo]
-            if todo:  # x again once they are evaluated
-                stack += [(x, step)] + [(i, None) for i in reversed(todo)]
-                continue
-        reads, f, a = step
-        memo[x] = f(a, [memo[i] for i in reads], full) if reads else a
-    return [memo[x] for x in roots]
-
-
-class _Wide(Exception):
-    """A window has more variables than its columns have inputs."""
+        x, ins = stack.pop()
+        if ins is not None:  # x again, after the signals it reads
+            order.append(x)
+        elif x not in seen:
+            seen.add(x)
+            ins = reads.get(x)
+            if ins is None:
+                leaves.append(x)
+            else:
+                stack += [(x, ins)] + [(i, None) for i in ins]
+    return order, leaves
 
 
 def prove(tln, source):
@@ -547,21 +541,22 @@ def prove(tln, source):
     the nodes named after a source gate.
 
     **Windows.** Each anchor a is compared with source gate a when the
-    order reaches it, over variables that are classes. The network side
-    is a's gate, expanded through the classes that no earlier anchor has
-    (by the gate that made the class). The source side is gate a,
-    expanded through the gates that are not earlier anchors; an input or
-    an earlier anchor s is the variable of its class. Both sides become
-    Python-int truth tables over the union of their variables, at most
-    WINDOW_LEAVES, and must be equal. On a mismatch the network side
-    alone grows, for at most WINDOW_ROUNDS rounds, through its anchored
-    leaf classes that the source side does not read: a node, such as an
-    XOR's OR fragment or a fan-in-2 AND, can share an earlier anchor's
-    class. An anchor whose gate reads the classes its source gate's
-    inputs have, in order, is compared by its 2^k table alone. Last,
-    output j must share the class of the source's output j, an anchor. A
-    window wider than WINDOW_LEAVES is not proved; however deep, a
-    window is evaluated without recursion.
+    order reaches it, over variables that are classes. One walk per side
+    (`_walk`) finds its window. The network side is a's gate, expanded
+    through the classes that no earlier anchor has (by the gate that made
+    the class). The source side is gate a, expanded through the gates that
+    are not earlier anchors; an input or an earlier anchor s is the
+    variable of its class. If the two sides' leaves hold more than
+    WINDOW_LEAVES classes, the window is not proved. Otherwise both sides
+    become Python-int truth tables over exactly those variables, and must
+    be equal. On a mismatch the network side alone grows, for at most
+    WINDOW_ROUNDS rounds, through its anchored leaf classes that the
+    source side does not read: a node, such as an XOR's OR fragment or a
+    fan-in-2 AND, can share an earlier anchor's class. An anchor whose
+    gate reads the classes its source gate's inputs have, in order, is
+    compared by its 2^k table alone. Last, output j must share the class
+    of the source's output j, an anchor. However deep, a window is walked
+    and evaluated without recursion.
 
     **Soundness,** by induction in the same order: when a is compared,
     every earlier anchor s computes source gate s's function S(s). Set
@@ -581,54 +576,41 @@ def prove(tln, source):
         return False
     n, names = v.n_sources, v.names
     sgate = {g.name: g for g in source.gates}
+    pending = {g.name: g.inputs for g in source.gates}  # not anchors yet
     cls = dict(zip(names[:n], range(n)))  # signal -> class, so far
     made = [None] * n  # class -> (table, input classes) that made it
-    anchored = [True] * n  # class -> whether an anchor so far has it
+    inner = {}  # class -> its input classes, if no anchor so far has it
     keys = {}
 
     def window(sg, t, ins):
-        """Whether gate (t, ins) and source gate `sg` agree (see `prove`).
-        Columns are 2^m bits, m from 6 up to WINDOW_LEAVES."""
-        grow, m, rounds = set(), 6, 0
-        while True:
-            full, cols, val_t, val_s = (1 << (1 << m)) - 1, {}, {}, {}
-            leaf_t, leaf_s = set(), set()
-
-            def var(c):
-                if c not in cols:
-                    if len(cols) == m:
-                        raise _Wide
-                    cols[c] = _var(len(cols), m)
-                return cols[c]
-
-            def net(c):  # T(c), expanded if no earlier anchor has c
-                if made[c] and (not anchored[c] or c in grow):
-                    return made[c][1], _apply, made[c][0]
-                leaf_t.add(c)
-                return (), None, var(c)
-
-            def src(x):  # S(x), expanded if x is no earlier anchor
-                g = sgate.get(x)
-                if g and x not in cls:
-                    return g.inputs, gate_value, g.kind
-                leaf_s.add(x)
-                return (), None, var(cls[x])
-
-            try:
-                got = _apply(t, _post_order(ins, net, val_t, full), full)
-                want = _post_order(sg.inputs, src, val_s, full)
-                if got == gate_value(sg.kind, want, full):
-                    return True
-            except _Wide:
-                if m == WINDOW_LEAVES:
-                    return False
-                m = min(2 * m, WINDOW_LEAVES)
-                continue
-            more = {c for c in leaf_t - {cls[x] for x in leaf_s} if made[c]}
-            rounds += 1
-            if rounds > WINDOW_ROUNDS or more <= grow:
+        """Whether gate (t, ins) and source gate `sg` agree (see `prove`)."""
+        post_s, leaf_s = _walk([sg.name], pending)  # gate a, not yet anchored
+        read_s = {cls[x] for x in leaf_s}
+        grown = {}
+        for _ in range(WINDOW_ROUNDS + 1):
+            post_t, leaf_t = _walk(
+                ins, ChainMap(grown, inner) if grown else inner)
+            leaves = read_s.union(leaf_t)
+            m = len(leaves)
+            if m > WINDOW_LEAVES:
                 return False
-            grow |= more
+            full = (1 << (1 << m)) - 1
+            val = {c: _var(j, m) for j, c in enumerate(leaves)}
+            val.update((x, val[cls[x]]) for x in leaf_s)
+            for c in post_t:
+                table, reads = made[c]
+                val[c] = _apply(table, [val[i] for i in reads], full)
+            for x in post_s:
+                g = sgate[x]
+                val[x] = gate_value(g.kind, [val[i] for i in g.inputs], full)
+            if _apply(t, [val[c] for c in ins], full) == val[sg.name]:
+                return True
+            more = {c: made[c][1] for c in leaf_t
+                    if made[c] and c not in read_s}
+            if not more:
+                return False
+            grown.update(more)
+        return False
 
     for j in order.tolist():
         g, name = gates[j - n], names[j]
@@ -647,9 +629,11 @@ def prove(tln, source):
             c = keys.setdefault((t, ins), len(made))
             if c == len(made):
                 made.append((t, ins))
-                anchored.append(False)
+                inner[c] = ins
         cls[name] = c
-        anchored[c] |= sg is not None
+        if sg:
+            inner.pop(c, None)
+            del pending[name]
     return all(cls.get(o, -1) == cls.get(s, -2)
                for o, s in zip(tln.outputs, source.outputs))
 

@@ -3,10 +3,17 @@ the closed-loop programming simulation."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import smtl
+from smtl import devices
 from smtl.devices import (
     DeviceParams,
     K_WRITE,
@@ -198,3 +205,24 @@ def test_write_trials_deterministic(params):
     a = write_sim_trials(6, 10 * UA, params, trials=40, seed=9)
     b = write_sim_trials(6, 10 * UA, params, trials=40, seed=9)
     assert a == b
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.floats(0, 1e6) | st.sampled_from((0.0, 0.25, 1.0)),
+                min_size=1, max_size=499))
+def test_p95_is_numpys_linear_quantile(x):
+    x = np.array(x)
+    assert devices._p95(x) == float(np.quantile(x, 0.95))
+
+
+def test_write_sim_trials_leave_numpy_ma_unimported():
+    # numpy.ma costs about 1.6 MB of resident memory when first imported
+    code = ("import sys; from smtl.devices import DeviceParams, "
+            "write_sim_trials; write_sim_trials(6, 1e-5, DeviceParams(), "
+            "trials=20); print('numpy.ma' in sys.modules)")
+    path = [str(Path(smtl.__file__).resolve().parents[1])]
+    path += filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

@@ -1,7 +1,7 @@
 """The equivalence proof (`tlg.prove`): it holds without sampling on the
 shipped and generated netlists and their mapped designs, it is sound
-against mutants, and the reports and checks that use it keep their
-bytes and verdicts."""
+against mutants, it decides as the reference window `ref_prove` does,
+and the reports and checks that use it keep their bytes and verdicts."""
 
 import dataclasses
 import importlib.util
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smtl import evaluate, synthesis, tlg
-from smtl.bench import evaluate_many, load_bench, parse_bench
+from smtl import evaluate, graph, synthesis, tlg
+from smtl.bench import evaluate_many, gate_value, load_bench, parse_bench
 from smtl.mapping import MappingConfig, map_design
 from smtl.synthesis import synthesize_tln, verify_equivalence
 from smtl.tlg import (ThresholdGate, check, input_rows, input_words, lowered,
@@ -318,3 +318,181 @@ def test_a_proved_mutant_is_equivalent(seed, kind):
         mutant = _mutate(base, kind, rng)
         if mutant is not None and prove(mutant, net):
             assert _errors(mutant, net) == 0
+
+
+# --- the reference window --------------------------------------------------
+
+def _ref_post_order(roots, node, memo, full):
+    """The values of `roots`, each evaluated after the signals it reads,
+    with an explicit stack, and kept in `memo`. `node(x)` gives (reads, f,
+    a): x's value is f(a, the values of `reads`, full), or a if x is a leaf
+    (reads nothing)."""
+    stack = [(x, None) for x in reversed(roots)]
+    while stack:
+        x, step = stack.pop()
+        if step is None:
+            if x in memo:
+                continue
+            step = node(x)
+            todo = [i for i in step[0] if i not in memo]
+            if todo:  # x again once they are evaluated
+                stack += [(x, step)] + [(i, None) for i in reversed(todo)]
+                continue
+        reads, f, a = step
+        memo[x] = f(a, [memo[i] for i in reads], full) if reads else a
+    return [memo[x] for x in roots]
+
+
+class _Wide(Exception):
+    """A window has more variables than its columns have inputs."""
+
+
+def ref_prove(tln, source):
+    """`tlg.prove` with the window evaluated while its leaves are found:
+    columns of 2^m bits, m = 6, 12, then WINDOW_LEAVES, each restarted when
+    a window has more variables than m."""
+    gates = [n.gate for n in tln.nodes.values()]
+    v = graph.view(tln.inputs, tln.nodes, [g.inputs for g in gates])
+    try:
+        tlg.check_interface(tln, source)
+        order = graph.topological_order(v)
+    except ValueError:
+        return False
+    n, names = v.n_sources, v.names
+    sgate = {g.name: g for g in source.gates}
+    cls = dict(zip(names[:n], range(n)))
+    made = [None] * n
+    anchored = [True] * n
+    keys = {}
+
+    def window(sg, t, ins):
+        grow, m, rounds = set(), 6, 0
+        while True:
+            full, cols, val_t, val_s = (1 << (1 << m)) - 1, {}, {}, {}
+            leaf_t, leaf_s = set(), set()
+
+            def var(c):
+                if c not in cols:
+                    if len(cols) == m:
+                        raise _Wide
+                    cols[c] = tlg._var(len(cols), m)
+                return cols[c]
+
+            def net(c):
+                if made[c] and (not anchored[c] or c in grow):
+                    return made[c][1], tlg._apply, made[c][0]
+                leaf_t.add(c)
+                return (), None, var(c)
+
+            def src(x):
+                g = sgate.get(x)
+                if g and x not in cls:
+                    return g.inputs, gate_value, g.kind
+                leaf_s.add(x)
+                return (), None, var(cls[x])
+
+            try:
+                got = tlg._apply(t, _ref_post_order(ins, net, val_t, full),
+                                 full)
+                want = _ref_post_order(sg.inputs, src, val_s, full)
+                if got == gate_value(sg.kind, want, full):
+                    return True
+            except _Wide:
+                if m == tlg.WINDOW_LEAVES:
+                    return False
+                m = min(2 * m, tlg.WINDOW_LEAVES)
+                continue
+            more = {c for c in leaf_t - {cls[x] for x in leaf_s} if made[c]}
+            rounds += 1
+            if rounds > tlg.WINDOW_ROUNDS or more <= grow:
+                return False
+            grow |= more
+
+    for j in order.tolist():
+        g, name = gates[j - n], names[j]
+        t = tlg._gate_table(g.weights, g.bias)
+        if t is None:
+            return False
+        ins = tuple(map(cls.__getitem__, g.inputs))
+        sg = sgate.get(name)
+        if sg and not (ins == tuple(map(cls.get, sg.inputs))
+                       and t == tlg._kind_table(sg.kind, len(ins))
+                       or window(sg, t, ins)):
+            return False
+        if t == 2 and len(ins) == 1:
+            c = ins[0]
+        else:
+            c = keys.setdefault((t, ins), len(made))
+            if c == len(made):
+                made.append((t, ins))
+                anchored.append(False)
+        cls[name] = c
+        anchored[c] |= sg is not None
+    return all(cls.get(o, -1) == cls.get(s, -2)
+               for o, s in zip(tln.outputs, source.outputs))
+
+
+def _mutants(tln, rng, count):
+    """`count` copies of `tln`, each with one node's bias moved by one or
+    one of its weights' signs flipped."""
+    out = []
+    for _ in range(count):
+        mutant = tln.copy()
+        node = mutant.nodes[rng.choice(list(mutant.nodes))]
+        node.gate = rng.choice((_bias, _sign))(node.gate, rng)
+        out.append(mutant)
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(gates=st.integers(20, 300), layers=st.integers(2, 20),
+       xor=st.sampled_from((0, 0.1, 0.5, 1)), seed=st.integers(0, 2 ** 32),
+       fanin=st.integers(2, 4), w_max=st.integers(2, 6),
+       k=st.integers(1, 3))
+def test_prove_agrees_with_the_reference_window(gates, layers, xor, seed,
+                                                fanin, w_max, k):
+    net = parse_bench(netgen.generate(gates, layers, xor, seed))
+    tln = synthesize_tln(net, fanin_limit=fanin, w_max=w_max)
+    mapped = map_design(tln, net, MappingConfig(k=k), fanin, w_max).tln
+    rng = random.Random(seed)
+    for base in (tln, mapped):
+        for case in [base] + _mutants(base, rng, 2):
+            assert prove(case, net) == ref_prove(case, net)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_a_window_grows_at_most_window_rounds_times(depth):
+    # anchors z1 = AND(i0, i1), zk = AND(z(k-1), ik) up to z(depth), and
+    # y = AND(i0, ..., i(depth + 1)) as a chain of unnamed copies of them:
+    # y's network side reaches its source side's leaves after `depth`
+    # growths, each through the next anchored class
+    ins = [f"i{j}" for j in range(depth + 2)]
+
+    def and2(a, b):
+        return ThresholdGate((a, b), (1, 1), -2)
+
+    tln = tlg.ThresholdLogicNetwork(inputs=ins, outputs=["y"])
+    for stem in ("z", "n"):
+        tln.add_node(f"{stem}1", and2("i0", "i1"))
+        for k in range(2, depth + 1):
+            tln.add_node(f"{stem}{k}", and2(f"{stem}{k - 1}", f"i{k}"))
+    tln.add_node("y", and2(f"n{depth}", ins[-1]))
+    net = parse_bench("".join(f"INPUT({x})\n" for x in ins)
+                      + "OUTPUT(y)\nz1 = AND(i0, i1)\n"
+                      + "".join(f"z{k} = AND(z{k - 1}, i{k})\n"
+                                for k in range(2, depth + 1))
+                      + f"y = AND({', '.join(ins)})\n")
+    assert prove(tln, net) == ref_prove(tln, net) == (
+        depth <= tlg.WINDOW_ROUNDS)
+
+
+@pytest.mark.parametrize("fanin", [2, 3, 4])
+@pytest.mark.parametrize("width", [17, 24, 40])
+@pytest.mark.parametrize("kind", ["AND", "OR", "XOR", "NAND"])
+def test_a_gate_wider_than_a_window_is_not_proved(kind, width, fanin):
+    names = [f"i{j}" for j in range(width)]
+    net = parse_bench("".join(f"INPUT({x})\n" for x in names)
+                      + f"OUTPUT(p)\np = {kind}({', '.join(names)})\n")
+    tln = synthesize_tln(net, fanin_limit=fanin)
+    assert not prove(tln, net)
+    assert not ref_prove(tln, net)
