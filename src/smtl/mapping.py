@@ -1,10 +1,12 @@
 """Map a threshold logic network onto pipelined crossbar-array hardware.
 
 Passes, in pipeline order, each run once: removal of the path buffers an
-earlier map left, ASAP stage assignment, per-stage capacity enforcement
-(on the columns the next two passes build), path-equalizing buffer
-insertion, heavy fan-out splitting, binning into fixed-size crossbar
-blocks, absorption of underfilled stages via backward connections, and a
+earlier map left, stage assignment (a schedule of levels within the ASAP
+depth that needs the fewest shared path-balancing buffer chains; ASAP
+levels where it saves none), per-stage capacity enforcement (on the
+columns the next two passes build), path-equalizing buffer insertion,
+heavy fan-out splitting, binning into fixed-size crossbar blocks,
+absorption of underfilled stages via backward connections, and a
 barycenter column reorder that maximizes direct (face-to-face) links.
 Every public entry point ends with `validate`.
 """
@@ -25,9 +27,13 @@ from .tlg import (
     W_MAX,
     ThresholdGate,
     ThresholdLogicNetwork,
+    _levels,
+    _sorted,
     buffer_gate,
     check_interface,
 )
+
+SCHEDULE_SWEEPS = 3  # descent sweeps of `assign_stages`, at most
 
 
 @dataclass
@@ -146,13 +152,203 @@ def _stage_of(tln, name):
 
 
 def assign_stages(tln, k):
-    """ASAP levels, then pipeline stage = ceil(level / k)."""
+    """Levels that `insert_buffers` needs the fewest chain buffers for at
+    the ASAP depth, then pipeline stage S = ceil(level / k).
+
+    The objective is the chain count: the sum over signals u (inputs and
+    nodes) of max(0, S(latest consumer of u) - S(u) - 1). Inputs stay at
+    level 0, every edge keeps level(v) >= level(u) + 1, no level passes the
+    ASAP depth (so the stage count is ASAP's) and a node without consumers
+    keeps its ASAP level. This is min-area retiming with fan-out sharing
+    (Leiserson & Saxe, Algorithmica 1991), solved by descent:
+
+    - Start, in reverse topological order: each non-output node with
+      consumers goes to its earliest consumer's level - 1.
+    - At most `SCHEDULE_SWEEPS` sweeps in topological order, stopping after
+      one that changes no level. A node's window runs from its latest
+      input's level + 1 to its earliest consumer's level - 1. It takes the
+      stage in the window that minimizes its own chain plus those of its
+      distinct inputs, the lowest on a tie, and the lowest level of that
+      stage the window allows. That cost is convex and piecewise linear in
+      the stage: it falls by 1 a stage up to the node's latest consumer
+      stage - 1 and rises by 1 a stage per input u from max(S(u) + 1, the
+      latest stage among u's other consumers) on. So its lowest minimum
+      is the least of these breakpoints, clamped into the window.
+    - Guard: the ASAP levels stay unless the result has strictly fewer
+      chain buffers.
+
+    Runs on the integer view of `tlg._sorted`, with each signal's consumers
+    from one stable argsort and its two latest distinct consumer stages
+    kept up to date, so a trial costs O(fan-in) and the pass
+    O((N + E) * sweeps). A sweep tries only the nodes whose window or
+    breakpoints changed since their last trial; the others would keep
+    their level.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    tln.assign_levels()
-    for node in tln.nodes.values():
-        node.stage = math.ceil(node.level / k)
+    v, order = _sorted(tln)
+    level = _min_buffer_levels(v, order.tolist(), _levels(v, order), k,
+                               tln.outputs)
+    for node, lvl in zip(tln.nodes.values(), level[v.n_sources:]):
+        node.level = lvl
+        node.stage = -(-lvl // k)
     return tln
+
+
+def _chain_buffers(level, k, src, dst):
+    """The chain count of `assign_stages` for ids at `level`, edges
+    src -> dst (int arrays)."""
+    stage = -(-np.asarray(level) // k)
+    last = np.zeros_like(stage)
+    np.maximum.at(last, src, stage[dst])
+    return int(np.maximum(last - stage - 1, 0).sum())
+
+
+def _latest_two(cons, stage):
+    """The latest stage among consumers `cons`, one consumer there, and
+    the latest stage among the others (0 for none)."""
+    f, w, s2 = 0, -1, 0
+    for c in cons:
+        if stage[c] > f:
+            f, w, s2 = stage[c], c, f
+        elif stage[c] > s2 and c != w:
+            s2 = stage[c]
+    return f, w, s2
+
+
+def _min_buffer_levels(v, order, asap, k, outputs):
+    """`assign_stages`'s levels of every id of `v`, given its topological
+    `order` (a list) and ASAP levels `asap`."""
+    n, size = v.n_sources, len(v.names)
+    ptr, ind = [0] * n + v.indptr.tolist(), v.indices.tolist()
+    reader = np.repeat(np.arange(n, size), np.diff(v.indptr))
+    by_src = np.argsort(v.indices, kind="stable")
+    src, users = v.indices[by_src], reader[by_src]  # edges by source
+    uptr = np.searchsorted(src, np.arange(size + 1)).tolist()
+    flat = users.tolist()  # i's consumers: flat[uptr[i]:uptr[i + 1]]
+
+    # the start, and `late`: as late as consumers allow, outputs too
+    level, late = list(asap), list(asap)
+    pinned = {v.index[name] for name in outputs if name in v.index}
+    for j in reversed(order):
+        cons = flat[uptr[j]:uptr[j + 1]]
+        if cons:
+            a, b = late[cons[0]], level[cons[0]]
+            for c in cons:
+                if late[c] < a:
+                    a = late[c]
+                if level[c] < b:
+                    b = level[c]
+            late[j] = a - 1
+            if j not in pinned:
+                level[j] = b - 1
+    stage = [-(-lvl // k) for lvl in level]
+
+    # per signal, its latest consumer stage `first`, one consumer `who`
+    # there, and `second`, the latest stage among its other consumers
+    at = np.array(stage)[users]
+    first = np.zeros(size, dtype=np.intp)
+    np.maximum.at(first, src, at)
+    top = np.flatnonzero(at == first[src])
+    has, pos = np.unique(src[top], return_index=True)
+    who = np.full(size, -1, dtype=np.intp)
+    who[has] = users[top[pos]]
+    other = users != who[src]
+    second = np.zeros(size, dtype=np.intp)
+    np.maximum.at(second, src[other], at[other])
+    first, who, second = first.tolist(), who.tolist(), second.tolist()
+
+    # a node's levels lie in [ASAP, late]: one with no slack never moves,
+    # and one whose stage is fixed (not `free`) takes its window's low end,
+    # which reads only its inputs. A free node's choice reads its window
+    # and the stages of its consumers and of its inputs' consumers; one
+    # none of these changed for since its last trial would choose its level
+    # again, and so would one whose window only lost levels above its own.
+    # So only `dirty` nodes try: the consumers of a node that moved, and,
+    # if free, its inputs when it moved up or changed stage, and the other
+    # consumers of its inputs when it changed stage.
+    late, early = np.array(late), np.array(asap)
+    movable = [j for j, m in zip(order, (late > early)[order].tolist()) if m]
+    free = (-(-late // k) > -(-early // k)).tolist()
+    dirty = [True] * size
+    for _ in range(SCHEDULE_SWEEPS):
+        changed = False
+        for j in movable:
+            if not dirty[j]:
+                continue
+            dirty[j] = False
+            srcs, cons = ind[ptr[j]:ptr[j + 1]], flat[uptr[j]:uptr[j + 1]]
+            # plain loops: fan-ins and fan-outs are short, and these run
+            # once per trial
+            if not free[j]:
+                lo = 0
+                for u in srcs:
+                    if level[u] > lo:
+                        lo = level[u]
+                best, new = stage[j], lo + 1
+            else:
+                # the cost falls by 1 a stage up to the latest consumer
+                # stage - 1 and rises by 1 a stage per input u from its
+                # breakpoint max(S(u) + 1, u's other consumers) on
+                lo, bp = 0, first[j] - 1
+                for u in srcs:
+                    if level[u] > lo:
+                        lo = level[u]
+                    t = second[u] if who[u] == j else first[u]
+                    if stage[u] >= t:
+                        t = stage[u] + 1
+                    if t < bp:
+                        bp = t
+                hi = level[cons[0]]
+                for c in cons:
+                    if level[c] < hi:
+                        hi = level[c]
+                lo, hi = lo + 1, hi - 1
+                s_lo, s_hi = -(-lo // k), -(-hi // k)
+                best = min(s_hi, max(s_lo, bp))
+                new = lo if best == s_lo else (best - 1) * k + 1
+            if new == level[j]:
+                continue
+            changed = True
+            up, old = new > level[j], stage[j]
+            level[j] = new
+            for c in cons:
+                dirty[c] = True
+            if best == old:
+                if up:  # the inputs' windows may end later
+                    for u in srcs:
+                        dirty[u] = dirty[u] or free[u]
+                continue
+            stage[j] = best
+            for u in srcs:  # j moved from stage old to best among u's
+                if who[u] == j:
+                    if best >= second[u]:
+                        first[u] = best
+                    else:
+                        first[u], who[u], second[u] = _latest_two(
+                            flat[uptr[u]:uptr[u + 1]], stage)
+                elif best > first[u]:
+                    first[u], who[u], second[u] = best, j, first[u]
+                elif best > second[u]:
+                    second[u] = best
+                elif old == second[u] > best:
+                    first[u], who[u], second[u] = _latest_two(
+                        flat[uptr[u]:uptr[u + 1]], stage)
+                dirty[u] = dirty[u] or free[u]
+                if who[u] != j and max(old, best) <= first[u]:
+                    # below u's latest other consumer: only that one's
+                    # other consumers can have a new latest stage
+                    dirty[who[u]] = dirty[who[u]] or free[who[u]]
+                    continue
+                for c in flat[uptr[u]:uptr[u + 1]]:
+                    dirty[c] = dirty[c] or free[c]
+        if not changed:
+            break
+
+    if (_chain_buffers(level, k, v.indices, reader)
+            < _chain_buffers(asap, k, v.indices, reader)):
+        return level
+    return asap
 
 
 def strip_buffers(tln):
@@ -362,7 +558,8 @@ def absorb_small_layers(design):
     A stage is absorbed only when each of its nodes can sit in the block
     already holding all of its sources, with at most b_max backward
     connections per block and the block still within its columns and
-    `block_rows`; otherwise it is skipped with a warning.
+    `block_rows`; otherwise it is skipped with a warning naming the first
+    of these limits that stopped it.
     """
     cfg = design.config
     tln = design.tln
@@ -375,7 +572,7 @@ def absorb_small_layers(design):
             s -= 1
             continue
         place = design.placements()
-        plan, back_count, ok = {}, {}, True
+        plan, back_count, limit = {}, {}, None
         for nid in nodes:
             srcs = tln.nodes[nid].gate.inputs
             src_blocks = {place[src][1] for src in srcs
@@ -383,25 +580,27 @@ def absorb_small_layers(design):
             if len(src_blocks) != 1 or any(
                 place[src][0] != s - 1 for src in srcs
             ):
-                ok = False
+                limit = ": sources in several blocks or stages"
                 break
             b = src_blocks.pop()
             plan[nid] = b
             back_count[b] = back_count.get(b, 0) + len(srcs)
-        if ok:
-            for b, cnt in back_count.items():
-                block = design.blocks[s - 1][b] + [
-                    nid for nid, x in plan.items() if x == b]
-                if (cnt > cfg.b_max or len(block) > cfg.cols
-                        or partition.block_rows(
-                            [tln.nodes[nid].gate for nid in block])
-                        > cfg.rows):
-                    ok = False
-        if not ok:
+        for b, cnt in back_count.items():
+            if limit:
+                break
+            block = design.blocks[s - 1][b] + [
+                nid for nid, x in plan.items() if x == b]
+            if cnt > cfg.b_max:
+                limit = f" within b_max={cfg.b_max}"
+            elif len(block) > cfg.cols:
+                limit = f" within cols={cfg.cols}"
+            elif partition.block_rows(
+                    [tln.nodes[nid].gate for nid in block]) > cfg.rows:
+                limit = f" within rows={cfg.rows}"
+        if limit:
             design.warnings.append(
-                f"stage {s} underfilled ({fill:.0%}) but not absorbable "
-                f"within b_max={cfg.b_max}"
-            )
+                f"stage {s} underfilled ({fill:.0%}) but not absorbable"
+                f"{limit}")
             s -= 1
             continue
         for nid, b in sorted(plan.items()):
@@ -440,9 +639,12 @@ def reorder_stages(design):
     is correctly rounded: the values, and so every decision, equal those of
     `sum(neighbours) / len(neighbours)`. A stage whose whole source union
     and largest `bias_rows` fit `rows` bins into `cols`-wide chunks in any
-    order; only the others go through `partition.rebin`. Direct links
-    depend only on block indices, so a trial that keeps every node's block
-    is accepted without a recount.
+    order; only the others are binned by `partition.block_index`, on row
+    needs taken once per stage, and a trial in the order the stage last
+    tried reuses that binning. Direct links depend only on block indices,
+    so a trial that keeps every node's block is accepted without a
+    recount. A stage's blocks are built from its last accepted order once
+    the sweeps end.
     """
     cfg = design.config
     tln = design.tln
@@ -476,8 +678,8 @@ def reorder_stages(design):
                   for e, by in ((v, by_v), (u, by_u)))
     # per unpinned stage: its nodes, their ids, each neighbour (owner's
     # position, neighbour id), the neighbour counts, the non-backward edges
-    # touching it, and its chunk binning if any order fits the rows
-    arrays, order, binned = {}, {}, {}
+    # touching it, and, unless any order fits the rows, its row needs
+    arrays, order, accepted, tried = {}, {}, set(), {}
     for s in sorted(design.blocks):
         if s in pinned:
             continue
@@ -486,30 +688,33 @@ def reorder_stages(design):
         owner = np.concatenate([local[v[into]], local[u[out_of]]])
         touch = np.concatenate([into, out_of[stage[v[out_of]] != s]])
         touch = touch[forward[touch]]
-        fits = partition.block_rows(
-            [tln.nodes[n].gate for n in nodes]) <= cfg.rows
+        gates = [tln.nodes[n].gate for n in nodes]
+        fits = partition.block_rows(gates) <= cfg.rows
         arrays[s] = (nodes, np.array([index[n] for n in nodes], dtype=np.intp),
                      owner, np.concatenate([u[into], v[out_of]]),
                      np.bincount(owner, minlength=len(nodes)),
                      u[touch], v[touch],
-                     np.arange(len(nodes)) // cfg.cols if fits else None)
+                     None if fits else tuple(
+                         np.array(x) for x in partition.row_needs(gates)))
         order[s] = np.arange(len(nodes))
 
     for _ in range(cfg.reorder_sweeps):
         improved = False
-        for s, (nodes, ids, owner, nbr, count, eu, ev, chunk) in \
+        for s, (nodes, ids, owner, nbr, count, eu, ev, needs) in \
                 arrays.items():
             sums = np.bincount(owner, weights=block[nbr],
                                minlength=len(nodes))
             bary = np.divide(sums, count, out=np.zeros(len(nodes)),
                              where=count > 0)
             trial = order[s][np.argsort(bary[order[s]], kind="stable")]
-            if chunk is None:
-                blocks = partition.rebin([nodes[j] for j in trial], tln,
-                                         cfg.rows, cfg.cols)
-                at = [b for b, blk in enumerate(blocks) for _ in blk]
+            if needs is None:
+                at = np.arange(len(nodes)) // cfg.cols
+            elif s in tried and np.array_equal(tried[s][0], trial):
+                at = tried[s][1]  # stages often repeat a refused trial
             else:
-                blocks, at = None, chunk  # chunked once the sweeps end
+                at = partition.block_index(*(x[trial].tolist() for x in needs),
+                                           cfg.rows, cfg.cols)
+                tried[s] = trial, at
             new = np.empty_like(trial)
             new[trial] = at
             old = block[ids]
@@ -521,15 +726,18 @@ def reorder_stages(design):
                     block[ids] = old
                     continue
                 improved |= after > before
-            order[s], binned[s] = trial, blocks
+            order[s] = trial
+            accepted.add(s)
         if not improved:
             break
 
-    for s, blocks in binned.items():
-        if blocks is None:
-            ordered = [arrays[s][0][j] for j in order[s]]
-            blocks = [ordered[i:i + cfg.cols]
-                      for i in range(0, len(ordered), cfg.cols)]
+    for s in accepted:  # each block holds a run of `order[s]`
+        nodes, ids = arrays[s][:2]
+        blocks = []
+        for j, b in zip(order[s].tolist(), block[ids[order[s]]].tolist()):
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(nodes[j])
         design.blocks[s] = blocks
     return design
 

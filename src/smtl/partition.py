@@ -31,28 +31,42 @@ def block_rows(gates):
             + max((bias_rows(gate.bias) for gate in gates), default=0))
 
 
-def rebin(node_ids, tln, rows, cols):
-    """Greedy binning of a stage's nodes into blocks of rows x cols.
+def row_needs(gates):
+    """Per gate, the set of its sources and its `bias_rows`."""
+    return ([frozenset(g.inputs) for g in gates],
+            [bias_rows(g.bias) for g in gates])
 
-    A block closes when its columns fill up or its rows (`block_rows`)
-    would exceed the row budget.
-    """
-    blocks, cur, used, bias = [], [], set(), 0
-    for nid in node_ids:
-        gate = tln.nodes[nid].gate
-        mine, need = set(gate.inputs), bias_rows(gate.bias)
+
+def block_index(sources, bias, rows, cols):
+    """The block of each item, binned greedily in order into blocks of
+    rows x cols: item i reads the set `sources[i]` and needs `bias[i]` bias
+    rows. A block closes when its columns fill up or its rows
+    (`block_rows`) would exceed the row budget."""
+    at, b, n, used, top = [], 0, 0, set(), 0
+    for mine, need in zip(sources, bias):
+        used |= mine  # the block with this item, or one to close
+        if need > top:
+            top = need
+        if n and (n == cols or len(used) + top > rows):
+            b, n, used, top = b + 1, 0, set(mine), need
+        n += 1
+        at.append(b)
+    return at
+
+
+def rebin(node_ids, tln, rows, cols):
+    """Greedy binning of a stage's nodes into blocks of rows x cols
+    (`block_index`); MappingInfeasible for a node no block can hold."""
+    sources, bias = row_needs([tln.nodes[nid].gate for nid in node_ids])
+    for nid, mine, need in zip(node_ids, sources, bias):
         if len(mine) + need > rows:
             raise MappingInfeasible(f"node {nid} needs {len(mine) + need} "
                                     f"rows, block has {rows}")
-        if cur and (len(cur) >= cols
-                    or len(used) + len(mine - used) + max(bias, need) > rows):
-            blocks.append(cur)
-            cur, used, bias = [], set(), 0
-        cur.append(nid)
-        used |= mine
-        bias = max(bias, need)
-    if cur:
-        blocks.append(cur)
+    blocks = []
+    for nid, b in zip(node_ids, block_index(sources, bias, rows, cols)):
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(nid)
     return blocks
 
 

@@ -678,7 +678,9 @@ class TLGNode:
 
     id: str
     gate: ThresholdGate
-    level: int = 0      # ASAP logic level, inputs at 0
+    # logic level, inputs at 0: the ASAP level after synthesis, the
+    # `mapping.assign_stages` schedule's level after mapping
+    level: int = 0
     stage: int = 0      # pipeline stage, filled by the mapper
     is_buffer: bool = False
 

@@ -148,20 +148,20 @@ def test_map_splits_fanout_twice_under_a_block_budget(runner, tmp_path):
 
 def test_map_exit_3_counts_the_fan_out_copies_of_pass_through_values(
         runner, tmp_path):
-    # the message named 22 pass-through values against a 24-column budget,
-    # as if 2 columns were left for a node; their fan-out copies take them
+    # the message named 22 pass-through values against a 23-column budget,
+    # as if a column were left for a node; their fan-out copies take it
     tln = str(tmp_path / "t.json")
-    r = runner.invoke(main, ["synth", "--bench", C432, "--fanin", "3",
+    r = runner.invoke(main, ["synth", "--bench", C432, "--fanin", "2",
                              "-o", tln])
     assert r.exit_code == 0, r.output
     r = runner.invoke(main, ["map", "--tln", tln, "--levels-per-stage", "1",
-                             "--cols", "24", "--blocks", "1", "--fmax", "3",
+                             "--cols", "23", "--blocks", "1", "--fmax", "3",
                              "-o", str(tmp_path / "m.json")])
     assert r.exit_code == 3, r.output
     lines = [l for l in r.output.splitlines() if l.strip()]
     assert len(lines) == 1 and lines[0].endswith(
-        "stage 16 left with no node: 22 pass-through values and their "
-        "fan-out copies take 24 columns, budget 24 columns")
+        "stage 20 left with no node: 22 pass-through values and their "
+        "fan-out copies take 24 columns, budget 23 columns")
 
 
 def test_map_bad_tln_file(runner, tmp_path):

@@ -16,7 +16,7 @@ def test_measure_runs_each_command_in_a_fresh_process():
     got = compile_scale.measure(100)
     assert (got["gates"], got["layers"]) == (100, 4)
     assert got["seed"] == compile_scale.SEED
-    assert got["mapped_nodes"] > 0
+    assert got["mapped_nodes"] > got["buffers"] > 0
     for name in ("synth", "map", "evaluate"):
         assert got[f"{name}_s"] > 0 and got[f"{name}_rss_mb"] > 0
     assert got["compile_s_per_1k_gates"] == pytest.approx(

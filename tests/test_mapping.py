@@ -196,12 +196,13 @@ def test_capacity_tie_break_lowest_insertion_order():
 
 
 def test_capacity_counts_pass_through_buffers(c432, c432_tln, deadline):
-    # the 50-pass strip/re-buffer loop gave up here ("did not converge")
-    cfg = MappingConfig(k=2, cols=24, blocks_per_stage=1)
+    # the 50-pass strip/re-buffer loop gave up here ("did not converge");
+    # 22 columns is the largest budget that defers nodes
+    cfg = MappingConfig(k=2, cols=22, blocks_per_stage=1)
     with deadline(20):
         d = map_design(c432_tln, c432, cfg)
     assert all(len(blks) == 1 for blks in d.blocks.values())
-    unbounded = map_design(c432_tln, c432, MappingConfig(k=2, cols=24))
+    unbounded = map_design(c432_tln, c432, MappingConfig(k=2, cols=22))
     assert d.n_stages > unbounded.n_stages     # nodes were deferred
     vectors = input_rows(len(c432.inputs), 4000, seed=0)
     sim = simulate_mapped(d, vectors)
@@ -211,11 +212,12 @@ def test_capacity_counts_pass_through_buffers(c432, c432_tln, deadline):
 
 def test_capacity_rejects_a_stage_left_without_nodes(c432, c432_tln,
                                                       deadline):
-    # at k=1 the buffers forwarded through stage 2 fill all 24 columns;
-    # deferring every node there would forward the same values forever
-    cfg = MappingConfig(k=1, cols=24, blocks_per_stage=1)
+    # at k=1 the 24 inputs forwarded through stage 1 take more than 23
+    # columns; deferring every node there would forward the same values
+    # forever
+    cfg = MappingConfig(k=1, cols=23, blocks_per_stage=1)
     with deadline(20), pytest.raises(MappingInfeasible,
-                                      match=r"^stage 2 .*pass-through"):
+                                      match=r"^stage 1 .*pass-through"):
         map_design(c432_tln, c432, cfg)
 
 
@@ -296,6 +298,38 @@ def test_absorption_respects_backward_bound():
     net, design = _two_stage_design(cols=16, b_max=0)
     assert not design.absorbed
     assert any("b_max" in w for w in design.warnings)
+
+
+def _wide_design(n, y):
+    """Stage 1: n gates g0, g1, ... of a and b; stage 2: y = `y`."""
+    gates = [f"g{i} = {('AND', 'OR')[i % 2]}(a, b)" for i in range(n)]
+    net = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\n" + "".join(
+        f"OUTPUT(g{i})\n" for i in range(n)) + "\n".join(gates)
+        + f"\ny = {y}\n")
+    return map_design(synthesize_tln(net, collapse=False), net,
+                      MappingConfig(k=1, cols=16))
+
+
+def test_absorb_warning_names_sources_in_several_blocks():
+    design = _wide_design(17, "AND(g0, g16)")
+    assert design.warnings == ["stage 2 underfilled (6%) but not absorbable"
+                               ": sources in several blocks or stages"]
+
+
+def test_absorb_warning_names_columns():
+    # 16 gates fill stage 1's block: the stage-2 node has no column there
+    design = _wide_design(16, "NOT(g0)")
+    assert design.warnings == ["stage 2 underfilled (6%) but not absorbable"
+                               " within cols=16"]
+
+
+def test_absorb_warning_names_rows(c17):
+    # 4 backward connections are within b_max=4; the block would need
+    # more than 8 rows
+    design = map_design(synthesize_tln(c17, w_max=2), c17,
+                        MappingConfig(rows=8))
+    assert design.warnings == ["stage 2 underfilled (6%) but not absorbable"
+                               " within rows=8"]
 
 
 def test_absorb_skips_cross_block_sources(c17, c17_tln):

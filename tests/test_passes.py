@@ -19,6 +19,7 @@ error statistics are compared exactly.
 import contextlib
 import copy
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -501,6 +502,76 @@ def ref_write_sim_trials(comparator_bits, i_prog, params, trials=200,
     return float(errors.mean()), float(np.quantile(errors, 0.95))
 
 
+def ref_chain_buffers(level, k, edges):
+    """The chain count `assign_stages` minimizes at `level` (name -> level,
+    inputs too), recounted over every edge (src, dst)."""
+    stage = {name: math.ceil(lvl / k) for name, lvl in level.items()}
+    last = {}
+    for src, dst in edges:
+        last[src] = max(last.get(src, 0), stage[dst])
+    return sum(max(0, s - stage[src] - 1) for src, s in last.items())
+
+
+def ref_assign_stages(tln, k):
+    """The start, then sweeps that try every level of each node's window
+    and recount the whole chain count for each, then the guard."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    asap = tln.assign_levels()
+    order = tln.topological_order()
+    cons = tln.consumers()
+    edges = [(src, nid) for nid in order
+             for src in tln.nodes[nid].gate.inputs]
+    level = dict(asap)
+    for nid in reversed(order):
+        if cons[nid] and nid not in tln.outputs:
+            level[nid] = min(level[c] for c in cons[nid]) - 1
+    for _ in range(3):
+        before = dict(level)
+        for nid in order:
+            if not cons[nid]:
+                continue
+            lo = max(level[src] for src in tln.nodes[nid].gate.inputs) + 1
+            hi = min(level[c] for c in cons[nid]) - 1
+            if lo == hi:
+                level[nid] = lo
+                continue
+            cost = {}
+            for lvl in range(lo, hi + 1):
+                level[nid] = lvl
+                cost[lvl] = ref_chain_buffers(level, k, edges)
+            level[nid] = min(cost, key=lambda lvl: (cost[lvl], lvl))
+        if level == before:
+            break
+    if ref_chain_buffers(level, k, edges) >= ref_chain_buffers(asap, k, edges):
+        level = asap
+    for nid, node in tln.nodes.items():
+        node.level = level[nid]
+        node.stage = math.ceil(level[nid] / k)
+    return tln
+
+
+def ref_rebin(node_ids, tln, rows, cols):
+    """Greedy binning, one node and its gate at a time."""
+    blocks, cur, used, bias = [], [], set(), 0
+    for nid in node_ids:
+        gate = tln.nodes[nid].gate
+        mine, need = set(gate.inputs), devices.bias_rows(gate.bias)
+        if len(mine) + need > rows:
+            raise mapping.MappingInfeasible(
+                f"node {nid} needs {len(mine) + need} rows, block has {rows}")
+        if cur and (len(cur) >= cols
+                    or len(used) + len(mine - used) + max(bias, need) > rows):
+            blocks.append(cur)
+            cur, used, bias = [], set(), 0
+        cur.append(nid)
+        used |= mine
+        bias = max(bias, need)
+    if cur:
+        blocks.append(cur)
+    return blocks
+
+
 def ref_map_design(tln, source, config=None, fanin_limit=4, w_max=W_MAX):
     """Mapping on a deep copy, scanning every node for each stage."""
     cfg = config or MappingConfig()
@@ -511,7 +582,7 @@ def ref_map_design(tln, source, config=None, fanin_limit=4, w_max=W_MAX):
         if need > cfg.rows:
             raise mapping.MappingInfeasible(
                 f"node {node.id} needs {need} rows, block has {cfg.rows}")
-    mapping.assign_stages(tln, cfg.k)
+    ref_assign_stages(tln, cfg.k)
     mapping.enforce_capacity(tln, cfg)
     mapping.insert_buffers(tln, cfg.k)
     mapping.split_fanout(tln, cfg.f_max)
@@ -537,6 +608,7 @@ def reference_passes():
         m.setattr(mapping, "split_fanout", ref_split_fanout)
         m.setattr(mapping, "reorder_stages", ref_reorder_stages)
         m.setattr(mapping, "map_design", ref_map_design)
+        m.setattr(partition, "rebin", ref_rebin)
         yield
 
 
@@ -654,6 +726,129 @@ def test_compile_identical_to_reference(netlists, name, fanin):
     assert got[0] == want[0]
     for cfg, g, w in zip(CONFIGS, got[1], want[1]):
         assert g == w, f"mapped JSON differs at {cfg}"
+
+
+# --- stage schedule ----------------------------------------------------------
+
+_NETGEN = importlib.util.spec_from_file_location(
+    "netgen", BENCH_DIR.parent / "perfbench" / "netgen.py")
+netgen = importlib.util.module_from_spec(_NETGEN)
+_NETGEN.loader.exec_module(netgen)
+
+
+def _levels_and_edges(tln):
+    """name -> level (inputs at 0) and every edge (src, dst) of `tln`."""
+    level = dict.fromkeys(tln.inputs, 0)
+    level.update((nid, n.level) for nid, n in tln.nodes.items())
+    return level, [(src, nid) for nid, n in tln.nodes.items()
+                   for src in n.gate.inputs]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(gates=st.integers(20, 300), layers=st.integers(2, 20),
+       xor=st.sampled_from((0, 0.1, 0.5, 1)), seed=st.integers(0, 2 ** 32),
+       fanin=st.integers(2, 4), k=st.integers(1, 3),
+       f_max=st.sampled_from((2, 8)))
+def test_schedule_is_the_reference_and_never_worse_than_asap(
+        gates, layers, xor, seed, fanin, k, f_max):
+    net = parse_bench(netgen.generate(gates, layers, xor, seed))
+    tln = synthesize_tln(net, fanin_limit=fanin)
+    got = mapping.assign_stages(tln.copy(), k)
+    want = ref_assign_stages(tln.copy(), k)
+    assert ({nid: (n.level, n.stage) for nid, n in got.nodes.items()}
+            == {nid: (n.level, n.stage) for nid, n in want.nodes.items()})
+    asap = tln.copy()
+    asap.assign_levels()
+    level, edges = _levels_and_edges(got)
+    asap_level, _ = _levels_and_edges(asap)
+    depth = max(asap_level.values())
+    assert all(level[dst] >= level[src] + 1 for src, dst in edges)
+    assert max(level.values()) <= depth
+    cons = tln.consumers()
+    assert all(level[nid] == asap_level[nid] for nid in tln.nodes
+               if not cons[nid])
+    assert (max(n.stage for n in got.nodes.values())
+            == math.ceil(depth / k))
+    assert (ref_chain_buffers(level, k, edges)
+            <= ref_chain_buffers(asap_level, k, edges))
+    design = map_design(tln, net, MappingConfig(k=k, f_max=f_max), fanin)
+    assert tlg.prove(design.tln, net)
+
+
+def milp_chain_buffers(tln, k):
+    """The least chain count of any schedule within `assign_stages`'s
+    bounds, by an integer program: per node its level L and stage S with
+    k(S - 1) < L <= kS, L_dst >= L_src + 1, ASAP <= L <= the ASAP depth and
+    a node without consumers at its ASAP level; per signal with consumers
+    M >= S of each consumer and a chain C >= M - S - 1, C >= 0; minimize
+    the sum of C."""
+    optimize = pytest.importorskip("scipy.optimize")
+    asap = tln.copy().assign_levels()
+    depth = max(asap.values())
+    cons = tln.consumers()
+    nodes = list(tln.nodes)
+    read = [u for u in list(tln.inputs) + nodes if cons[u]]
+    col = {}  # variable -> column: ("L"|"S", node), ("M"|"C", signal)
+    for name in nodes:
+        col["L", name], col["S", name] = len(col), len(col) + 1
+    for name in read:
+        col["M", name], col["C", name] = len(col), len(col) + 1
+    lo, hi = np.zeros(len(col)), np.full(len(col), np.inf)
+    for name in nodes:
+        lo[col["L", name]] = asap[name]
+        hi[col["L", name]] = depth if cons[name] else asap[name]
+    rows, lb, ub = [], [], []
+
+    def row(terms, low, high=np.inf):
+        r = np.zeros(len(col))
+        for key, coef in terms:
+            if key[1] in tln.nodes or key[0] in "MC":  # an input's S is 0
+                r[col[key]] += coef
+        rows.append(r)
+        lb.append(low)
+        ub.append(high)
+
+    for name in nodes:
+        row([(("S", name), k), (("L", name), -1)], 0)
+        row([(("L", name), 1), (("S", name), -k)], 1 - k)
+        for src in tln.nodes[name].gate.inputs:
+            row([(("L", name), 1), (("L", src), -1)], 1)
+    for name in read:
+        for c in cons[name]:
+            row([(("M", name), 1), (("S", c), -1)], 0)
+        row([(("C", name), 1), (("M", name), -1), (("S", name), 1)], -1)
+    cost = np.zeros(len(col))
+    cost[[col["C", name] for name in read]] = 1
+    res = optimize.milp(cost, integrality=np.ones(len(col)),
+                        bounds=optimize.Bounds(lo, hi),
+                        constraints=optimize.LinearConstraint(
+                            np.array(rows), lb, ub))
+    assert res.success, res.message
+    return round(res.fun)
+
+
+def small_network(seed):
+    """A generated network of at most 30 nodes and a k, both from `seed`."""
+    rng = random.Random(seed)
+    gates, layers = rng.randint(16, 30), rng.randint(4, 10)
+    fanin, k = rng.choice((2, 3, 4)), rng.choice((1, 2, 3))
+    while True:
+        net = parse_bench(netgen.generate(gates, layers, 0.1, seed))
+        tln = synthesize_tln(net, fanin_limit=fanin)
+        if len(tln.nodes) <= 30:
+            return tln, k
+        gates -= 2
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_schedule_between_the_exact_minimum_and_asap(seed):
+    tln, k = small_network(seed)
+    asap = tln.copy()
+    asap.assign_levels()
+    got = mapping.assign_stages(tln.copy(), k)
+    (level, edges), (asap_level, _) = map(_levels_and_edges, (got, asap))
+    assert (milp_chain_buffers(tln, k) <= ref_chain_buffers(level, k, edges)
+            <= ref_chain_buffers(asap_level, k, edges))
 
 
 def graph_order(nodes, sources):

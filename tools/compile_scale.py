@@ -9,8 +9,8 @@ and runs `smtl synth`, `smtl map` and `smtl evaluate --sigma 0` on it at
 their default options, each in a fresh Python process that imports this
 checkout's `src`, so that each command's peak RSS is its own. Prints one
 JSON line: per command its wall time (process start included) and peak
-RSS, the mapped nodes and the synth + map time per 1,000 gates. A command
-that exits non-zero stops the tool with exit 1.
+RSS, the mapped nodes and path-balancing buffers, and the synth + map time
+per 1,000 gates. A command that exits non-zero stops the tool with exit 1.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ def measure(gates, layers=None):
             seconds, rss, out = run_command(args, d)
             result[f"{name}_s"] = round(seconds, 3)
             result[f"{name}_rss_mb"] = round(rss, 1)
-            if name == "map":  # "stages=.. nodes=N buffers=.."
+            if name == "map":  # "stages=.. nodes=N buffers=B .."
                 result["mapped_nodes"] = int(out.split(" nodes=")[1].split()[0])
+                result["buffers"] = int(out.split(" buffers=")[1].split()[0])
     result["compile_s_per_1k_gates"] = round(
         (result["synth_s"] + result["map_s"]) * 1000 / gates, 3)
     return result
