@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,6 +37,10 @@ from .tlg import (
 SCHEDULE_SWEEPS = 3  # descent sweeps of `assign_stages`, at most
 
 
+def _real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass
 class MappingConfig:
     k: int = 2                 # MCA logic levels per pipeline stage
@@ -48,12 +53,21 @@ class MappingConfig:
     reorder_sweeps: int = 10
 
     def __post_init__(self):
-        if not float(self.k).is_integer() or self.k < 1:
-            raise ValueError(f"k must be a whole number >= 1, got {self.k}")
-        self.k = int(self.k)
-        blocks = 1 if self.blocks_per_stage is None else self.blocks_per_stage
-        if min(self.rows, self.cols, blocks) < 1:
-            raise ValueError("rows, cols and blocks_per_stage must be >= 1")
+        # a loaded artifact's config comes through here too
+        for name, low in (("k", 1), ("rows", 1), ("cols", 1), ("f_max", 2),
+                          ("blocks_per_stage", 1), ("b_max", 0),
+                          ("reorder_sweeps", 0)):
+            value = getattr(self, name)
+            if value is None and name == "blocks_per_stage":
+                continue
+            if not (_real(value) and float(value).is_integer()
+                    and value >= low):
+                raise ValueError(f"{name} must be a whole number >= {low}, "
+                                 f"got {value!r}")
+            setattr(self, name, int(value))
+        if not (_real(self.min_fill) and 0 <= self.min_fill <= 1):
+            raise ValueError(f"min_fill must be a number in [0, 1], got "
+                             f"{self.min_fill!r}")
 
     def to_json(self):
         return dict(self.__dict__)
@@ -178,58 +192,24 @@ def assign_stages(tln, k):
       chain buffers.
 
     Runs on the integer view of `tlg._sorted`, with each signal's consumers
-    from one stable argsort and its two latest distinct consumer stages
-    kept up to date, so a trial costs O(fan-in) and the pass
-    O((N + E) * sweeps). A sweep tries only the nodes whose window or
-    breakpoints changed since their last trial; the others would keep
-    their level.
+    from one stable argsort. A sweep tries every node with slack (latest
+    level above ASAP) and reads what it needs from the current levels and
+    stages: it costs O(sum over edges u -> j of u's fan-out).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     v, order = _sorted(tln)
-    level = _min_buffer_levels(v, order.tolist(), _levels(v, order), k,
-                               tln.outputs)
-    for node, lvl in zip(tln.nodes.values(), level[v.n_sources:]):
-        node.level = lvl
-        node.stage = -(-lvl // k)
-    return tln
-
-
-def _chain_buffers(level, k, src, dst):
-    """The chain count of `assign_stages` for ids at `level`, edges
-    src -> dst (int arrays)."""
-    stage = -(-np.asarray(level) // k)
-    last = np.zeros_like(stage)
-    np.maximum.at(last, src, stage[dst])
-    return int(np.maximum(last - stage - 1, 0).sum())
-
-
-def _latest_two(cons, stage):
-    """The latest stage among consumers `cons`, one consumer there, and
-    the latest stage among the others (0 for none)."""
-    f, w, s2 = 0, -1, 0
-    for c in cons:
-        if stage[c] > f:
-            f, w, s2 = stage[c], c, f
-        elif stage[c] > s2 and c != w:
-            s2 = stage[c]
-    return f, w, s2
-
-
-def _min_buffer_levels(v, order, asap, k, outputs):
-    """`assign_stages`'s levels of every id of `v`, given its topological
-    `order` (a list) and ASAP levels `asap`."""
+    asap, order = _levels(v, order), order.tolist()
     n, size = v.n_sources, len(v.names)
     ptr, ind = [0] * n + v.indptr.tolist(), v.indices.tolist()
     reader = np.repeat(np.arange(n, size), np.diff(v.indptr))
-    by_src = np.argsort(v.indices, kind="stable")
-    src, users = v.indices[by_src], reader[by_src]  # edges by source
-    uptr = np.searchsorted(src, np.arange(size + 1)).tolist()
-    flat = users.tolist()  # i's consumers: flat[uptr[i]:uptr[i + 1]]
+    by_src = np.argsort(v.indices, kind="stable")  # edges by source
+    uptr = np.searchsorted(v.indices[by_src], np.arange(size + 1)).tolist()
+    flat = reader[by_src].tolist()  # i's consumers: flat[uptr[i]:uptr[i + 1]]
 
     # the start, and `late`: as late as consumers allow, outputs too
     level, late = list(asap), list(asap)
-    pinned = {v.index[name] for name in outputs if name in v.index}
+    pinned = {v.index[name] for name in tln.outputs if name in v.index}
     for j in reversed(order):
         cons = flat[uptr[j]:uptr[j + 1]]
         if cons:
@@ -244,111 +224,60 @@ def _min_buffer_levels(v, order, asap, k, outputs):
                 level[j] = b - 1
     stage = [-(-lvl // k) for lvl in level]
 
-    # per signal, its latest consumer stage `first`, one consumer `who`
-    # there, and `second`, the latest stage among its other consumers
-    at = np.array(stage)[users]
-    first = np.zeros(size, dtype=np.intp)
-    np.maximum.at(first, src, at)
-    top = np.flatnonzero(at == first[src])
-    has, pos = np.unique(src[top], return_index=True)
-    who = np.full(size, -1, dtype=np.intp)
-    who[has] = users[top[pos]]
-    other = users != who[src]
-    second = np.zeros(size, dtype=np.intp)
-    np.maximum.at(second, src[other], at[other])
-    first, who, second = first.tolist(), who.tolist(), second.tolist()
-
     # a node's levels lie in [ASAP, late]: one with no slack never moves,
-    # and one whose stage is fixed (not `free`) takes its window's low end,
-    # which reads only its inputs. A free node's choice reads its window
-    # and the stages of its consumers and of its inputs' consumers; one
-    # none of these changed for since its last trial would choose its level
-    # again, and so would one whose window only lost levels above its own.
-    # So only `dirty` nodes try: the consumers of a node that moved, and,
-    # if free, its inputs when it moved up or changed stage, and the other
-    # consumers of its inputs when it changed stage.
-    late, early = np.array(late), np.array(asap)
-    movable = [j for j, m in zip(order, (late > early)[order].tolist()) if m]
-    free = (-(-late // k) > -(-early // k)).tolist()
-    dirty = [True] * size
+    # and one whose stage is fixed (not `free`) takes its window's low end
+    movable = [(j, -(-asap[j] // k) < -(-late[j] // k)) for j in order
+               if late[j] > asap[j]]
     for _ in range(SCHEDULE_SWEEPS):
         changed = False
-        for j in movable:
-            if not dirty[j]:
-                continue
-            dirty[j] = False
-            srcs, cons = ind[ptr[j]:ptr[j + 1]], flat[uptr[j]:uptr[j + 1]]
-            # plain loops: fan-ins and fan-outs are short, and these run
-            # once per trial
-            if not free[j]:
-                lo = 0
+        for j, free in movable:  # plain loops: fan-ins and fan-outs are short
+            srcs, lo = ind[ptr[j]:ptr[j + 1]], 0
+            for u in srcs:
+                if level[u] > lo:
+                    lo = level[u]
+            new = lo = lo + 1
+            if free:
+                # the docstring's least breakpoint, clamped into the window,
+                # which ends at the earliest consumer's level - 1 <= late
+                hi, bp = late[j], 0
+                for c in flat[uptr[j]:uptr[j + 1]]:
+                    if level[c] <= hi:
+                        hi = level[c] - 1
+                    if stage[c] > bp:
+                        bp = stage[c]
+                bp -= 1
                 for u in srcs:
-                    if level[u] > lo:
-                        lo = level[u]
-                best, new = stage[j], lo + 1
-            else:
-                # the cost falls by 1 a stage up to the latest consumer
-                # stage - 1 and rises by 1 a stage per input u from its
-                # breakpoint max(S(u) + 1, u's other consumers) on
-                lo, bp = 0, first[j] - 1
-                for u in srcs:
-                    if level[u] > lo:
-                        lo = level[u]
-                    t = second[u] if who[u] == j else first[u]
-                    if stage[u] >= t:
-                        t = stage[u] + 1
+                    t = stage[u] + 1
+                    for c in flat[uptr[u]:uptr[u + 1]]:
+                        if stage[c] > t and c != j:
+                            t = stage[c]
                     if t < bp:
                         bp = t
-                hi = level[cons[0]]
-                for c in cons:
-                    if level[c] < hi:
-                        hi = level[c]
-                lo, hi = lo + 1, hi - 1
-                s_lo, s_hi = -(-lo // k), -(-hi // k)
-                best = min(s_hi, max(s_lo, bp))
-                new = lo if best == s_lo else (best - 1) * k + 1
-            if new == level[j]:
-                continue
-            changed = True
-            up, old = new > level[j], stage[j]
-            level[j] = new
-            for c in cons:
-                dirty[c] = True
-            if best == old:
-                if up:  # the inputs' windows may end later
-                    for u in srcs:
-                        dirty[u] = dirty[u] or free[u]
-                continue
-            stage[j] = best
-            for u in srcs:  # j moved from stage old to best among u's
-                if who[u] == j:
-                    if best >= second[u]:
-                        first[u] = best
-                    else:
-                        first[u], who[u], second[u] = _latest_two(
-                            flat[uptr[u]:uptr[u + 1]], stage)
-                elif best > first[u]:
-                    first[u], who[u], second[u] = best, j, first[u]
-                elif best > second[u]:
-                    second[u] = best
-                elif old == second[u] > best:
-                    first[u], who[u], second[u] = _latest_two(
-                        flat[uptr[u]:uptr[u + 1]], stage)
-                dirty[u] = dirty[u] or free[u]
-                if who[u] != j and max(old, best) <= first[u]:
-                    # below u's latest other consumer: only that one's
-                    # other consumers can have a new latest stage
-                    dirty[who[u]] = dirty[who[u]] or free[who[u]]
-                    continue
-                for c in flat[uptr[u]:uptr[u + 1]]:
-                    dirty[c] = dirty[c] or free[c]
+                s_lo = -(-lo // k)
+                best = min(-(-hi // k), max(s_lo, bp))
+                if best > s_lo:
+                    new = (best - 1) * k + 1
+            if new != level[j]:
+                level[j], stage[j] = new, -(-new // k)
+                changed = True
         if not changed:
             break
 
     if (_chain_buffers(level, k, v.indices, reader)
-            < _chain_buffers(asap, k, v.indices, reader)):
-        return level
-    return asap
+            >= _chain_buffers(asap, k, v.indices, reader)):
+        level = asap  # the guard
+    for node, lvl in zip(tln.nodes.values(), level[n:]):
+        node.level, node.stage = lvl, -(-lvl // k)
+    return tln
+
+
+def _chain_buffers(level, k, src, dst):
+    """The chain count of `assign_stages` for ids at `level`, edges
+    src -> dst (int arrays)."""
+    stage = -(-np.asarray(level) // k)
+    last = np.zeros_like(stage)
+    np.maximum.at(last, src, stage[dst])
+    return int(np.maximum(last - stage - 1, 0).sum())
 
 
 def strip_buffers(tln):

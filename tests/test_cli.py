@@ -371,6 +371,25 @@ def test_map_rejects_fmax_below_two(runner, artifacts, tmp_path):
     _assert_input_error(r, "--fmax")
 
 
+@pytest.mark.parametrize("field", [{"cols": 2.5}, {"f_max": 2.5},
+                                   {"b_max": "4"}, {"min_fill": "x"},
+                                   {"reorder_sweeps": 1.5}])
+def test_mapped_config_checked_at_load(runner, artifacts, tmp_path, field):
+    # each was evaluated with exit 0, and `sweep --param k` failed with
+    # Python's own message
+    doc = json.loads(Path(artifacts["mapped"]).read_text())
+    doc["config"].update(field)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for args in (["evaluate", "--mapped", str(bad), "--sigma", "0",
+                  "--report", str(tmp_path / "r.json")],
+                 ["sweep", "--mapped", str(bad), "--tln", artifacts["tln"],
+                  "--param", "k", "--grid", "1,2",
+                  "-o", str(tmp_path / "s.csv")]):
+        r = runner.invoke(main, args)
+        _assert_input_error(r, f"bad mapped design {bad}: {next(iter(field))}")
+
+
 def test_evaluate_rejects_zero_vectors(runner, artifacts, tmp_path):
     rep = tmp_path / "report.json"
     r = runner.invoke(main, ["evaluate", "--mapped", artifacts["mapped"],

@@ -115,6 +115,8 @@ def files(tmp_path_factory):
         "mapped-k0.json": _corrupt(m, lambda doc: doc["config"].update(k=0)),
         "mapped-rows0.json": _corrupt(
             m, lambda doc: doc["config"].update(rows=0, cols=0)),
+        "mapped-cols-float.json": _corrupt(
+            m, lambda doc: doc["config"].update(cols=2.5)),
     }
     for name, edit in LINE_UP.items():
         texts[f"tln-{name}.json"] = _corrupt(t, edit)
@@ -148,6 +150,7 @@ TLNS = _files("tln.json", "tln.json", "tln.json", "mapped.json", "c17.bench",
 MAPPED = _files("mapped.json", "mapped.json", "mapped.json", "tln.json",
                 "mapped-ghost.json", "mapped-absorbed-ghost.json",
                 "mapped-k0.json", "mapped-rows0.json",
+                "mapped-cols-float.json",
                 *(f"mapped-{name}.json" for name in LINE_UP))
 PARAMS = _files("huge.json", "tiny.json")
 

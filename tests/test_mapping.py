@@ -494,6 +494,21 @@ def test_config_rejects_non_positive_dimensions():
         with pytest.raises(ValueError):
             MappingConfig(**kw)
     assert MappingConfig(k=2.0).k == 2 and type(MappingConfig(k=2.0).k) is int
+    # a hand-edited artifact's config: each field a number of its kind in
+    # its range, else the value surfaced later as a Python error, or not
+    for kw in ({"cols": 2.5}, {"rows": "64"}, {"blocks_per_stage": 1.5},
+               {"f_max": 2.5}, {"f_max": 1}, {"b_max": "4"}, {"b_max": -1},
+               {"reorder_sweeps": 1.5}, {"reorder_sweeps": -1},
+               {"k": True}, {"k": "2"}, {"min_fill": "x"},
+               {"min_fill": -0.1}, {"min_fill": 1.5},
+               {"min_fill": float("nan")}, {"min_fill": None}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            MappingConfig(**kw)
+    cfg = MappingConfig(rows=64.0, cols=8.0, blocks_per_stage=2.0, f_max=3.0,
+                        b_max=0.0, reorder_sweeps=0.0, min_fill=1)
+    assert all(type(getattr(cfg, name)) is int
+               for name in ("rows", "cols", "blocks_per_stage", "f_max",
+                            "b_max", "reorder_sweeps"))
 
 
 @pytest.mark.parametrize("cfg", [MappingConfig(k=2),
