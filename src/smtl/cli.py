@@ -365,14 +365,14 @@ def map_cmd(tln_path, k, blocks, rows, cols, fmax, output):
 
 
 def _load_design(path):
-    """The mapped design; `MappedDesign.from_json` frees the document as
-    it builds the design."""
+    """The mapped design, checked by `mapping.validate`;
+    `MappedDesign.from_json` frees the document as it builds the design."""
     from .mapping import MappedDesign
 
     try:
         with open(path) as f:
             return MappedDesign.from_json(json.load(f))
-    except (OSError, KeyError, ValueError, TypeError) as e:
+    except (OSError, KeyError, ValueError, TypeError, MappingInfeasible) as e:
         _fail(EXIT_INPUT, f"bad mapped design {path}: {e}")
 
 

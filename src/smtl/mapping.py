@@ -83,10 +83,20 @@ class MappedDesign:
     tln: ThresholdLogicNetwork
     source: "BooleanNetwork"            # noqa: F821  (oracle netlist)
     blocks: dict = field(default_factory=dict)   # stage -> [[node ids]]
-    input_blocks: list = field(default_factory=list)  # [[input names]]
-    absorbed: set = field(default_factory=set)
     backward_edges: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+
+    @property
+    def input_blocks(self):
+        """[[input names]]: the primary inputs in runs of `config.cols`."""
+        inputs, cols = self.tln.inputs, self.config.cols
+        return [list(inputs[i:i + cols]) for i in range(0, len(inputs), cols)]
+
+    @property
+    def absorbed(self):
+        """The nodes moved into an earlier stage: the heads of the backward
+        edges, which absorption adds for every input of a node it moves."""
+        return {v for _, v in self.backward_edges}
 
     @property
     def n_stages(self):
@@ -135,7 +145,7 @@ class MappedDesign:
     def from_json(cls, obj):
         """The design of the document `obj`, which it consumes: the `tln`
         and `source` sections are taken off it and emptied as they are
-        built."""
+        built, and `validate` checks the design."""
         from .bench import BooleanNetwork
 
         design = cls(
@@ -143,19 +153,14 @@ class MappedDesign:
             tln=ThresholdLogicNetwork.from_json(obj.pop("tln")),
             source=BooleanNetwork.from_json(obj.pop("source")),
             blocks={int(s): b for s, b in obj["blocks"].items()},
-            input_blocks=obj["input_blocks"],
-            absorbed=set(obj["absorbed"]),
             backward_edges=[tuple(e) for e in obj["backward_edges"]],
             warnings=list(obj["warnings"]),
         )
-        placed = [n for blks in design.blocks.values() for blk in blks
-                  for n in blk]
-        inputs = [n for blk in design.input_blocks for n in blk]
-        if (sorted(placed) != sorted(design.tln.nodes)
-                or sorted(inputs) != sorted(design.tln.inputs)
-                or not design.absorbed <= design.tln.nodes.keys()):
+        if (obj["input_blocks"] != design.input_blocks
+                or obj["absorbed"] != sorted(design.absorbed)):
             raise ValueError("blocks must place every node and input once, "
                              "and absorb only nodes")
+        validate(design)
         return design
 
 
@@ -488,7 +493,7 @@ def absorb_small_layers(design):
     already holding all of its sources, with at most b_max backward
     connections per block and the block still within its columns and
     `block_rows`; otherwise it is skipped with a warning naming the first
-    of these limits that stopped it.
+    of these limits that stopped it. Stored stages are left to `map_design`.
     """
     cfg = design.config
     tln = design.tln
@@ -534,17 +539,11 @@ def absorb_small_layers(design):
             continue
         for nid, b in sorted(plan.items()):
             design.blocks[s - 1][b].append(nid)
-            design.absorbed.add(nid)
-            tln.nodes[nid].stage = s - 1
             for src in tln.nodes[nid].gate.inputs:
                 design.backward_edges.append((src, nid))
-        # close the gap: renumber stages above s
-        for t in range(s, design.n_stages):
-            design.blocks[t] = design.blocks[t + 1]
-            for nid in design.stage_nodes(t):
-                if nid not in design.absorbed:
-                    tln.nodes[nid].stage = t
-        del design.blocks[max(design.blocks)]
+        # close the gap: the stages above s move down one
+        design.blocks = {t - (t > s): blks
+                         for t, blks in design.blocks.items() if t != s}
         s = min(s, design.n_stages)
     return design
 
@@ -577,9 +576,9 @@ def reorder_stages(design):
     """
     cfg = design.config
     tln = design.tln
-    pinned = {0}
+    pinned, absorbed = {0}, design.absorbed
     for s in design.blocks:
-        if any(nid in design.absorbed for nid in design.stage_nodes(s)):
+        if any(nid in absorbed for nid in design.stage_nodes(s)):
             pinned.update((s, s - 1))
     names = list(tln.inputs) + list(tln.nodes)
     index = {name: i for i, name in enumerate(names)}
@@ -678,6 +677,7 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
     tln.validate(fanin_limit, w_max)
     place = design.placements()
     backward = set(map(tuple, design.backward_edges))
+    absorbed = design.absorbed
     seen = set()
     for s, blks in design.blocks.items():
         for b, colnodes in enumerate(blks):
@@ -686,8 +686,13 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
                     f"stage {s} block {b}: {len(colnodes)} nodes > {cfg.cols} columns"
                 )
             for nid in colnodes:
-                if nid in seen:
-                    raise MappingInfeasible(f"{nid} placed twice")
+                if nid in seen or nid not in tln.nodes:
+                    what = "placed twice" if nid in seen else "is not a node"
+                    raise MappingInfeasible(
+                        f"blocks must place every node once: {nid} {what}")
+                if tln.nodes[nid].stage != s:
+                    raise MappingInfeasible(f"{nid}: stored stage "
+                                            f"{tln.nodes[nid].stage}, not {s}")
                 seen.add(nid)
             need = partition.block_rows(
                 [tln.nodes[nid].gate for nid in colnodes])
@@ -702,7 +707,12 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
             )
     if seen != set(tln.nodes):
         missing = set(tln.nodes) - seen
-        raise MappingInfeasible(f"unplaced nodes: {sorted(missing)[:5]}")
+        raise MappingInfeasible(f"blocks must place every node once: "
+                                f"unplaced nodes {sorted(missing)[:5]}")
+    for u, v in backward:
+        if v not in tln.nodes or u not in tln.nodes[v].gate.inputs:
+            raise MappingInfeasible(
+                f"backward connection {u}->{v} is not an edge")
     for u, v in design.edges():
         if (u, v) in backward:
             if place[u][:2] != (place[v][0], place[v][1]):
@@ -713,7 +723,7 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
         su, sv = place[u][0], place[v][0]
         if sv - su == 1:
             continue
-        if sv == su and cfg.k > 1 and v not in design.absorbed:
+        if sv == su and cfg.k > 1 and v not in absorbed:
             nu = tln.nodes[u].level if u in tln.nodes else 0
             if tln.nodes[v].level > nu:
                 continue
@@ -743,10 +753,6 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
     split_fanout(tln, cfg.f_max)
 
     design = MappedDesign(config=cfg, tln=tln, source=source)
-    design.input_blocks = [
-        list(tln.inputs[i:i + cfg.cols])
-        for i in range(0, len(tln.inputs), cfg.cols)
-    ]
     n_stages = max((n.stage for n in tln.nodes.values()), default=0)
     by_stage = [[] for _ in range(n_stages + 1)]  # insertion order per stage
     for nid, node in tln.nodes.items():
@@ -756,6 +762,9 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
                                            cfg.cols)
     absorb_small_layers(design)
     reorder_stages(design)
+    for s in design.blocks:
+        for nid in design.stage_nodes(s):
+            tln.nodes[nid].stage = s
     validate(design, fanin_limit, w_max)  # a malformed network fails first
     check_interface(tln, source)
     return design

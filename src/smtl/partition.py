@@ -73,12 +73,11 @@ def rebin(node_ids, tln, rows, cols):
 def repartition(design, subarray_rows, subarray_cols):
     """Return a copy of the design re-binned at different sub-array dims.
 
-    The copy has its own config, input blocks and blocks; it shares the
-    threshold network, the source netlist and the other fields with
-    `design`, which is left unchanged.
+    The copy has its own config and blocks; it shares the threshold
+    network, the source netlist and the other fields with `design`, which
+    is left unchanged.
     """
-    # backward connections tie absorbed nodes to their source block;
-    # keep those stages' binning untouched
+    # absorbed nodes read their sources in-block: keep those stages' binning
     touched = {design.tln.nodes[n].stage for n in design.absorbed}
     blocks = {}
     for s, blks in design.blocks.items():
@@ -87,13 +86,10 @@ def repartition(design, subarray_rows, subarray_cols):
         else:
             blocks[s] = rebin(design.stage_nodes(s), design.tln,
                               subarray_rows, subarray_cols)
-    inputs = design.tln.inputs
     return replace(
         design,
         config=replace(design.config, rows=subarray_rows,
                        cols=subarray_cols),
-        input_blocks=[list(inputs[i:i + subarray_cols])
-                      for i in range(0, len(inputs), subarray_cols)],
         blocks=blocks,
     )
 

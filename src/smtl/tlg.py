@@ -81,36 +81,31 @@ RAW_WORDS = 1 << 15
 
 
 def input_rows(n, count=None, seed=0):
-    """Boolean input rows for n inputs.
-
-    All 2^n rows (row r sets input i to bit i of r) when `count` is None or
-    at least 2^n; otherwise `count` rows drawn by
-    `default_rng(seed).integers(0, 2)`, unpacked from `input_words`.
-    """
-    if count is None or 2 ** n <= count:
-        octets = np.arange(2 ** n, dtype="<u8").view(np.uint8)
-        return np.unpackbits(octets.reshape(-1, 8), axis=1, count=n,
-                             bitorder="little").view(bool)
-    return unpack(input_words(n, count, seed), count).T
+    """Boolean input rows for n inputs, `input_words` unpacked: all 2^n
+    (row r sets input i to bit i of r) when `count` is None or at least
+    2^n, else `count` rows drawn by `default_rng(seed).integers(0, 2)`."""
+    rows = 2 ** n if count is None or 2 ** n <= count else count
+    return unpack(input_words(n, count, seed), rows).T
 
 
 def input_words(n, count=None, seed=0):
-    """`pack(input_rows(n, count, seed))`, built without the (count, n)
-    bool matrix.
+    """The packed input rows of `input_rows`, (n, ceil(rows / 64)) words,
+    built without the (rows, n) bool matrix.
 
-    Exhaustively, input i < 6 repeats one 64-bit pattern (cut to 2^n rows
-    below 6 inputs) and input i >= 6 alternates zero and all-ones words in
-    runs of 2^(i - 6). Drawn rows are read from the generator's raw 64-bit
-    words, without the int64 matrix `integers` builds: for a range of 2,
-    numpy draws each value by Lemire's method from the next 32-bit half of
-    a word (low half first), which never rejects and returns the half's
-    top bit. The stream is row-major, so a block of 64 m vectors is the
-    next 32 m n raw words (only the last block may end on a low half),
-    packed into its m words.
+    Exhaustively, input i < 6 repeats one 64-bit pattern, its truth-table
+    column `_var` (cut to 2^n rows below 6 inputs), and input i >= 6
+    alternates zero and all-ones words in runs of 2^(i - 6). Drawn rows
+    are read from the generator's raw 64-bit words, without the int64
+    matrix `integers` builds: for a range of 2, numpy draws each value by
+    Lemire's method from the next 32-bit half of a word (low half first),
+    which never rejects and returns the half's top bit. The stream is
+    row-major, so a block of 64 m vectors is the next 32 m n raw words
+    (only the last block may end on a low half), packed into its m words.
     """
     if count is None or 2 ** n <= count:
         out = np.empty((n, -(-2 ** n // 64)), dtype=np.uint64)
-        out[:6] = pack(input_rows(min(n, 6)))  # every word's 64 rows
+        low = [_var(i, min(n, 6)) for i in range(min(n, 6))]
+        out[:6] = np.array(low, dtype=np.uint64)[:, None]
         at = np.arange(out.shape[1], dtype=np.uint64)
         for i in range(6, n):
             out[i] = -(at >> np.uint64(i - 6) & np.uint64(1))

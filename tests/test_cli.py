@@ -555,12 +555,14 @@ def test_sweep_rejects_subarray_dim_below_one(runner, artifacts, tmp_path,
 
 
 @pytest.mark.parametrize("inputs,weights,message", [
-    (["1"] * 11, [2] * 11, "fan-in 11"), (["1"], [7], "exceeds 6")])
+    (["1"] * 11, [2] * 11, "fan-in 11"),
+    (["1"], [7], "weight magnitude > 6")])
 def test_evaluate_rejects_gates_it_cannot_simulate(runner, artifacts,
                                                    tmp_path, inputs, weights,
                                                    message):
     # a hand-edited design: fan-in 11 would need 2^11-row truth tables, and
-    # weight 7 exceeds the 6 conductance levels
+    # weight 7 exceeds the 6 conductance levels; `validate` rejects both at
+    # load
     doc = json.loads(Path(artifacts["mapped"]).read_text())
     doc["tln"]["nodes"][0].update(inputs=inputs, weights=weights)
     mapped, rep = tmp_path / "m.json", tmp_path / "report.json"
@@ -810,6 +812,22 @@ def test_sweep_rejects_blocks_that_misplace_nodes(runner, artifacts, tmp_path,
                              "--param", "subarray_dim", "--grid", "16",
                              "-o", str(tmp_path / "s.csv")])
     _assert_input_error(r, "place every node")
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--vectors", "32", "--report"],
+    ["sweep", "--param", "subarray_dim", "--grid", "16", "-o"]])
+def test_a_design_relabelled_to_another_k_is_rejected(runner, artifacts,
+                                                      tmp_path, command):
+    # c17 mapped at k 2 and relabelled k 1 evaluated with exit 0 and
+    # P_total 2.68 instead of 4.30 uW: its in-stage edges need k > 1
+    mapped = _edited(artifacts["mapped"], tmp_path,
+                     lambda doc: doc["config"].update(k=1))
+    out = tmp_path / "out"
+    r = runner.invoke(main, [command[0], "--mapped", mapped, *command[1:],
+                             str(out)])
+    _assert_input_error(r, "spans 0 boundaries")
+    assert not out.exists()
 
 
 def test_evaluate_rejects_baseline_ratios_that_overflow(runner, artifacts,

@@ -113,6 +113,7 @@ def files(tmp_path_factory):
         "mapped-absorbed-ghost.json": _corrupt(
             m, lambda doc: doc["absorbed"].append("ghost")),
         "mapped-k0.json": _corrupt(m, lambda doc: doc["config"].update(k=0)),
+        "mapped-k1.json": _corrupt(m, lambda doc: doc["config"].update(k=1)),
         "mapped-rows0.json": _corrupt(
             m, lambda doc: doc["config"].update(rows=0, cols=0)),
         "mapped-cols-float.json": _corrupt(
@@ -149,7 +150,7 @@ TLNS = _files("tln.json", "tln.json", "tln.json", "mapped.json", "c17.bench",
               *(f"tln-{name}.json" for name in LINE_UP))
 MAPPED = _files("mapped.json", "mapped.json", "mapped.json", "tln.json",
                 "mapped-ghost.json", "mapped-absorbed-ghost.json",
-                "mapped-k0.json", "mapped-rows0.json",
+                "mapped-k0.json", "mapped-k1.json", "mapped-rows0.json",
                 "mapped-cols-float.json",
                 *(f"mapped-{name}.json" for name in LINE_UP))
 PARAMS = _files("huge.json", "tiny.json")

@@ -81,7 +81,6 @@ def _two_block_design():
     tln.outputs = [f"q{i}" for i in range(4)]
     cfg = MappingConfig(k=1, rows=64, cols=2)
     design = MappedDesign(config=cfg, tln=tln, source=None)
-    design.input_blocks = [["a", "b"], ["c", "d"]]
     design.blocks = {
         1: [["p0", "p1"], ["p2", "p3"]],
         2: [["q0", "q2"], ["q1", "q3"]],  # q1/q2 land in the wrong block

@@ -587,14 +587,15 @@ def ref_map_design(tln, source, config=None, fanin_limit=4, w_max=W_MAX):
     mapping.insert_buffers(tln, cfg.k)
     mapping.split_fanout(tln, cfg.f_max)
     design = mapping.MappedDesign(config=cfg, tln=tln, source=source)
-    design.input_blocks = [list(tln.inputs[i:i + cfg.cols])
-                           for i in range(0, len(tln.inputs), cfg.cols)]
     n_stages = max((n.stage for n in tln.nodes.values()), default=0)
     for s in range(1, n_stages + 1):
         nodes = [nid for nid in tln.nodes if tln.nodes[nid].stage == s]
         design.blocks[s] = partition.rebin(nodes, tln, cfg.rows, cfg.cols)
     mapping.absorb_small_layers(design)
     mapping.reorder_stages(design)
+    for s, blocks in design.blocks.items():
+        for nid in itertools.chain.from_iterable(blocks):
+            tln.nodes[nid].stage = s
     mapping.validate(design, fanin_limit, w_max)
     return design
 
@@ -861,6 +862,22 @@ def test_schedule_between_the_exact_minimum_and_asap(seed):
             <= ref_chain_buffers(asap_level, k, edges))
 
 
+def test_absorbed_nodes_keep_the_stage_of_their_block():
+    # absorption moved g299_3 into stage 439, and renumbering the stages
+    # above left its stored stage at 440; `repartition` then re-binned
+    # stage 439 and split g299_3 from its backward sources
+    net = parse_bench(netgen.generate(1200, 300, 0.1, 2))
+    design = map_design(synthesize_tln(net, fanin_limit=2), net,
+                        MappingConfig(k=1), 2)
+    assert "g299_3" in design.absorbed
+    for s in design.blocks:
+        assert all(design.tln.nodes[nid].stage == s
+                   for nid in design.stage_nodes(s))
+    place = partition.repartition(design, 8, 8).placements()
+    assert all(place[u][:2] == place[v][:2]
+               for u, v in design.backward_edges)
+
+
 def graph_order(nodes, sources):
     """`graph.topological_order` of the view of (name, inputs) pairs, as
     names."""
@@ -1104,7 +1121,7 @@ def test_input_words_pack_the_integers_stream(n, count, seed, raw_words):
 
 
 def test_input_words_pack_every_row_when_count_covers_them():
-    for n in range(11):
+    for n in range(13):
         want = ref_pack(ref_input_rows(n).astype(bool))
         for count in (None, 2 ** n, 2 ** n + 1):
             assert (tlg.input_words(n, count, seed=3) == want).all()

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smtl import evaluate, graph, synthesis, tlg
+from smtl import cli, evaluate, graph, synthesis, tlg
 from smtl.bench import evaluate_many, gate_value, load_bench, parse_bench
-from smtl.mapping import MappingConfig, map_design
+from smtl.mapping import MappedDesign, MappingConfig, map_design
 from smtl.synthesis import synthesize_tln, verify_equivalence
 from smtl.tlg import (ThresholdGate, check, input_rows, input_words, lowered,
                       prove)
@@ -73,16 +73,21 @@ def test_a_fan_in_2_map_is_proved(gates, layers, xor, seed, w_max, cfg):
 @given(gates=st.integers(20, 300), layers=st.integers(2, 20),
        xor=st.sampled_from((0, 0.1, 0.5, 1)), seed=st.integers(0, 2 ** 32),
        fanin=st.integers(2, 4), w_max=st.integers(2, 6),
-       k=st.integers(1, 3), f_max=st.sampled_from((2, 8)))
+       k=st.integers(1, 3), f_max=st.sampled_from((2, 8)),
+       cols=st.sampled_from((8, 16, 32)))
 def test_generated_networks_are_proved(gates, layers, xor, seed, fanin,
-                                       w_max, k, f_max):
+                                       w_max, k, f_max, cols):
     # netgen's gates read at most 5 inputs: no window passes 16 leaves
     net = parse_bench(netgen.generate(gates, layers, xor, seed))
     tln = synthesize_tln(net, fanin_limit=fanin, w_max=w_max)
     assert prove(tln, net)
-    design = map_design(tln, net, MappingConfig(k=k, f_max=f_max),
+    design = map_design(tln, net, MappingConfig(k=k, f_max=f_max, cols=cols),
                         fanin, w_max)
     assert prove(design.tln, net)
+    # what `map` writes loads, through `validate`, and writes the same bytes
+    text = "".join(cli._dump(design.sections()))
+    again = MappedDesign.from_json(json.loads(text))
+    assert "".join(cli._dump(again.sections())) == text
 
 
 def _no_vectors(*args, **kwargs):
