@@ -166,15 +166,15 @@ def drive_current(params, k):
     return I_DTCS_BASE * k * (params.i_threshold / I_THRESHOLD_REF)
 
 
-def _design_figures(design):
+def _design_figures(design, v=None):
     """What the costs take from the design alone, whatever the device
-    parameters: its `partition.interconnect_stats` and the occupied input
-    rows of every block (`partition.block_rows`)."""
+    parameters: its `partition.interconnect_stats` on `v` (the network's
+    view, if given) and the input rows of its blocks (`block_rows`)."""
     tln = design.tln
     active_rows = sum(
         partition.block_rows([tln.nodes[nid].gate for nid in colnodes])
         for blks in design.blocks.values() for colnodes in blks)
-    return partition.interconnect_stats(design), active_rows
+    return partition.interconnect_stats(design, v), active_rows
 
 
 def power_report(design, params):
@@ -311,8 +311,9 @@ def sweep(design, params, parameter, grid, source_tln=None):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     if not len(grid):
         raise ValueError("empty sweep grid")
-    rows = []
-    last = None
+    rows, last = [], None
+    # re-binning leaves the network as it is: one view serves every point
+    view = design.tln.view() if parameter == "subarray_dim" else None
     for value in grid:
         p, d = params, design
         if parameter == "dv":
@@ -328,9 +329,9 @@ def sweep(design, params, parameter, grid, source_tln=None):
             if not float(value).is_integer() or value < 1:
                 raise ValueError(f"subarray_dim must be a whole number "
                                  f">= 1, got {value}")
-            d = partition.repartition(design, int(value), int(value))
+            d = partition.repartition(design, int(value), int(value), view)
         if d is not last:  # dv and i_threshold keep one design
-            last, figures = d, _design_figures(d)
+            last, figures = d, _design_figures(d, view)
         c = _costs(d, p, figures)
         stats = c["links"]
         rows.append({

@@ -41,6 +41,11 @@ def view(sources, nodes, fan_ins, weights=None, bias=None):
     return View(names, index, n_sources, indptr, indices, weights, bias)
 
 
+def readers(v):
+    """The id of the node reading each edge e of `v`, `v.indices[e]`."""
+    return np.repeat(np.arange(v.n_sources, len(v.names)), np.diff(v.indptr))
+
+
 def topological_order(v):
     """Node ids of `v` in the order of repeated insertion-order sweeps
     over the pending nodes, each emitting every node whose inputs are
@@ -53,8 +58,7 @@ def topological_order(v):
     Raises CycleError, leftover in insertion order, on a cycle or an
     unknown input."""
     n, ind = v.n_sources, v.indices
-    ids = np.arange(n, len(v.names))
-    reader = np.repeat(ids, np.diff(v.indptr))
+    ids, reader = np.arange(n, len(v.names)), readers(v)
     if (ind < reader).all():
         return ids
     waits = ind >= n  # a node or an unknown name: never ready

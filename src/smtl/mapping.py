@@ -8,7 +8,10 @@ columns the next two passes build), path-equalizing buffer insertion,
 heavy fan-out splitting, binning into fixed-size crossbar blocks,
 absorption of underfilled stages via backward connections, and a
 barycenter column reorder that maximizes direct (face-to-face) links.
-Every public entry point ends with `validate`.
+The blocks are a design's placement; each pass and check after binning
+reads them as per-id stage and block arrays (`partition.place`) on the
+network's view, and `partition.repartition` re-bins a design through the
+same binning and absorption. Every public entry point ends with `validate`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import partition
+from . import graph, partition
 from .partition import MappingInfeasible
 from .tlg import (
     FANIN_LIMIT,
@@ -106,23 +109,6 @@ class MappedDesign:
     def buffer_count(self):
         return sum(1 for n in self.tln.nodes.values() if n.is_buffer)
 
-    def placements(self):
-        """node id -> (stage, block, column); inputs keyed at stage 0."""
-        place = {}
-        for b, names in enumerate(self.input_blocks):
-            for c, name in enumerate(names):
-                place[name] = (0, b, c)
-        for s, blks in self.blocks.items():
-            for b, cols in enumerate(blks):
-                for c, nid in enumerate(cols):
-                    place[nid] = (s, b, c)
-        return place
-
-    def edges(self):
-        for node in self.tln.nodes.values():
-            for src in node.gate.inputs:
-                yield src, node.id
-
     def stage_nodes(self, s):
         return [nid for blk in self.blocks[s] for nid in blk]
 
@@ -148,6 +134,8 @@ class MappedDesign:
         built, and `validate` checks the design."""
         from .bench import BooleanNetwork
 
+        if not isinstance(obj["blocks"], dict):
+            raise ValueError("blocks must be an object")
         design = cls(
             config=MappingConfig.from_json(obj["config"]),
             tln=ThresholdLogicNetwork.from_json(obj.pop("tln")),
@@ -207,7 +195,7 @@ def assign_stages(tln, k):
     asap, order = _levels(v, order), order.tolist()
     n, size = v.n_sources, len(v.names)
     ptr, ind = [0] * n + v.indptr.tolist(), v.indices.tolist()
-    reader = np.repeat(np.arange(n, size), np.diff(v.indptr))
+    reader = graph.readers(v)
     by_src = np.argsort(v.indices, kind="stable")  # edges by source
     uptr = np.searchsorted(v.indices[by_src], np.arange(size + 1)).tolist()
     flat = reader[by_src].tolist()  # i's consumers: flat[uptr[i]:uptr[i + 1]]
@@ -319,18 +307,18 @@ def insert_buffers(tln, k):
     chains = {}
 
     def carried(src, stage):
-        # id holding the value of `src`, placed in `stage`
-        if _stage_of(tln, src) == stage:
-            return src
-        key = (src, stage)
-        if key not in chains:
-            prev = carried(src, stage - 1)
-            nid = f"{src}$s{stage}"
+        # id holding the value of `src`, placed in `stage`: the chain is
+        # extended from its last buffer (or `src`) below `stage` upwards
+        low, top = _stage_of(tln, src), stage
+        while top > low and (src, top) not in chains:
+            top -= 1
+        prev = chains.get((src, top), src)
+        for s in range(top + 1, stage + 1):
+            nid = f"{src}$s{s}"
             node = tln.add_node(nid, buffer_gate(prev), is_buffer=True)
-            node.stage = stage
-            node.level = (stage - 1) * k + 1
-            chains[key] = nid
-        return chains[key]
+            node.stage, node.level = s, (s - 1) * k + 1
+            chains[src, s] = prev = nid
+        return prev
 
     for nid in list(tln.nodes):  # the buffers made here are not rewired
         node = tln.nodes[nid]
@@ -486,34 +474,33 @@ def split_fanout(tln, f_max):
     return n_split
 
 
-def absorb_small_layers(design):
-    """Fold underfilled stages into their predecessor via backward links.
+def absorb_small_layers(design, v=None):
+    """Fold underfilled stages into their predecessor via backward links,
+    then set every node's stored stage from its block.
 
     A stage is absorbed only when each of its nodes can sit in the block
     already holding all of its sources, with at most b_max backward
     connections per block and the block still within its columns and
     `block_rows`; otherwise it is skipped with a warning naming the first
-    of these limits that stopped it. Stored stages are left to `map_design`.
+    of these limits that stopped it. `v` is the view of the design's
+    network (`ThresholdLogicNetwork.view`), built when omitted.
     """
-    cfg = design.config
-    tln = design.tln
+    cfg, tln = design.config, design.tln
+    v = tln.view() if v is None else v
+    stage, block = partition.place(design, v)
     s = design.n_stages
     while s >= 2:
         nodes = design.stage_nodes(s)
-        n_blocks = len(design.blocks[s])
-        fill = len(nodes) / (max(n_blocks, 1) * cfg.cols)
+        fill = len(nodes) / (max(len(design.blocks[s]), 1) * cfg.cols)
         if not nodes or fill >= cfg.min_fill:
             s -= 1
             continue
-        place = design.placements()
         plan, back_count, limit = {}, {}, None
         for nid in nodes:
-            srcs = tln.nodes[nid].gate.inputs
-            src_blocks = {place[src][1] for src in srcs
-                          if place[src][0] == s - 1}
-            if len(src_blocks) != 1 or any(
-                place[src][0] != s - 1 for src in srcs
-            ):
+            j = v.index[nid] - v.n_sources
+            srcs = v.indices[v.indptr[j]:v.indptr[j + 1]]
+            src_blocks = set(block[srcs].tolist())
+            if len(src_blocks) != 1 or (stage[srcs] != s - 1).any():
                 limit = ": sources in several blocks or stages"
                 break
             b = src_blocks.pop()
@@ -522,14 +509,14 @@ def absorb_small_layers(design):
         for b, cnt in back_count.items():
             if limit:
                 break
-            block = design.blocks[s - 1][b] + [
+            block_nodes = design.blocks[s - 1][b] + [
                 nid for nid, x in plan.items() if x == b]
             if cnt > cfg.b_max:
                 limit = f" within b_max={cfg.b_max}"
-            elif len(block) > cfg.cols:
+            elif len(block_nodes) > cfg.cols:
                 limit = f" within cols={cfg.cols}"
             elif partition.block_rows(
-                    [tln.nodes[nid].gate for nid in block]) > cfg.rows:
+                    [tln.nodes[nid].gate for nid in block_nodes]) > cfg.rows:
                 limit = f" within rows={cfg.rows}"
         if limit:
             design.warnings.append(
@@ -541,14 +528,19 @@ def absorb_small_layers(design):
             design.blocks[s - 1][b].append(nid)
             for src in tln.nodes[nid].gate.inputs:
                 design.backward_edges.append((src, nid))
+        ids = [v.index[nid] for nid in plan]
+        stage[ids], block[ids] = s - 1, list(plan.values())
         # close the gap: the stages above s move down one
+        stage[stage > s] -= 1
         design.blocks = {t - (t > s): blks
                          for t, blks in design.blocks.items() if t != s}
         s = min(s, design.n_stages)
+    for node, st in zip(tln.nodes.values(), stage[v.n_sources:].tolist()):
+        node.stage = st
     return design
 
 
-def reorder_stages(design):
+def reorder_stages(design, v=None):
     """Barycenter sweeps (at most `config.reorder_sweeps`) reassigning
     columns to maximize direct links (Sugiyama, Tagawa & Toda, IEEE SMC
     1981).
@@ -561,7 +553,8 @@ def reorder_stages(design):
     design-wide count. Stages holding absorbed (backward-connected) nodes
     are pinned.
 
-    Block indices live in one int array over inputs and nodes, and each
+    Runs on `v`, the view of the design's network (built when omitted):
+    block indices live in the int array `partition.place` gives, and each
     stage's neighbour and non-backward edge index arrays are built once.
     The barycentre sums are of small integers, so exact, and the division
     is correctly rounded: the values, and so every decision, equal those of
@@ -574,36 +567,21 @@ def reorder_stages(design):
     recount. A stage's blocks are built from its last accepted order once
     the sweeps end.
     """
-    cfg = design.config
-    tln = design.tln
-    pinned, absorbed = {0}, design.absorbed
-    for s in design.blocks:
-        if any(nid in absorbed for nid in design.stage_nodes(s)):
-            pinned.update((s, s - 1))
-    names = list(tln.inputs) + list(tln.nodes)
-    index = {name: i for i, name in enumerate(names)}
-    stage = np.zeros(len(names), dtype=np.intp)
-    block = np.zeros(len(names), dtype=np.intp)
-    local = np.zeros(len(names), dtype=np.intp)  # position in its stage
-    for b, blk in enumerate(design.input_blocks):
-        block[[index[n] for n in blk]] = b
-    for s, blks in design.blocks.items():
-        ids = [index[n] for n in design.stage_nodes(s)]
-        stage[ids], local[ids] = s, np.arange(len(ids))
-        block[ids] = [b for b, blk in enumerate(blks) for _ in blk]
-    pairs = [(src, nid) for nid, n in tln.nodes.items()
-             for src in n.gate.inputs]
-    u = np.array([index[src] for src, _ in pairs], dtype=np.intp)
-    v = np.array([index[nid] for _, nid in pairs], dtype=np.intp)
-    backward = set(map(tuple, design.backward_edges))
-    forward = np.array([p not in backward for p in pairs], dtype=bool)
+    cfg, tln = design.config, design.tln
+    v = tln.view() if v is None else v
+    stage, block = partition.place(design, v)
+    u, w = v.indices, graph.readers(v)
+    forward = ~partition.backward(design, v)
+    heads = stage[w[~forward]]
+    pinned = {0, *heads.tolist(), *(heads - 1).tolist()}
+    local = np.zeros_like(stage)  # position in its stage
 
     # the edge ids into, and out of, stage s: slices s of the edge ids
     # sorted once by the stage of their consumer, and of their source
     bounds = np.arange(max(design.blocks, default=0) + 2)
-    by_v, by_u = (np.argsort(stage[e], kind="stable") for e in (v, u))
-    at_v, at_u = (np.searchsorted(stage[e][by], bounds)
-                  for e, by in ((v, by_v), (u, by_u)))
+    by_w, by_u = (np.argsort(stage[e], kind="stable") for e in (w, u))
+    at_w, at_u = (np.searchsorted(stage[e][by], bounds)
+                  for e, by in ((w, by_w), (u, by_u)))
     # per unpinned stage: its nodes, their ids, each neighbour (owner's
     # position, neighbour id), the neighbour counts, the non-backward edges
     # touching it, and, unless any order fits the rows, its row needs
@@ -612,16 +590,18 @@ def reorder_stages(design):
         if s in pinned:
             continue
         nodes = design.stage_nodes(s)
-        into, out_of = by_v[at_v[s]:at_v[s + 1]], by_u[at_u[s]:at_u[s + 1]]
-        owner = np.concatenate([local[v[into]], local[u[out_of]]])
-        touch = np.concatenate([into, out_of[stage[v[out_of]] != s]])
+        ids = np.array([v.index[n] for n in nodes], dtype=np.intp)
+        local[ids] = np.arange(len(ids))
+        into, out_of = by_w[at_w[s]:at_w[s + 1]], by_u[at_u[s]:at_u[s + 1]]
+        owner = np.concatenate([local[w[into]], local[u[out_of]]])
+        touch = np.concatenate([into, out_of[stage[w[out_of]] != s]])
         touch = touch[forward[touch]]
         gates = [tln.nodes[n].gate for n in nodes]
         fits = partition.block_rows(gates) <= cfg.rows
-        arrays[s] = (nodes, np.array([index[n] for n in nodes], dtype=np.intp),
-                     owner, np.concatenate([u[into], v[out_of]]),
+        arrays[s] = (nodes, ids, owner,
+                     np.concatenate([u[into], w[out_of]]),
                      np.bincount(owner, minlength=len(nodes)),
-                     u[touch], v[touch],
+                     u[touch], w[touch],
                      None if fits else tuple(
                          np.array(x) for x in partition.row_needs(gates)))
         order[s] = np.arange(len(nodes))
@@ -661,30 +641,27 @@ def reorder_stages(design):
 
     for s in accepted:  # each block holds a run of `order[s]`
         nodes, ids = arrays[s][:2]
-        blocks = []
-        for j, b in zip(order[s].tolist(), block[ids[order[s]]].tolist()):
-            if b == len(blocks):
-                blocks.append([])
-            blocks[b].append(nodes[j])
-        design.blocks[s] = blocks
+        at = zip(order[s].tolist(), block[ids[order[s]]].tolist())
+        design.blocks[s] = [[nodes[j] for j, _ in run]
+                            for _, run in itertools.groupby(
+                                at, key=lambda x: x[1])]
     return design
 
 
-def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
-    """Check every structural invariant of a mapped design."""
-    cfg = design.config
-    tln = design.tln
-    tln.validate(fanin_limit, w_max)
-    place = design.placements()
-    backward = set(map(tuple, design.backward_edges))
-    absorbed = design.absorbed
+def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX, v=None):
+    """Check every structural invariant of a mapped design: its gates
+    (`ThresholdLogicNetwork.validate`, which gives the view `v`; a caller
+    that has run it passes `v`), then its placement on `v`. A failure
+    names the first offender in stored order, whatever the hash seed."""
+    cfg, tln = design.config, design.tln
+    if v is None:
+        v = tln.validate(fanin_limit, w_max)
     seen = set()
     for s, blks in design.blocks.items():
         for b, colnodes in enumerate(blks):
             if len(colnodes) > cfg.cols:
-                raise MappingInfeasible(
-                    f"stage {s} block {b}: {len(colnodes)} nodes > {cfg.cols} columns"
-                )
+                raise MappingInfeasible(f"stage {s} block {b}: {len(colnodes)} "
+                                        f"nodes > {cfg.cols} columns")
             for nid in colnodes:
                 if nid in seen or nid not in tln.nodes:
                     what = "placed twice" if nid in seen else "is not a node"
@@ -698,45 +675,39 @@ def validate(design, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
                 [tln.nodes[nid].gate for nid in colnodes])
             if need > cfg.rows:
                 raise MappingInfeasible(
-                    f"stage {s} block {b}: needs {need} rows > {cfg.rows}"
-                )
+                    f"stage {s} block {b}: needs {need} rows > {cfg.rows}")
         limit = cfg.blocks_per_stage
         if limit is not None and len(blks) > limit:
             raise MappingInfeasible(
-                f"stage {s}: {len(blks)} blocks > {limit} blocks per stage"
-            )
-    if seen != set(tln.nodes):
+                f"stage {s}: {len(blks)} blocks > {limit} blocks per stage")
+    if len(seen) != len(tln.nodes):
         missing = set(tln.nodes) - seen
         raise MappingInfeasible(f"blocks must place every node once: "
                                 f"unplaced nodes {sorted(missing)[:5]}")
-    for u, v in backward:
-        if v not in tln.nodes or u not in tln.nodes[v].gate.inputs:
-            raise MappingInfeasible(
-                f"backward connection {u}->{v} is not an edge")
-    for u, v in design.edges():
-        if (u, v) in backward:
-            if place[u][:2] != (place[v][0], place[v][1]):
-                raise MappingInfeasible(
-                    f"backward connection {u}->{v} crosses blocks"
-                )
-            continue
-        su, sv = place[u][0], place[v][0]
-        if sv - su == 1:
-            continue
-        if sv == su and cfg.k > 1 and v not in absorbed:
-            nu = tln.nodes[u].level if u in tln.nodes else 0
-            if tln.nodes[v].level > nu:
-                continue
+    names, (stage, block) = v.names, partition.place(design, v)
+    back, u, w = partition.backward(design, v), v.indices, graph.readers(v)
+    level = np.array([0] * v.n_sources + [x.level for x in tln.nodes.values()])
+    absorbed = np.bincount(w[back], minlength=len(names)) > 0
+    span = stage[w] - stage[u]
+    ok = np.where(back, (span == 0) & (block[u] == block[w]),
+                  (span == 1) | ((span == 0) & (cfg.k > 1) & ~absorbed[w]
+                                 & (level[w] > level[u])))
+    if not ok.all():
+        e = int(np.argmin(ok))
+        a, b = names[u[e]], names[w[e]]
+        if back[e]:
+            raise MappingInfeasible(f"backward connection {a}->{b} crosses blocks")
         raise MappingInfeasible(
-            f"edge {u}(stage {su}) -> {v}(stage {sv}) spans "
-            f"{sv - su} boundaries"
-        )
-    # backward connections per block within bound
-    for key, cnt in Counter(place[v][:2] for _, v in backward).items():
+            f"edge {a}(stage {stage[u[e]]}) -> {b}(stage {stage[w[e]]}) "
+            f"spans {span[e]} boundaries")
+    # backward connections per block within bound, each counted once
+    heads = [v.index[b] for _, b in dict.fromkeys(map(tuple,
+                                                      design.backward_edges))]
+    for key, cnt in Counter(zip(stage[heads].tolist(),
+                                block[heads].tolist())).items():
         if cnt > cfg.b_max:
-            raise MappingInfeasible(
-                f"stage/block {key}: {cnt} backward connections > {cfg.b_max}"
-            )
+            raise MappingInfeasible(f"stage/block {key}: {cnt} backward "
+                                    f"connections > {cfg.b_max}")
     return True
 
 
@@ -752,20 +723,13 @@ def map_design(tln, source, config=None, fanin_limit=FANIN_LIMIT,
     insert_buffers(tln, cfg.k)
     split_fanout(tln, cfg.f_max)
 
-    design = MappedDesign(config=cfg, tln=tln, source=source)
-    n_stages = max((n.stage for n in tln.nodes.values()), default=0)
-    by_stage = [[] for _ in range(n_stages + 1)]  # insertion order per stage
-    for nid, node in tln.nodes.items():
-        by_stage[node.stage].append(nid)
-    for s in range(1, n_stages + 1):
-        design.blocks[s] = partition.rebin(by_stage[s], tln, cfg.rows,
-                                           cfg.cols)
-    absorb_small_layers(design)
-    reorder_stages(design)
-    for s in design.blocks:
-        for nid in design.stage_nodes(s):
-            tln.nodes[nid].stage = s
-    validate(design, fanin_limit, w_max)  # a malformed network fails first
+    design = MappedDesign(config=cfg, tln=tln, source=source,
+                          blocks=partition.bin_stages(tln, tln.nodes, cfg.k,
+                                                      cfg.rows, cfg.cols))
+    v = tln.validate(fanin_limit, w_max)  # a malformed network fails first
+    absorb_small_layers(design, v)
+    reorder_stages(design, v)
+    validate(design, v=v)
     check_interface(tln, source)
     return design
 

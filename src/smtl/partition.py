@@ -9,7 +9,12 @@ is charged Manhattan distance in block-pitch units.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
+import numpy as np
+
+from . import graph
 from .devices import bias_rows
 
 # geometry: 4F^2 per 1T1M cell at F = 45 nm, 20% periphery per
@@ -28,7 +33,7 @@ def block_rows(gates):
     the always-on bias rows, which the gates share, so as many as the
     largest `bias_rows` among them."""
     return (len({src for gate in gates for src in gate.inputs})
-            + max((bias_rows(gate.bias) for gate in gates), default=0))
+            + bias_rows(max((abs(gate.bias) for gate in gates), default=0)))
 
 
 def row_needs(gates):
@@ -62,36 +67,68 @@ def rebin(node_ids, tln, rows, cols):
         if len(mine) + need > rows:
             raise MappingInfeasible(f"node {nid} needs {len(mine) + need} "
                                     f"rows, block has {rows}")
-    blocks = []
-    for nid, b in zip(node_ids, block_index(sources, bias, rows, cols)):
-        if b == len(blocks):
-            blocks.append([])
-        blocks[b].append(nid)
-    return blocks
+    at = block_index(sources, bias, rows, cols)
+    return [[nid for nid, _ in run]
+            for _, run in groupby(zip(node_ids, at), key=itemgetter(1))]
 
 
-def repartition(design, subarray_rows, subarray_cols):
-    """Return a copy of the design re-binned at different sub-array dims.
+def bin_stages(tln, order, k, rows, cols):
+    """{stage: `rebin` of its nodes} for every stage up to the last, the
+    nodes of `order` at their schedule stage ceil(level / k), in order."""
+    stages = {}
+    for nid in order:
+        stages.setdefault(-(-tln.nodes[nid].level // k), []).append(nid)
+    return {s: rebin(stages.get(s, []), tln, rows, cols)
+            for s in range(1, max(stages, default=0) + 1)}
 
-    The copy has its own config and blocks; it shares the threshold
-    network, the source netlist and the other fields with `design`, which
-    is left unchanged.
-    """
-    # absorbed nodes read their sources in-block: keep those stages' binning
-    touched = {design.tln.nodes[n].stage for n in design.absorbed}
-    blocks = {}
-    for s, blks in design.blocks.items():
-        if s in touched or s - 1 in touched:
-            blocks[s] = [list(b) for b in blks]
-        else:
-            blocks[s] = rebin(design.stage_nodes(s), design.tln,
-                              subarray_rows, subarray_cols)
-    return replace(
-        design,
-        config=replace(design.config, rows=subarray_rows,
-                       cols=subarray_cols),
-        blocks=blocks,
-    )
+
+def repartition(design, subarray_rows, subarray_cols, v=None):
+    """A copy of the design re-binned at subarray_rows x subarray_cols by
+    the mapper's binning: `bin_stages` on the schedule's stages (which
+    absorption leaves as they are) in the current column order, then
+    `mapping.absorb_small_layers` on a copy of the network and
+    `mapping.validate`'s placement checks on `v` (the network's view, if
+    given), but no column reorder. `design` is left unchanged."""
+    from .mapping import absorb_small_layers, validate
+
+    cfg = replace(design.config, rows=subarray_rows, cols=subarray_cols)
+    tln = design.tln.copy()
+    order = [nid for s in sorted(design.blocks) for nid in design.stage_nodes(s)]
+    out = replace(design, config=cfg, tln=tln, backward_edges=[], warnings=[],
+                  blocks=bin_stages(tln, order, cfg.k, cfg.rows, cfg.cols))
+    v = tln.view() if v is None else v
+    absorb_small_layers(out, v)
+    validate(out, v=v)
+    return out
+
+
+def place(design, v):
+    """Per id of `v`, the view of the design's network: its stage and its
+    block in `design.blocks`, the primary inputs in stage 0 in runs of
+    `config.cols` (a node placed twice: its last place)."""
+    blks = [(s, b, blk) for s, blocks in design.blocks.items()
+            for b, blk in enumerate(blocks)]
+    ids = [v.index[nid] for *_, blk in blks for nid in blk]
+    sizes = [len(blk) for *_, blk in blks]
+    stage = np.zeros(len(v.names), dtype=np.intp)
+    block = np.arange(len(v.names)) // design.config.cols
+    stage[ids] = np.repeat([s for s, _, _ in blks], sizes)
+    block[ids] = np.repeat([b for _, b, _ in blks], sizes)
+    return stage, block
+
+
+def backward(design, v):
+    """Per edge of `v`, whether it is one of `design.backward_edges`;
+    MappingInfeasible names the first stored one that is no edge."""
+    back = np.zeros(len(v.indices), dtype=bool)
+    for a, b in design.backward_edges:
+        j = v.index.get(b, -1) - v.n_sources
+        lo, hi = v.indptr[j:j + 2] if j >= 0 else (0, 0)
+        at = lo + np.flatnonzero(v.indices[lo:hi] == v.index.get(a, -1))
+        if not len(at):
+            raise MappingInfeasible(f"backward connection {a}->{b} is not an edge")
+        back[at] = True
+    return back
 
 
 @dataclass(frozen=True)
@@ -102,47 +139,31 @@ class Link:
     length: int    # block-pitch units; 0 unless routed
 
 
+def _links(design, v):
+    """Per edge of `v`: its source and reader ids, its kind (0 backward, 1
+    direct, 2 routed) and, if routed, its length in block-pitch units."""
+    stage, block = place(design, v)
+    u, w = v.indices, graph.readers(v)
+    kind = np.where(backward(design, v), 0, 1 + (block[u] != block[w]))
+    length = np.abs(stage[w] - stage[u]) + np.abs(block[w] - block[u])
+    return u, w, kind, np.where(kind == 2, length, 0)
+
+
 def classify_links(design):
     """Classify every edge of the design as direct, routed or backward."""
-    place = design.placements()
-    backward = set(map(tuple, design.backward_edges))
-    links = []
-    for u, v in design.edges():
-        if (u, v) in backward:
-            links.append(Link(u, v, "backward", 0))
-            continue
-        su, bu, _ = place[u]
-        sv, bv, _ = place[v]
-        if bu == bv:
-            links.append(Link(u, v, "direct", 0))
-        else:
-            links.append(Link(u, v, "routed", abs(sv - su) + abs(bv - bu)))
-    return links
+    v = design.tln.view()
+    u, w, kind, length = (x.tolist() for x in _links(design, v))
+    return [Link(v.names[i], v.names[j], ("backward", "direct", "routed")[k], n)
+            for i, j, k, n in zip(u, w, kind, length)]
 
 
-def interconnect_stats(design):
+def interconnect_stats(design, v=None):
     """The totals of `classify_links`: direct, routed and backward link
-    counts and the route length, in one pass over the edges."""
-    place = design.placements()
-    backward = set(map(tuple, design.backward_edges))
-    direct = routed = n_backward = route_length = 0
-    for u, v in design.edges():
-        if (u, v) in backward:
-            n_backward += 1
-            continue
-        su, bu, _ = place[u]
-        sv, bv, _ = place[v]
-        if bu == bv:
-            direct += 1
-        else:
-            routed += 1
-            route_length += abs(sv - su) + abs(bv - bu)
-    return {
-        "direct": direct,
-        "routed": routed,
-        "backward": n_backward,
-        "route_length": route_length,
-    }
+    counts and the route length, on `v` (built when omitted)."""
+    _, _, kind, length = _links(design, design.tln.view() if v is None else v)
+    n_backward, direct, routed = np.bincount(kind, minlength=3).tolist()
+    return {"direct": direct, "routed": routed, "backward": n_backward,
+            "route_length": int(length.sum())}
 
 
 def cell_count(design):

@@ -221,11 +221,8 @@ def _ints(values):
 
 
 def _sorted(tln):
-    """The network's `graph.View`, weights included, and its order."""
-    gates = [n.gate for n in tln.nodes.values()]
-    weights = list(chain.from_iterable([g.weights for g in gates]))
-    v = graph.view(tln.inputs, tln.nodes, [g.inputs for g in gates],
-                   _ints(weights), _ints([g.bias for g in gates]))
+    """The network's `view` and its order."""
+    v = tln.view()
     try:
         return v, graph.topological_order(v)
     except graph.CycleError:
@@ -723,6 +720,14 @@ class ThresholdLogicNetwork:
                 out[i].append(node.id)
         return out
 
+    def view(self):
+        """The network's `graph.View`, weights and biases included: what
+        every pass that reads it by ids takes its edges from."""
+        gates = [n.gate for n in self.nodes.values()]
+        weights = list(chain.from_iterable([g.weights for g in gates]))
+        return graph.view(self.inputs, self.nodes, [g.inputs for g in gates],
+                          _ints(weights), _ints([g.bias for g in gates]))
+
     def topological_order(self):
         """Node ids in dependency order; see `graph.topological_order`."""
         v, order = _sorted(self)
@@ -808,7 +813,7 @@ class ThresholdLogicNetwork:
     def validate(self, fanin_limit=FANIN_LIMIT, w_max=W_MAX):
         """Raise ValueError naming the first node, in insertion order, that
         breaks a gate check (fan-in, zero weight, weight magnitude, margin),
-        or the first unresolved output."""
+        or the first unresolved output; return the network's `view`."""
         v, _ = _sorted(self)
         k, w, ptr = np.diff(v.indptr), v.weights, v.indptr[:-1]
         # every node has an input, so no `reduceat` range is empty
@@ -830,6 +835,7 @@ class ThresholdLogicNetwork:
         for o in self.outputs:
             if o not in v.index:
                 raise ValueError(f"output {o!r} unresolved")
+        return v
 
     def to_json(self):
         """The JSON document; a gate's tuples are shared, not copied."""
@@ -862,8 +868,11 @@ class ThresholdLogicNetwork:
                     is_buffer and gate != buffer_gate(gate.inputs[0])):
                 raise ValueError(f"node {n['id']!r}: is_buffer must be a "
                                  f"bool, true only on a buffer gate")
-            tln.nodes[n["id"]] = TLGNode(n["id"], gate, n.get("level", 0),
-                                         n.get("stage", 0), is_buffer)
+            level, stage = n.get("level", 0), n.get("stage", 0)
+            if type(level) is not int or type(stage) is not int:
+                raise ValueError(f"node {n['id']!r}: level and stage must "
+                                 f"be integers")
+            tln.nodes[n["id"]] = TLGNode(n["id"], gate, level, stage, is_buffer)
             entries[at] = None
         for node in tln.nodes.values():
             for i in node.gate.inputs:

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -828,6 +830,75 @@ def test_a_design_relabelled_to_another_k_is_rejected(runner, artifacts,
                              str(out)])
     _assert_input_error(r, "spans 0 boundaries")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--vectors", "32", "--report"],
+    ["sweep", "--param", "subarray_dim", "--grid", "16", "-o"]])
+def test_a_design_whose_blocks_are_a_list_is_rejected(runner, artifacts,
+                                                      tmp_path, command):
+    # ended in "AttributeError: 'list' object has no attribute 'items'"
+    mapped = _edited(artifacts["mapped"], tmp_path,
+                     lambda doc: doc.update(blocks=[]))
+    r = runner.invoke(main, [command[0], "--mapped", mapped, *command[1:],
+                             str(tmp_path / "out")])
+    _assert_input_error(r, "blocks must be an object")
+
+
+@pytest.mark.parametrize("fields", [{"level": "2"}, {"stage": 1.0},
+                                    {"level": None}])
+def test_a_design_whose_levels_or_stages_are_not_integers_is_rejected(
+        runner, artifacts, tmp_path, fields):
+    # `validate` compares them as arrays, where a string level compares as
+    # text; a stage of 1.0 loaded
+    mapped = _edited(artifacts["mapped"], tmp_path, _first_node(**fields))
+    r = runner.invoke(main, ["evaluate", "--mapped", mapped, "--vectors",
+                             "32", "--report", str(tmp_path / "r.json")])
+    _assert_input_error(r, "level and stage must be integers")
+
+
+def test_validate_names_the_first_stored_bad_backward_edge(artifacts,
+                                                          tmp_path):
+    # the backward edges were checked in the order of a set, so the edge
+    # the message named changed with the hash seed (1->22 at 0, 2->23 at 1)
+    mapped = _edited(artifacts["mapped"], tmp_path, lambda doc: doc.update(
+        backward_edges=[["1", "22"], ["2", "23"], ["6", "16"]],
+        absorbed=["16", "22", "23"]))
+    path = [str(Path(cli.__file__).resolve().parents[1])]
+    path += filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    messages = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+                   PYTHONHASHSEED=seed)
+        r = subprocess.run([sys.executable, "-m", "smtl.cli", "evaluate",
+                            "--mapped", mapped, "--report",
+                            str(tmp_path / "r.json")],
+                           env=env, capture_output=True, text=True)
+        assert r.returncode == 1, r.stderr
+        messages.add(r.stderr)
+    assert messages == {f"error: bad mapped design {mapped}: backward "
+                        f"connection 1->22 is not an edge\n"}
+
+
+def test_a_chain_crossing_a_thousand_stages_maps(runner, tmp_path):
+    # 1,120 levels at one a stage: `insert_buffers` recursed once per stage
+    # a buffer chain crosses and ended in a RecursionError
+    lines = ["INPUT(a)", "INPUT(b)", "OUTPUT(out)", "g0 = XOR(a, b)",
+             "g1 = XOR(g0, b)"]
+    lines += [f"g{i} = XOR(g{i - 1}, g{i - 2})" for i in range(2, 560)]
+    bench = tmp_path / "chain.bench"
+    bench.write_text("\n".join(lines + ["out = AND(g559, a)"]) + "\n")
+    tln, mapped = str(tmp_path / "tln.json"), str(tmp_path / "mapped.json")
+    rep = tmp_path / "r.json"
+    for argv in (["synth", "--bench", str(bench), "-o", tln],
+                 ["map", "--tln", tln, "--levels-per-stage", "1", "-o",
+                  mapped],
+                 ["evaluate", "--mapped", mapped, "--sigma", "0",
+                  "--report", str(rep)]):
+        r = runner.invoke(main, argv)
+        assert r.exit_code == 0, r.output
+    assert json.loads(rep.read_text())["errors"] == 0
+    assert json.loads(Path(mapped).read_text())["config"]["k"] == 1
 
 
 def test_evaluate_rejects_baseline_ratios_that_overflow(runner, artifacts,

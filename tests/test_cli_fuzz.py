@@ -118,6 +118,8 @@ def files(tmp_path_factory):
             m, lambda doc: doc["config"].update(rows=0, cols=0)),
         "mapped-cols-float.json": _corrupt(
             m, lambda doc: doc["config"].update(cols=2.5)),
+        "mapped-blocks-list.json": _corrupt(
+            m, lambda doc: doc.update(blocks=[])),
     }
     for name, edit in LINE_UP.items():
         texts[f"tln-{name}.json"] = _corrupt(t, edit)
@@ -151,7 +153,7 @@ TLNS = _files("tln.json", "tln.json", "tln.json", "mapped.json", "c17.bench",
 MAPPED = _files("mapped.json", "mapped.json", "mapped.json", "tln.json",
                 "mapped-ghost.json", "mapped-absorbed-ghost.json",
                 "mapped-k0.json", "mapped-k1.json", "mapped-rows0.json",
-                "mapped-cols-float.json",
+                "mapped-cols-float.json", "mapped-blocks-list.json",
                 *(f"mapped-{name}.json" for name in LINE_UP))
 PARAMS = _files("huge.json", "tiny.json")
 

@@ -134,8 +134,12 @@ def test_repartition_leaves_its_input_unchanged(c432_mapped):
     d8 = partition.repartition(c432_mapped, 8, 8)
     assert json.dumps(c432_mapped.to_json(), sort_keys=True) == before
     assert (d8.config.rows, c432_mapped.config.rows) == (8, 64)
-    # the copy shares what re-binning does not change
-    assert d8.tln is c432_mapped.tln and d8.source is c432_mapped.source
+    # the copy's stages are stored on its own network; the source netlist,
+    # which re-binning does not read, is shared
+    assert d8.source is c432_mapped.source
+    assert d8.tln is not c432_mapped.tln
+    assert all(d8.tln.nodes[n] is not node
+               for n, node in c432_mapped.tln.nodes.items())
 
 
 def test_smaller_subarrays_route_more(c432_mapped):

@@ -172,6 +172,17 @@ def _direct(design):
     return partition.interconnect_stats(design)["direct"]
 
 
+def ref_placements(design):
+    """name -> (stage, block) of every input and node of the design; the
+    primary inputs sit in stage 0, in runs of `config.cols`."""
+    cols = design.config.cols
+    place = {name: (0, i // cols) for i, name in enumerate(design.tln.inputs)}
+    for s, blks in design.blocks.items():
+        for b, blk in enumerate(blks):
+            place.update(dict.fromkeys(blk, (s, b)))
+    return place
+
+
 def ref_reorder_stages(design):
     """Recount every direct link after each per-stage trial."""
     cfg = design.config
@@ -187,7 +198,7 @@ def ref_reorder_stages(design):
                 continue
             old = design.blocks[s]
             nodes = design.stage_nodes(s)
-            place = design.placements()
+            place = ref_placements(design)
             cons = design.tln.consumers()
             bary = {}
             for i, nid in enumerate(nodes):
@@ -864,8 +875,8 @@ def test_schedule_between_the_exact_minimum_and_asap(seed):
 
 def test_absorbed_nodes_keep_the_stage_of_their_block():
     # absorption moved g299_3 into stage 439, and renumbering the stages
-    # above left its stored stage at 440; `repartition` then re-binned
-    # stage 439 and split g299_3 from its backward sources
+    # above once left its stored stage at 440. Re-binned at 8 x 8, the
+    # blocks that kept the old binning needed 10 rows
     net = parse_bench(netgen.generate(1200, 300, 0.1, 2))
     design = map_design(synthesize_tln(net, fanin_limit=2), net,
                         MappingConfig(k=1), 2)
@@ -873,9 +884,38 @@ def test_absorbed_nodes_keep_the_stage_of_their_block():
     for s in design.blocks:
         assert all(design.tln.nodes[nid].stage == s
                    for nid in design.stage_nodes(s))
-    place = partition.repartition(design, 8, 8).placements()
-    assert all(place[u][:2] == place[v][:2]
-               for u, v in design.backward_edges)
+    d8 = partition.repartition(design, 8, 8)
+    assert mapping.validate(d8)
+    assert all(d8.tln.nodes[nid].stage == s
+               for s in d8.blocks for nid in d8.stage_nodes(s))
+
+
+def test_every_rebinning_is_a_valid_design():
+    # `repartition` kept the stages around absorbed nodes at the old
+    # dimensions: 10 of these 144 re-binnings, and variation-mc's gen400
+    # at 16 and 32, failed `validate`
+    grid = [(gates, seed, fanin, k, (8, 16, 32, 64))
+            for gates, seed, fanin, k in itertools.product(
+                (300, 600, 1200), range(3), (2, 4), (1, 2))]
+    grid.append((400, "variation-mc", 4, 2, (16, 32, 64, 128)))
+    absorbing = 0
+    for gates, seed, fanin, k, dims in grid:
+        layers = 16 if gates == 400 else gates // 4
+        net = parse_bench(netgen.generate(gates, layers, 0.1, seed))
+        design = map_design(synthesize_tln(net, fanin_limit=fanin), net,
+                            MappingConfig(k=k), fanin)
+        before = json.dumps(design.to_json(), sort_keys=True)
+        for d in dims:
+            out = partition.repartition(design, d, d)
+            assert mapping.validate(out)
+            absorbing += bool(out.backward_edges)
+            if not design.absorbed and not out.backward_edges:
+                # without absorption it is the stages' own re-binning
+                assert out.blocks == {
+                    s: partition.rebin(design.stage_nodes(s), design.tln, d, d)
+                    for s in design.blocks}
+        assert json.dumps(design.to_json(), sort_keys=True) == before
+    assert absorbing >= 20
 
 
 def graph_order(nodes, sources):
